@@ -31,6 +31,7 @@ the embedding theorem with constant exactly 4.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -43,6 +44,7 @@ from .tree import TreeMeasure, as_node_array, subtree_sums
 __all__ = [
     "BellmanPoint",
     "CertificateRow",
+    "CertificateRows",
     "CompensationBatch",
     "CompensationWitness",
     "GradientReport",
@@ -118,7 +120,9 @@ def bellman_value(p: BellmanPoint, tol: float = DOMAIN_TOL) -> float:
     s = p.v + p.A
     if s <= 0:
         return 4.0 * p.F
-    return 4.0 * (p.F - p.f * p.f / s)
+    # f^2 / s <= F (v / s) <= F on the domain; cap it there for points admitted
+    # through ``tol`` or with a subnormal F v rounded up, so that B stays >= 0
+    return 4.0 * (p.F - min(p.f * p.f / s, p.F * (max(p.v, 0.0) / s)))
 
 
 def bellman_values(F, f, A, v, scale: float = 4.0) -> np.ndarray:
@@ -640,8 +644,31 @@ class CertificateRow:
 
 
 @dataclass(frozen=True, eq=False)
+class CertificateRows(Sequence):
+    """Per-node arrays of a tree certificate in heap order, read as a
+    sequence of :class:`CertificateRow` built on access."""
+
+    F: np.ndarray
+    f: np.ndarray
+    A: np.ndarray
+    v: np.ndarray
+    slacks: np.ndarray
+    weighted_values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.slacks.size
+
+    def __getitem__(self, index: int) -> CertificateRow:
+        k = range(len(self))[index]
+        point = BellmanPoint(*(float(x[k]) for x in (self.F, self.f, self.A, self.v)))
+        return CertificateRow(
+            k + 1, point, float(self.slacks[k]), float(self.weighted_values[k])
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class TreeCertificate:
-    rows: list[CertificateRow]
+    rows: CertificateRows
     total: float
     bellman_bound: float
     upper_bound: float
@@ -693,15 +720,6 @@ def certify_tree_embedding(
         slack[:internal] -= weighted[1:].reshape(-1, 2).sum(axis=1)
     slack -= alpha.values * f**2
 
-    rows = [
-        CertificateRow(
-            k + 1,
-            BellmanPoint(float(F[k]), float(f[k]), float(A[k]), float(v[k])),
-            float(slack[k]),
-            float(weighted[k]),
-        )
-        for k in range(shape.node_count)
-    ]
     total = float((alpha.values * f * f).sum())
     bound = float(weighted[0])
     upper = float(4.0 * F[0])
@@ -712,4 +730,5 @@ def certify_tree_embedding(
         and total <= bound + tol * scale
         and bound <= upper + tol * scale
     )
+    rows = CertificateRows(F, f, A, v, slack, weighted)
     return TreeCertificate(rows, total, bound, upper, min_slack, ok)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitree import BiMeasure, BiTreeShape
+from .errors import ValidationError
 from .tree import ALL_NODES, BOUNDARY_ONLY, TreeMeasure, TreeShape
 
 __all__ = [
@@ -41,7 +42,7 @@ def random_tree_measure(
         if not masses.any():
             masses[int(rng.integers(shape.node_count))] = 1.0
         return TreeMeasure(shape, masses)
-    raise ValueError(f"unknown support mode {support_mode!r}")
+    raise ValidationError(f"unknown support mode {support_mode!r}")
 
 
 def random_node_values(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import AlphaSequence, alpha_test_constant, carleson_ratios
+from .carleson import AlphaSequence, _safe_ratio, alpha_test_constant, carleson_ratios
 from .errors import PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
 
@@ -45,36 +45,25 @@ def _subtree_arrays(lam: TreeMeasure, phi) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def _ratio_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+def _level(d: int) -> slice:
+    """Heap positions (node - 1) of the nodes at depth ``d``."""
+    return slice((1 << d) - 1, (1 << (d + 1)) - 1)
 
 
 def average_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Per-node ratio of the phi-integral to the mass of the subtree."""
     num, den = _subtree_arrays(lam, phi)
-    return NodeVector(lam.shape, _ratio_array(num, den))
+    return NodeVector(lam.shape, _safe_ratio(num, den))
 
 
 def maximal_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Running maximum of the subtree ratios along root-to-node paths."""
     num, den = _subtree_arrays(lam, phi)
-    m = _ratio_array(num, den)
+    m = _safe_ratio(num, den)
     for d in range(1, lam.shape.depth + 1):
-        lo = (1 << d) - 1
-        hi = (1 << (d + 1)) - 1
-        parents = m[(1 << (d - 1)) - 1 : lo]
-        np.maximum(m[lo:hi], np.repeat(parents, 2), out=m[lo:hi])
+        here = _level(d)
+        np.maximum(m[here], np.repeat(m[_level(d - 1)], 2), out=m[here])
     return NodeVector(lam.shape, m)
-
-
-def _stops(child_ratio: float, parent_ratio: float) -> bool:
-    # With a zero parent ratio the >= test would fire at every child;
-    # require strict growth instead so the recursion cannot degenerate.
-    if parent_ratio == 0.0:
-        return child_ratio > 0.0
-    return child_ratio >= 2.0 * parent_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +80,10 @@ class StoppingDecomposition:
         return sorted(self.beta)
 
     def region_sizes(self) -> dict[int, int]:
-        # keyed by every owner that actually occurs, so a corrupted
-        # decomposition still tallies instead of blowing up
-        sizes = {h: 0 for h in self.beta}
-        for h in self.owner:
-            sizes[int(h)] = sizes.get(int(h), 0) + 1
+        # np.unique tallies any owner, so a corrupted decomposition still counts
+        owners, counts = np.unique(self.owner, return_counts=True)
+        sizes = dict.fromkeys(self.beta, 0)
+        sizes.update(zip(owners.tolist(), counts.tolist()))
         return sizes
 
     def to_dict(self) -> dict:
@@ -124,6 +112,10 @@ def stopping_decomposition(
     Signed phi makes the ratios oscillate and voids the guarantees of
     ``verify_stopping_invariants``; pass ``allow_signed=True`` to
     experiment anyway.
+
+    One root-to-leaf sweep decides a level at a time: each node stops
+    against its parent's owner or inherits that owner.  ``beta`` and
+    ``ratios`` list the vertices generation by generation, sorted.
     """
     shape = lam.shape
     phi_a = as_node_array(shape, phi)
@@ -131,55 +123,37 @@ def stopping_decomposition(
         raise ValidationError(
             "phi must be nonnegative (pass allow_signed=True to override)"
         )
-    num = subtree_sums(shape.depth, phi_a * lam.masses)
-    den = subtree_sums(shape.depth, lam.masses)
-    r = _ratio_array(num, den)
+    num, den = _subtree_arrays(lam, phi_a)
+    r = _safe_ratio(num, den)
 
-    owner = np.zeros(shape.node_count, dtype=np.int64)
-    beta: dict[int, float] = {}
-    ratios: dict[int, float] = {}
-    generations: list[list[int]] = [[1]]
-    frontier = [1]
-    while frontier:
-        next_generation: list[int] = []
-        for h in frontier:
-            r_h = float(r[h - 1])
-            ratios[h] = r_h
-            absorbed = float(den[h - 1])
-            stack = [h]
-            while stack:
-                node = stack.pop()
-                owner[node - 1] = h
-                if shape.is_leaf(node):
-                    continue
-                for child in shape.children(node):
-                    if den[child - 1] <= 0.0:
-                        # whole subtree is massless; keep it in O_h
-                        for k in _subtree_nodes(shape, child):
-                            owner[k - 1] = h
-                        continue
-                    if _stops(float(r[child - 1]), r_h):
-                        next_generation.append(child)
-                        absorbed -= float(den[child - 1])
-                    else:
-                        stack.append(child)
-            beta[h] = absorbed
-        if next_generation:
-            next_generation.sort()
-            generations.append(next_generation)
-        frontier = next_generation
+    n = shape.node_count
+    nodes = np.arange(1, n + 1, dtype=np.int64)
+    owner = np.ones(n, dtype=np.int64)
+    generation = np.zeros(n, dtype=np.int64)
+    for d in range(1, shape.depth + 1):
+        here, up = _level(d), _level(d - 1)
+        po = np.repeat(owner[up], 2)
+        r_po, r_here = r[po - 1], r[here]
+        # With a zero owner ratio the >= test would fire at every child;
+        # require strict growth instead so the recursion cannot degenerate.
+        stops = (den[here] > 0.0) & np.where(
+            r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
+        )
+        owner[here] = np.where(stops, nodes[here], po)
+        generation[here] = np.repeat(generation[up], 2) + stops
+
+    stopping = np.flatnonzero(owner == nodes)
+    stopping = stopping[np.argsort(generation[stopping], kind="stable")]
+    children = stopping[1:]
+    escaped = np.bincount(
+        owner[(children + 1) // 2 - 1] - 1, weights=den[children], minlength=n
+    )
+    keys = (stopping + 1).tolist()
+    beta = dict(zip(keys, (den[stopping] - escaped[stopping]).tolist()))
+    ratios = dict(zip(keys, r[stopping].tolist()))
+    gens = generation[stopping]
+    generations = [(stopping[gens == g] + 1).tolist() for g in range(gens[-1] + 1)]
     return StoppingDecomposition(shape, generations, owner, beta, ratios)
-
-
-def _subtree_nodes(shape: TreeShape, node: int) -> list[int]:
-    nodes = []
-    level = [node]
-    while level:
-        nodes.extend(level)
-        level = [
-            c for n in level if not shape.is_leaf(n) for c in shape.children(n)
-        ]
-    return nodes
 
 
 @dataclass(frozen=True)
@@ -205,6 +179,14 @@ class StoppingInvariantReport:
         return not self.failures
 
 
+def _node_items(table: dict[int, float], n: int):
+    """Keys in ``1..n`` of a per-vertex table, their values, and whether all were."""
+    keys = np.fromiter(table, dtype=np.int64, count=len(table))
+    values = np.fromiter(table.values(), dtype=float, count=len(table))
+    inside = (keys >= 1) & (keys <= n)
+    return keys[inside], values[inside], bool(inside.all())
+
+
 def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence:
     """Weight sequence beta_H / (subtree average of Lam at H)^2.
 
@@ -214,12 +196,11 @@ def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence
     """
     shape = lam.shape
     den = subtree_sums(shape.depth, lam.masses)
-    lengths = shape.lengths()
+    keys, beta, _ = _node_items(dec.beta, shape.node_count)
+    keep = den[keys - 1] > 0
+    pos, beta = keys[keep] - 1, beta[keep]
     values = np.zeros(shape.node_count)
-    for h, b in dec.beta.items():
-        d = den[h - 1]
-        if d > 0:
-            values[h - 1] = b * (lengths[h - 1] / d) ** 2
+    values[pos] = beta * (shape.lengths()[pos] / den[pos]) ** 2
     return AlphaSequence(shape, values)
 
 
@@ -229,107 +210,103 @@ def verify_stopping_invariants(
     """Check every structural claim the decomposition is built on.
 
     Pure check: nothing raises, each invariant reports pass/fail with
-    its worst margin and failures are collected by name.
+    its worst margin and failures are collected by name.  Ratios and
+    masses are recomputed from ``lam`` and ``phi``.  Owners that are not
+    nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
     """
     shape = lam.shape
+    n = shape.node_count
     num, den = _subtree_arrays(lam, phi)
-    r = _ratio_array(num, den)
+    r = _safe_ratio(num, den)
     m = maximal_ratios(lam, phi).values
-    failures: list[str] = []
 
-    stopping = set(dec.beta)
-    sizes = dec.region_sizes() if stopping else {}
-    partition_ok = (
-        bool(stopping)
-        and dec.generations[0] == [1]
-        and set(int(h) for h in dec.owner) <= stopping
-        and sum(sizes.values()) == shape.node_count
-        and all(s >= 1 for s in sizes.values())
-        and set(h for g in dec.generations for h in g) == stopping
+    # slot 0 of the owner-indexed arrays stands for "not a node"
+    owner = np.array(dec.owner, dtype=np.int64)
+    if owner.shape != (n,):
+        owner = np.zeros(n, dtype=np.int64)
+    owners_in_tree = bool(np.all((owner >= 1) & (owner <= n)))
+    owner[(owner < 1) | (owner > n)] = 0
+    stop, beta, keys_in_tree = _node_items(dec.beta, n)
+    is_stop = np.zeros(n + 1, dtype=bool)
+    is_stop[stop] = True
+    sizes = np.bincount(owner, minlength=n + 1)
+    listed = [h for g in dec.generations for h in g]
+    partition_ok = bool(
+        dec.beta
+        and keys_in_tree
+        and owners_in_tree
+        and dec.generations[:1] == [[1]]
+        and not sizes[~is_stop].any()
+        and sizes[stop].all()
+        and len(listed) == len(set(listed))
+        and set(listed) == set(dec.beta)
     )
-    if not partition_ok:
-        failures.append("partition")
 
-    owner_consistent = True
-    for node in range(1, shape.node_count + 1):
-        h = int(dec.owner[node - 1])
-        if node in stopping:
-            if h != node:
-                owner_consistent = False
-                break
-        elif node == 1 or h != int(dec.owner[shape.parent(node) - 1]):
-            owner_consistent = False
-            break
-    if not owner_consistent:
-        failures.append("owner-consistency")
+    # the root has no parent's owner to inherit, so it must stop
+    nodes = np.arange(1, n + 1)
+    parent_owner = np.concatenate(([0], owner[nodes[1:] // 2 - 1]))
+    owner_consistent = owners_in_tree and np.array_equal(
+        owner, np.where(is_stop[1:], nodes, parent_owner)
+    )
 
     # mass captured by the stopping children must stay below half
-    stop_children: dict[int, list[int]] = {h: [] for h in stopping}
-    for gen in dec.generations[1:]:
-        for j in gen:
-            stop_children[int(dec.owner[shape.parent(j) - 1])].append(j)
-    region_margin = -np.inf
-    beta_margin = -np.inf
-    for h in stopping:
-        escaped = sum(den[j - 1] for j in stop_children[h])
-        region_margin = max(region_margin, escaped - 0.5 * den[h - 1])
-        beta_margin = max(
-            beta_margin, abs(dec.beta[h] - (den[h - 1] - escaped))
-        )
-    region_mass_ok = region_margin <= tol
-    if not region_mass_ok:
-        failures.append("region-mass")
+    later = np.array([h for g in dec.generations[1:] for h in g], dtype=np.int64)
+    later = later[(later >= 2) & (later <= n)]  # the rest fail the partition
+    pred = owner[later // 2 - 1]
+    escaped = np.bincount(pred, weights=den[later - 1], minlength=n + 1)[stop]
+    region_margin = float(np.max(escaped - 0.5 * den[stop - 1], initial=-np.inf))
+    region_mass_ok = bool(region_margin <= tol)
 
-    beta_values = np.zeros(shape.node_count)
-    for h, b in dec.beta.items():
-        beta_values[h - 1] = b
+    beta_values = np.zeros(n)
+    beta_values[stop - 1] = beta
     beta_sums = subtree_sums(shape.depth, beta_values)
+    beta_margin = np.abs(beta - (den[stop - 1] - escaped)).max(initial=-np.inf)
     beta_sum_margin = float(max(beta_margin, (beta_sums - den).max()))
-    beta_sum_ok = beta_sum_margin <= tol
-    if not beta_sum_ok:
-        failures.append("beta-sum")
+    beta_sum_ok = bool(beta_sum_margin <= tol)
 
-    chain_margin = -np.inf
-    chain_ok = True
-    for gen in dec.generations[1:]:
-        for j in gen:
-            pred = int(dec.owner[shape.parent(j) - 1])
-            r_p = dec.ratios.get(pred, r[pred - 1])
-            r_j = float(r[j - 1])
-            if r_p == 0.0:
-                if not r_j > 0.0:
-                    chain_ok = False
-            else:
-                chain_margin = max(chain_margin, 2.0 * r_p - r_j)
-    chain_ok = chain_ok and chain_margin <= tol
-    if not chain_ok:
-        failures.append("chain-growth")
+    # the owner's ratio as the decomposition records it, else recomputed
+    r0 = np.concatenate(([0.0], r))
+    recorded = r0.copy()
+    ratio_keys, ratio_values, _ = _node_items(dec.ratios, n)
+    recorded[ratio_keys] = ratio_values
+    r_p, r_j = recorded[pred], r[later - 1]
+    zero = r_p == 0.0
+    chain_margin = float(np.max(2.0 * r_p[~zero] - r_j[~zero], initial=-np.inf))
+    chain_ok = bool(np.all(r_j[zero] > 0.0) and chain_margin <= tol)
 
-    owner_ratio = r[dec.owner - 1] if stopping else np.zeros_like(r)
+    owner_ratio = r0[owner] if dec.beta else np.zeros_like(r)
     ratio_margin = float((r - 2.0 * owner_ratio).max())
-    ownership_ratio_ok = ratio_margin <= tol
-    if not ownership_ratio_ok:
-        failures.append("ownership-ratio")
+    ownership_ratio_ok = bool(ratio_margin <= tol)
     maximal_margin = float((m - 2.0 * owner_ratio).max())
-    maximal_ratio_ok = maximal_margin <= tol
-    if not maximal_ratio_ok:
-        failures.append("maximal-ratio")
+    maximal_ratio_ok = bool(maximal_margin <= tol)
 
     alpha = derived_alpha(dec, lam)
     alpha_constant = float(alpha_test_constant(lam, alpha).constant)
     alpha_test_ok = alpha_constant <= 1.0 + 1e-9
-    if not alpha_test_ok:
-        failures.append("alpha-test")
 
+    failures = [
+        name
+        for name, ok in (
+            ("partition", partition_ok),
+            ("owner-consistency", owner_consistent),
+            ("region-mass", region_mass_ok),
+            ("beta-sum", beta_sum_ok),
+            ("chain-growth", chain_ok),
+            ("ownership-ratio", ownership_ratio_ok),
+            ("maximal-ratio", maximal_ratio_ok),
+            ("alpha-test", alpha_test_ok),
+        )
+        if not ok
+    ]
     return StoppingInvariantReport(
         partition_ok=partition_ok,
         owner_consistent=owner_consistent,
         region_mass_ok=region_mass_ok,
-        region_mass_margin=float(region_margin),
+        region_mass_margin=region_margin,
         beta_sum_ok=beta_sum_ok,
         beta_sum_margin=beta_sum_margin,
         chain_ok=chain_ok,
-        chain_margin=float(chain_margin),
+        chain_margin=chain_margin,
         ownership_ratio_ok=ownership_ratio_ok,
         ownership_ratio_margin=ratio_margin,
         maximal_ratio_ok=maximal_ratio_ok,

@@ -7,7 +7,7 @@ out so the numbers can be re-derived without running anything.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadic_carleson import (
@@ -37,10 +37,12 @@ from dyadic_carleson import (
     uniform_boundary_measure,
 )
 from dyadic_carleson.bellman import (
+    CertificateRow,
     MartingaleWitness,
     SplitWitness,
     domain_violation,
 )
+from dyadic_carleson.tree import subtree_sums
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,7 @@ def test_gradient_signs_by_finite_differences():
 @settings(max_examples=200, deadline=None)
 @given(F=st.floats(0, 10), v=st.floats(0, 10),
        t=st.floats(-1, 1), s=st.floats(0, 1))
+@example(F=0.75, v=5e-324, t=1.0, s=0.0)  # F v rounds up to the subnormal v
 def test_range_on_admissible_points(F, v, t, s):
     p = BellmanPoint(F, t * np.sqrt(F * v), s * v, v)
     value = bellman_value(p, tol=1e-9)
@@ -302,6 +305,46 @@ def test_certificate_uniform_depth3():
     assert len(cert.rows) == shape.node_count
     assert cert.rows[0].node == 1
     assert min(r.slack for r in cert.rows) == cert.min_slack
+
+
+def _eager_rows(lam, phi, alpha):
+    """The certificate rows as one list, built straight from the averages."""
+    shape = lam.shape
+    inv_len = np.exp2(shape.depths().astype(float))
+    v = inv_len * subtree_sums(shape.depth, lam.masses)
+    F = inv_len * subtree_sums(shape.depth, phi**2)
+    f = inv_len * subtree_sums(shape.depth, phi * np.sqrt(lam.masses))
+    A = inv_len * subtree_sums(shape.depth, alpha.values * v**2)
+    weighted = shape.lengths() * bellman_values(F, f, A, v)
+    slack = weighted.copy()
+    internal = (shape.node_count - 1) // 2
+    if internal:
+        slack[:internal] -= weighted[1:].reshape(-1, 2).sum(axis=1)
+    slack -= alpha.values * f**2
+    return [
+        CertificateRow(
+            k + 1,
+            BellmanPoint(float(F[k]), float(f[k]), float(A[k]), float(v[k])),
+            float(slack[k]),
+            float(weighted[k]),
+        )
+        for k in range(shape.node_count)
+    ]
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_lazy_rows_equal_eager_rows(depth):
+    shape = build_tree(depth)
+    lam = carleson_normalized(random_tree_measure(depth, shape, density=0.5))
+    phi = np.random.default_rng(depth).normal(size=shape.node_count)
+    alpha = box_squared_alpha(shape)
+    rows = certify_tree_embedding(lam, phi, alpha).rows
+    eager = _eager_rows(lam, phi, alpha)
+    assert len(rows) == len(eager)
+    assert list(rows) == eager
+    assert rows[-1] == eager[-1] and rows[0] == eager[0]
+    with pytest.raises(IndexError):
+        rows[len(eager)]
 
 
 def test_certificate_point_mass():

@@ -122,6 +122,11 @@ def test_box_squared_alpha_recovers_plain_test():
         assert weighted.argmax_node == plain.argmax_node
 
 
+def test_random_measure_rejects_unknown_support_mode():
+    with pytest.raises(ValidationError, match="unknown support mode"):
+        random_tree_measure(0, build_tree(2), support_mode="interior-only")
+
+
 def test_alpha_validation():
     shape = build_tree(1)
     with pytest.raises(ValidationError, match=r"alpha\[2\]"):

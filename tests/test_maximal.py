@@ -22,6 +22,144 @@ from dyadic_carleson import (
     verify_stopping_invariants,
 )
 from dyadic_carleson.maximal import average_ratios, derived_alpha
+from dyadic_carleson.tree import subtree_sums
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for the level sweep
+# ---------------------------------------------------------------------------
+
+
+def _reference_stops(child_ratio, parent_ratio):
+    if parent_ratio == 0.0:
+        return child_ratio > 0.0
+    return child_ratio >= 2.0 * parent_ratio
+
+
+def _reference_subtree_nodes(shape, node):
+    nodes = []
+    level = [node]
+    while level:
+        nodes.extend(level)
+        level = [
+            c for n in level if not shape.is_leaf(n) for c in shape.children(n)
+        ]
+    return nodes
+
+
+def _reference_decomposition(lam, phi):
+    """Node-by-node stack walk from each stopping vertex, one generation
+    at a time; returns (generations, owner, beta, ratios)."""
+    shape = lam.shape
+    phi = np.asarray(phi, dtype=float)
+    num = subtree_sums(shape.depth, phi * lam.masses)
+    den = subtree_sums(shape.depth, lam.masses)
+    r = np.zeros_like(num)
+    np.divide(num, den, out=r, where=den > 0)
+
+    owner = np.zeros(shape.node_count, dtype=np.int64)
+    beta, ratios = {}, {}
+    generations = [[1]]
+    frontier = [1]
+    while frontier:
+        next_generation = []
+        for h in frontier:
+            r_h = float(r[h - 1])
+            ratios[h] = r_h
+            absorbed = float(den[h - 1])
+            stack = [h]
+            while stack:
+                node = stack.pop()
+                owner[node - 1] = h
+                if shape.is_leaf(node):
+                    continue
+                for child in shape.children(node):
+                    if den[child - 1] <= 0.0:
+                        for k in _reference_subtree_nodes(shape, child):
+                            owner[k - 1] = h
+                        continue
+                    if _reference_stops(float(r[child - 1]), r_h):
+                        next_generation.append(child)
+                        absorbed -= float(den[child - 1])
+                    else:
+                        stack.append(child)
+            beta[h] = absorbed
+        if next_generation:
+            next_generation.sort()
+            generations.append(next_generation)
+        frontier = next_generation
+    return generations, owner, beta, ratios
+
+
+def _zero_on_blocks(shape, values, rng):
+    """Zero ``values`` on the subtrees of a few random nodes."""
+    out = np.array(values, dtype=float)
+    for node in rng.integers(1, shape.node_count + 1, size=3):
+        out[np.array(_reference_subtree_nodes(shape, int(node))) - 1] = 0.0
+    return out
+
+
+def _sweep_cases(depth, mode):
+    """(name, lam, phi, allow_signed) for every case the sweep must match."""
+    shape = build_tree(depth)
+    seed = 10 * depth + (mode == ALL_NODES)
+    rng = np.random.default_rng(seed)
+    lam = random_tree_measure(seed, shape, support_mode=mode, density=0.6)
+    sparse = random_tree_measure(seed + 1, shape, support_mode=mode, density=0.1)
+    phi = np.abs(random_node_values(seed + 2, shape, density=0.8))
+    signed = random_node_values(seed + 3, shape)
+    return [
+        ("plain", lam, phi, False),
+        ("sparse", sparse, phi, False),
+        ("blocks", lam, _zero_on_blocks(shape, phi, rng), False),
+        ("signed", lam, signed, True),
+        ("signed-blocks", sparse, _zero_on_blocks(shape, signed, rng), True),
+    ]
+
+
+@pytest.mark.parametrize("mode", [ALL_NODES, BOUNDARY_ONLY])
+@pytest.mark.parametrize("depth", range(11))
+def test_sweep_matches_scalar_reference(depth, mode):
+    for name, lam, phi, allow_signed in _sweep_cases(depth, mode):
+        dec = stopping_decomposition(lam, phi, allow_signed=allow_signed)
+        generations, owner, beta, ratios = _reference_decomposition(lam, phi)
+        assert np.array_equal(dec.owner, owner), name
+        assert dec.generations == generations, name
+        assert list(dec.beta) == list(beta), name
+        assert list(dec.ratios) == list(ratios), name
+        # beta is a subtree mass minus the escaped masses, which the sweep
+        # sums in another order than the reference; with signed phi it
+        # can cancel to about zero, so its error is measured against the
+        # subtree mass
+        got = np.array(list(dec.beta.values()))
+        want = np.array(list(beta.values()))
+        scale = subtree_sums(depth, lam.masses)[np.array(list(beta)) - 1]
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+        np.testing.assert_allclose(
+            list(dec.ratios.values()), list(ratios.values()), rtol=1e-12,
+            err_msg=name,
+        )
+        if not allow_signed:
+            assert verify_stopping_invariants(dec, lam, phi).ok, name
+
+
+def test_sweep_cases_reach_the_edge_cases():
+    """The reference cases above include massless subtrees, zero-ratio
+    owners below the root, three generations with nonnegative phi, and
+    generation order that differs from node order."""
+    massless = zero_owner = deep = reordered = False
+    for depth in range(11):
+        for mode in (ALL_NODES, BOUNDARY_ONLY):
+            for name, lam, phi, allow_signed in _sweep_cases(depth, mode):
+                dec = stopping_decomposition(lam, phi, allow_signed=allow_signed)
+                den = subtree_sums(depth, lam.masses)
+                massless |= name == "sparse" and bool((den == 0).any())
+                zero_owner |= any(
+                    h != 1 and ratio == 0.0 for h, ratio in dec.ratios.items()
+                )
+                deep |= not allow_signed and len(dec.generations) >= 3
+                reordered |= list(dec.beta) != sorted(dec.beta)
+    assert massless and zero_owner and deep and reordered
 
 
 def _hand_instance():
@@ -146,6 +284,32 @@ def test_corrupted_owner_is_caught():
     report = verify_stopping_invariants(bad, lam, phi)
     assert not report.ok
     assert "owner-consistency" in report.failures
+
+
+@pytest.mark.parametrize("entry", [0, -1, 4, 10**9])
+def test_owner_outside_the_tree_is_reported(entry):
+    shape, lam, phi = _hand_instance()
+    dec = stopping_decomposition(lam, phi)
+    for node in range(shape.node_count):
+        bad_owner = dec.owner.copy()
+        bad_owner[node] = entry
+        bad = StoppingDecomposition(shape, dec.generations, bad_owner,
+                                    dec.beta, dec.ratios)
+        report = verify_stopping_invariants(bad, lam, phi)
+        assert not report.ok
+        assert {"partition", "owner-consistency"} <= set(report.failures)
+        assert not report.partition_ok and not report.owner_consistent
+
+
+def test_invariant_flags_are_plain_bools():
+    shape = build_tree(6)
+    lam = random_tree_measure(3, shape, support_mode=ALL_NODES, density=0.5)
+    phi = np.abs(random_node_values(4, shape))
+    report = verify_stopping_invariants(stopping_decomposition(lam, phi), lam, phi)
+    flags = [name for name in vars(report) if name.endswith("_ok")]
+    flags.append("owner_consistent")
+    assert len(flags) == 8
+    assert all(type(getattr(report, name)) is bool for name in flags)
 
 
 def test_corrupted_beta_is_caught():
