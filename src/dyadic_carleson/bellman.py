@@ -378,16 +378,6 @@ def _draw_children(rng: np.random.Generator, count: int) -> _ChildArrays:
     return _ChildArrays(F, f, A, v)
 
 
-def _domain_mask(F, f, A, v, tol: float = DOMAIN_TOL) -> np.ndarray:
-    return (
-        (F >= -tol)
-        & (v >= -tol)
-        & (A >= -tol)
-        & (A <= v + tol)
-        & (f * f <= F * v + tol)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class MartingaleBatch:
     left: _ChildArrays

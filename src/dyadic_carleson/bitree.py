@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_RECTS = 1 << 22
-EXHAUSTIVE_CELL_LIMIT = 20
+EXHAUSTIVE_CELL_LIMIT = 16
 DENSE_CELL_LIMIT = 1 << 10
 
 STRATEGY_EXHAUSTIVE = "exhaustive"
@@ -480,13 +480,8 @@ class SetTestResult:
 
 
 def _cells_of_mask(shape: BiTreeShape, mask: int) -> list[tuple[int, int]]:
-    rows, cols = shape.cell_grid
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            if mask >> (i * cols + j) & 1:
-                out.append((i, j))
-    return out
+    cols = shape.cell_grid[1]
+    return [divmod(k, cols) for k in range(shape.cell_count) if mask >> k & 1]
 
 
 def _rect_cell_masks(shape: BiTreeShape) -> list[int]:
@@ -543,11 +538,7 @@ def _exhaustive_set_test(mu: BiMeasure) -> tuple[float, int]:
     for mask, m in zip(_rect_cell_masks(shape), masses):
         num[mask] += m * m
     den = np.zeros(size)
-    flat = mu.cells.ravel()
-    rows, cols = shape.cell_grid
-    for i in range(rows):
-        for j in range(cols):
-            den[1 << (i * cols + j)] = flat[i * cols + j]
+    den[1 << np.arange(cells)] = mu.cells.ravel()
     # subset-sum (zeta) passes: after bit b, each entry holds the sum of
     # its sources with that bit optionally cleared
     for b in range(cells):
@@ -574,7 +565,7 @@ def set_test_constant(
     A rectangle counts toward a set E when every boundary cell below it
     belongs to E; the ratio divides the sum of squared masses of the
     counted rectangles by the mass of E.  ``exhaustive`` enumerates all
-    subsets (at most 20 cells), ``k-rect-unions`` takes unions of up to
+    subsets (at most 16 cells), ``k-rect-unions`` takes unions of up to
     ``k`` rectangle shadows, ``random-downsets`` samples ``trials``
     random subsets with a seeded generator.
     """

@@ -108,8 +108,7 @@ def _write_counterexample(command: str, cfg: RunConfig, payload: dict) -> None:
 
 def _load_measure(path: str):
     try:
-        with open(path, "rb") as handle:
-            return measure_io.parse_measure_file(handle.read())
+        return measure_io.load_measure(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
@@ -523,7 +522,7 @@ def _cmd_gap_probe(args) -> int:
         "best_embedding": probe.best_embedding,
         "best_cells": None
         if probe.best_cells is None
-        else [[float(v) for v in row] for row in probe.best_cells],
+        else probe.best_cells.tolist(),
         "trajectory": [list(point) for point in probe.trajectory],
     }
     _emit(

@@ -15,7 +15,10 @@ position.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .bitree import BiMeasure, build_bitree
 from .errors import ValidationError
@@ -36,10 +39,33 @@ _TREE_FIELDS = {"version", "kind", "depth", "support_mode", "masses"}
 _BITREE_FIELDS = {"version", "kind", "depths", "masses"}
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def _is_number(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _mass_array(masses: list, cols: int | None = None) -> np.ndarray:
+    """One float array of a tree's flat masses or a bi-tree's rows of ``cols``.
+
+    Entry types are checked as a set; only a rejected list is scanned, to
+    name its first bad entry.
+    """
+    def entries():
+        return iter(masses) if cols is None else chain.from_iterable(masses)
+
+    if all(map(_is_number, set(map(type, entries())))):
+        try:
+            return np.array(masses, dtype=float)
+        except OverflowError:
+            pass
+    for k, value in enumerate(entries()):
+        where = f"masses[{k}]" if cols is None else f"masses[{k // cols}][{k % cols}]"
+        if not _is_number(type(value)):
+            raise ValidationError(f"{where}: expected a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"{where}: integer outside the double range") from None
+    raise AssertionError("a rejected mass list has no bad entry")
 
 
 def _as_int(value, where: str) -> int:
@@ -48,20 +74,19 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _check_fields(obj: dict, allowed: set, kind: str) -> None:
+def _check_fields(obj: dict, allowed: set, required: tuple, kind: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValidationError(
             f"unknown field(s) {', '.join(unknown)} for kind {kind!r}"
         )
+    for name in required:
+        if name not in obj:
+            raise ValidationError(f"missing field {name!r}")
 
 
 def _parse_tree(obj: dict) -> TreeMeasure:
-    _check_fields(obj, _TREE_FIELDS, "tree")
-    if "depth" not in obj:
-        raise ValidationError("missing field 'depth'")
-    if "masses" not in obj:
-        raise ValidationError("missing field 'masses'")
+    _check_fields(obj, _TREE_FIELDS, ("depth", "masses"), "tree")
     depth = _as_int(obj["depth"], "depth")
     if depth < 0:
         raise ValidationError(f"depth: must be nonnegative, got {depth}")
@@ -79,16 +104,11 @@ def _parse_tree(obj: dict) -> TreeMeasure:
             f"masses: expected {shape.node_count} entries for depth {depth}, "
             f"got {len(masses)}"
         )
-    values = [_as_number(v, f"masses[{i}]") for i, v in enumerate(masses)]
-    return TreeMeasure(shape, values, support_mode=mode)
+    return TreeMeasure(shape, _mass_array(masses), support_mode=mode)
 
 
 def _parse_bitree(obj: dict) -> BiMeasure:
-    _check_fields(obj, _BITREE_FIELDS, "bitree")
-    if "depths" not in obj:
-        raise ValidationError("missing field 'depths'")
-    if "masses" not in obj:
-        raise ValidationError("missing field 'masses'")
+    _check_fields(obj, _BITREE_FIELDS, ("depths", "masses"), "bitree")
     depths = obj["depths"]
     if not (isinstance(depths, list) and len(depths) == 2):
         raise ValidationError(f"depths: expected a pair, got {depths!r}")
@@ -104,12 +124,10 @@ def _parse_bitree(obj: dict) -> BiMeasure:
             f"masses: expected {rows} rows, got "
             f"{len(masses) if isinstance(masses, list) else type(masses).__name__}"
         )
-    grid = []
     for i, row in enumerate(masses):
         if not isinstance(row, list) or len(row) != cols:
             raise ValidationError(f"masses[{i}]: expected a row of {cols} entries")
-        grid.append([_as_number(v, f"masses[{i}][{j}]") for j, v in enumerate(row)])
-    return BiMeasure(shape, grid)
+    return BiMeasure(shape, _mass_array(masses, cols))
 
 
 def parse_measure_dict(obj) -> TreeMeasure | BiMeasure:
@@ -129,7 +147,7 @@ def parse_measure_dict(obj) -> TreeMeasure | BiMeasure:
 def parse_measure_file(data: bytes | str) -> TreeMeasure | BiMeasure:
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise ValidationError(f"not valid JSON: {exc}") from None
     return parse_measure_dict(obj)
 
@@ -141,20 +159,20 @@ def measure_to_dict(measure: TreeMeasure | BiMeasure) -> dict:
             "kind": "tree",
             "depth": measure.shape.depth,
             "support_mode": measure.support_mode,
-            "masses": [float(v) for v in measure.masses],
+            "masses": measure.masses.tolist(),
         }
     if isinstance(measure, BiMeasure):
         return {
             "version": SCHEMA_VERSION,
             "kind": "bitree",
             "depths": list(measure.shape.depths),
-            "masses": [[float(v) for v in row] for row in measure.cells],
+            "masses": measure.cells.tolist(),
         }
     raise TypeError(f"not a measure: {type(measure).__name__}")
 
 
 def load_measure(path) -> TreeMeasure | BiMeasure:
-    return parse_measure_file(Path(path).read_text())
+    return parse_measure_file(Path(path).read_bytes())
 
 
 def save_measure(measure: TreeMeasure | BiMeasure, path) -> None:

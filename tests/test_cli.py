@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report formats, measure files."""
 
+import codecs
 import json
 
 import numpy as np
@@ -102,6 +103,165 @@ def test_saved_files_are_stable(tmp_path):
     save_measure(mu, second)
     assert first.read_bytes() == second.read_bytes()
     assert measure_to_dict(mu)["kind"] == "tree"
+
+
+# The per-entry loop the parser used before it checked entry types as a
+# set; the parser must accept exactly what it accepted, with the same
+# arrays bit for bit and the same error text.
+
+
+def _as_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _reference_parse(doc):
+    masses = doc["masses"]
+    if doc["kind"] == "tree":
+        values = [_as_number(v, f"masses[{i}]") for i, v in enumerate(masses)]
+        return TreeMeasure(build_tree(doc["depth"]), values)
+    grid = [
+        [_as_number(v, f"masses[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(masses)
+    ]
+    return BiMeasure(build_bitree(*doc["depths"]), grid)
+
+
+def _outcome(parse, doc):
+    try:
+        mu = parse(doc)
+    except ValidationError as exc:
+        return str(exc)
+    arr = mu.masses if isinstance(mu, TreeMeasure) else mu.cells
+    return arr.shape, arr.tobytes()
+
+
+_TREE_NODES = 15  # depth 3
+_GRID = (4, 4)    # depths (2, 2)
+
+_GOOD_ENTRIES = {
+    "ints-and-floats": [0, 1, 0.5, 2**53 + 1, 2**60 + 3, 2**70, 10**300, 3, 1e300],
+    "zeros-and-subnormals": [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e-310],
+    "numpy-floats": [np.float64(0.25), np.float64(2.0**-1074), 1, 0.5],
+}
+_BAD_ENTRIES = [True, False, "1.5", None, [1.0], {"a": 1}, -1, -0.5, -(2**60),
+                float("nan"), float("inf"), float("-inf")]
+
+
+def _tree_doc(entries):
+    masses = (list(entries) * _TREE_NODES)[:_TREE_NODES]
+    return {"kind": "tree", "depth": 3, "masses": masses}
+
+
+def _bitree_doc(entries):
+    rows, cols = _GRID
+    flat = (list(entries) * rows * cols)[: rows * cols]
+    return {"kind": "bitree", "depths": [2, 2],
+            "masses": [flat[i * cols:(i + 1) * cols] for i in range(rows)]}
+
+
+def _with_entry(doc, k, value):
+    if doc["kind"] == "tree":
+        doc["masses"][k] = value
+    else:
+        cols = len(doc["masses"][0])
+        doc["masses"][k // cols][k % cols] = value
+    return doc
+
+
+@pytest.mark.parametrize("make", [_tree_doc, _bitree_doc])
+@pytest.mark.parametrize("name", sorted(_GOOD_ENTRIES))
+def test_parse_matches_per_entry_reference(make, name):
+    doc = make(_GOOD_ENTRIES[name])
+    got = _outcome(parse_measure_dict, doc)
+    assert got == _outcome(_reference_parse, doc)
+    assert not isinstance(got, str)
+
+
+@pytest.mark.parametrize("make,size", [
+    (_tree_doc, _TREE_NODES),
+    (_bitree_doc, _GRID[0] * _GRID[1]),
+])
+@pytest.mark.parametrize("bad", _BAD_ENTRIES, ids=repr)
+def test_parse_rejects_like_per_entry_reference(make, size, bad):
+    for k in (0, size // 2, size - 1):
+        doc = _with_entry(make([0.5, 2**60, 1]), k, bad)
+        got = _outcome(parse_measure_dict, doc)
+        assert isinstance(got, str)
+        assert got == _outcome(_reference_parse, doc)
+
+
+def test_parse_reports_the_first_bad_entry():
+    doc = _with_entry(_with_entry(_bitree_doc([1]), 6, None), 9, "x")
+    with pytest.raises(ValidationError, match=r"^masses\[1\]\[2\]: expected a number, got None$"):
+        parse_measure_dict(doc)
+
+
+@pytest.mark.parametrize("make,where", [
+    (_tree_doc, "masses[5]"),
+    (_bitree_doc, "masses[1][1]"),
+])
+@pytest.mark.parametrize("huge", [10**400, -(10**400), 2**1024 - 2**970],
+                         ids=["1e400", "-1e400", "2^1024-2^970"])
+def test_parse_rejects_integers_outside_double_range(make, where, huge):
+    doc = _with_entry(make([0.5]), 5, huge)
+    with pytest.raises(ValidationError) as info:
+        parse_measure_dict(doc)
+    assert str(info.value) == f"{where}: integer outside the double range"
+
+
+def test_parse_accepts_largest_integer_that_rounds_to_a_double():
+    # 2**1024 - 2**970 is the first integer that float() refuses
+    largest = 2**1024 - 2**970 - 1
+    mu = parse_measure_dict(_with_entry(_tree_doc([0.5]), 5, largest))
+    assert mu.masses[5] == float(largest) == np.finfo(float).max
+
+
+def test_integer_overflow_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    masses = ["0.5"] * _TREE_NODES
+    masses[7] = "1" + "0" * 400
+    path.write_text('{"kind": "tree", "depth": 3, "masses": [%s]}' % ", ".join(masses))
+    code, _, err = _run(capsys, "tree-embed", "--in", str(path))
+    assert code == 1
+    assert "masses[7]: integer outside the double range" in err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"kind": "tree", "depth": 0, "masses": [1' + b"0" * 5000 + b"]}",
+    b'{"kind": "tree\xff", "depth": 0, "masses": [1]}',
+], ids=["5001-digit-integer", "bad-utf8"])
+def test_parse_rejects_unreadable_json_as_invalid(data):
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        parse_measure_file(data)
+
+
+def test_load_measure_and_cli_read_bytes(capsys, tmp_path):
+    # a UTF-8 byte-order mark is detected from the bytes, whatever the locale
+    path = tmp_path / "bom.json"
+    doc = {"kind": "tree", "depth": 1, "masses": [0, 0.5, 0.5]}
+    path.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode())
+    assert np.array_equal(load_measure(path).masses, [0, 0.5, 0.5])
+    code, _, _ = _run(capsys, "tree-embed", "--in", str(path))
+    assert code == 0
+
+
+@pytest.mark.parametrize("mu", [
+    TreeMeasure(build_tree(3), np.r_[0.1, 1 / 3, 2.0**-1074, 1e300,
+                                     np.random.default_rng(1).exponential(size=11)]),
+    BiMeasure(build_bitree(2, 1), np.random.default_rng(2).exponential(size=(4, 2)) / 7),
+])
+def test_saved_bytes_match_per_entry_formatting(tmp_path, mu):
+    path = tmp_path / "mu.json"
+    save_measure(mu, path)
+    doc = measure_to_dict(mu)
+    if isinstance(mu, TreeMeasure):
+        doc["masses"] = [float(v) for v in mu.masses]
+    else:
+        doc["masses"] = [[float(v) for v in row] for row in mu.cells]
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------
