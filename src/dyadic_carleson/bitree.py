@@ -9,7 +9,8 @@ between the box test and the embedding constant.
 
 Rectangle arrays are indexed ``[row_node - 1, col_node - 1]`` with each
 axis in heap order, so the array core from :mod:`.tree` accumulates over
-either coordinate directly.
+either coordinate directly.  Quantities that only need the cell grid
+(the Gram operator of the embedding constant) stay on the grid.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import BellmanPoint, bellman_values
+from .carleson import _safe_ratio
 from .errors import (
     PreconditionError,
     ShapeMismatchError,
     SizeError,
     ValidationError,
 )
-from .tree import MAX_NODES_ENV, TreeShape, ancestor_sums, subtree_sums
+from .tree import MAX_NODES_ENV, TreeShape, subtree_sums
 
 __all__ = [
     "BiCertificateRow",
@@ -212,23 +214,41 @@ def cell_point_mass(
     return BiMeasure(shape, cells)
 
 
+def _fill_pair_levels(depth: int, out: np.ndarray, axis: int) -> None:
+    """Fill the internal heap levels along ``axis`` with child-pair sums.
+
+    Runs bottom-up from the leaf level, which must already be in place.
+    Entries come out as ``0.0 + (left + right)``, the value a subtree
+    pass over zero-initialised parents gives: two -0.0 halves make +0.0.
+    """
+    vw = np.moveaxis(out, axis, 0)
+    for d in range(depth - 1, -1, -1):
+        lo, hi, end = (1 << d) - 1, (1 << (d + 1)) - 1, (1 << (d + 2)) - 1
+        level = vw[lo:hi]
+        np.add(vw[hi:end:2], vw[hi + 1 : end : 2], out=level)
+        if d == depth - 1:
+            # only sums of leaf values can be -0.0; higher sums never are
+            level += 0.0
+
+
 def rect_integrals(shape: BiTreeShape, cell_values: np.ndarray) -> np.ndarray:
     """Integral of a boundary function over every rectangle.
 
-    Embeds the grid at the leaf-leaf block and accumulates subtree sums
-    over columns first, then rows; the row pass runs last so parent rows
-    equal their child-pair sums bit for bit.
+    Pairwise level sums straight from the leaf grid: columns first (on
+    the leaf rows), then rows over every column.  The row pass runs last
+    so parent rows equal their child-pair sums bit for bit.
     """
-    n1, n2 = shape.node_counts
+    n, m = shape.depths
     grid = np.asarray(cell_values, dtype=float)
     if grid.shape != shape.cell_grid:
         raise ShapeMismatchError(
             f"expected grid {shape.cell_grid}, got {grid.shape}"
         )
-    out = np.zeros((n1, n2))
-    out[shape.row_tree.first_leaf - 1 :, shape.col_tree.first_leaf - 1 :] = grid
-    out = subtree_sums(shape.depths[1], out, axis=1)
-    out = subtree_sums(shape.depths[0], out, axis=0)
+    out = np.empty(shape.node_counts)
+    leaf_rows = out[(1 << n) - 1 :]
+    leaf_rows[:, (1 << m) - 1 :] = grid
+    _fill_pair_levels(m, leaf_rows, axis=1)
+    _fill_pair_levels(n, out, axis=0)
     return out
 
 
@@ -244,10 +264,7 @@ def _box_sums(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
 
 def one_box_ratios(mu: BiMeasure) -> np.ndarray:
     masses = rect_masses(mu)
-    sums = _box_sums(mu.shape, masses)
-    out = np.zeros_like(sums)
-    np.divide(sums, masses, out=out, where=masses > 0)
-    return out
+    return _safe_ratio(_box_sums(mu.shape, masses), masses)
 
 
 class OneBoxResult(NamedTuple):
@@ -255,12 +272,14 @@ class OneBoxResult(NamedTuple):
     argmax_rect: tuple[int, int]
 
 
+def _largest_ratio(ratios: np.ndarray) -> OneBoxResult:
+    u, v = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    return OneBoxResult(float(ratios[u, v]), (int(u) + 1, int(v) + 1))
+
+
 def one_box_constant(mu: BiMeasure) -> OneBoxResult:
     """Largest rectangle-wise Carleson ratio and where it is attained."""
-    ratios = one_box_ratios(mu)
-    flat = int(np.argmax(ratios))
-    u, v = np.unravel_index(flat, ratios.shape)
-    return OneBoxResult(float(ratios[u, v]), (int(u) + 1, int(v) + 1))
+    return _largest_ratio(one_box_ratios(mu))
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
@@ -271,15 +290,14 @@ def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
     return mu.scaled(1.0 / constant), 1.0 / constant
 
 
-def _require_one_box(mu: BiMeasure, tol: float = 1e-9) -> OneBoxResult:
-    result = one_box_constant(mu)
+def _require_one_box(ratios: np.ndarray, tol: float = 1e-9) -> None:
+    result = _largest_ratio(ratios)
     if result.constant > 1.0 + tol:
         raise PreconditionError(
             f"box constant {result.constant:.12g} at rectangle "
             f"{result.argmax_rect} exceeds 1; scale the measure by "
             f"1/{result.constant:.12g} first"
         )
-    return result
 
 
 @dataclass(frozen=True)
@@ -298,7 +316,7 @@ def cube_embedding_check(
     lhs sums |R| (integral of phi over R)^2 over all rectangles, rhs is
     the integral of phi^2; requires the box constant to be at most 1.
     """
-    _require_one_box(mu)
+    _require_one_box(one_box_ratios(mu))
     phi_grid = _checked_grid(mu.shape, phi, "phi")
     g1 = rect_integrals(mu.shape, phi_grid * mu.cells)
     lhs = float((mu.shape.areas() * g1**2).sum())
@@ -318,11 +336,10 @@ class BiCertificateRow:
 def _child_pair_sums(values: np.ndarray, axis: int) -> np.ndarray:
     """Per-parent child sums along one heap axis, zero at childless slots."""
     work = np.moveaxis(values, axis, 0)
-    count = work.shape[0]
-    internal = (count - 1) // 2
-    out = np.zeros_like(work)
-    if internal:
-        out[:internal] = work[1:].reshape(internal, 2, *work.shape[1:]).sum(axis=1)
+    internal = (work.shape[0] - 1) // 2
+    out = np.empty_like(work)
+    np.add(work[1::2], work[2::2], out=out[:internal])
+    out[internal:] = 0.0
     return np.moveaxis(out, 0, axis)
 
 
@@ -389,20 +406,22 @@ def bitree_bellman_certify(
     Checks, per rectangle R with the aggregates at integral scale:
 
     * splitting either coordinate preserves the integrals of phi mu,
-      phi^2 mu and mu exactly (to 1e-12; the measure lives on cells, so
-      both half-sums reproduce the whole);
+      phi^2 mu and mu exactly (to 1e-12 of the larger of 1, mu(root) and
+      the root integral of phi^2 mu, which bound every entry; the
+      measure lives on cells, so both half-sums reproduce the whole);
     * the box sums gain at least mu(R)^2 over the averaged children;
     * |R|^2 B(x_R) minus the same for the existing children dominates
       |R| (integral of phi over R)^2 / 4, where B = F - f^2/(v + A);
-    * summing those rows telescopes to the global bound with constant 4.
+    * summing those rows telescopes to the global bound with constant 4,
+      to ``tol`` relative to the larger of 1 and the bound.
 
     Raises when the box constant exceeds 1, naming the worst rectangle.
     """
-    _require_one_box(mu)
     shape = mu.shape
-    phi_grid = _checked_grid(shape, phi, "phi")
     M = rect_masses(mu)
     SQ = _box_sums(shape, M)
+    _require_one_box(_safe_ratio(SQ, M))
+    phi_grid = _checked_grid(shape, phi, "phi")
     G1 = rect_integrals(shape, phi_grid * mu.cells)
     G2 = rect_integrals(shape, phi_grid**2 * mu.cells)
     areas = shape.areas()
@@ -410,26 +429,23 @@ def bitree_bellman_certify(
     deviation = 0.0
     for arr in (M, G1, G2):
         for axis in (0, 1):
-            pair = _child_pair_sums(arr, axis)
             work = np.moveaxis(arr, axis, 0)
             internal = (work.shape[0] - 1) // 2
             if internal:
-                dev = np.abs(
-                    np.moveaxis(pair, axis, 0)[:internal] - work[:internal]
-                ).max()
+                dev = np.abs(work[1::2] + work[2::2] - work[:internal]).max()
                 deviation = max(deviation, float(dev))
-    martingale_ok = deviation <= 1e-12
+    # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
+    magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
+    martingale_ok = deviation <= 1e-12 * magnitude
 
     gain = SQ - 0.5 * (_child_pair_sums(SQ, 0) + _child_pair_sums(SQ, 1)) - M**2
     gain_margin = float(gain.min())
     gain_ok = gain_margin >= -1e-12
 
-    denom = M + SQ
-    drag = np.zeros_like(G1)
-    np.divide(G1**2, denom, out=drag, where=denom > 0)
-    W = areas * (G2 - drag)
+    G1sq = G1**2
+    W = areas * (G2 - _safe_ratio(G1sq, M + SQ))
     childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
-    slacks = W - childW - 0.25 * areas * G1**2
+    slacks = W - childW - 0.25 * areas * G1sq
     min_slack = float(slacks.min())
     slack_ok = min_slack >= -tol
 
@@ -439,10 +455,10 @@ def bitree_bellman_certify(
     telescope_deviation = abs(net - expected)
     telescope_ok = telescope_deviation <= tol * scale
 
-    lhs_total = float((areas * G1**2).sum())
+    lhs_total = float((areas * G1sq).sum())
     rhs_total = float(G2[0, 0])
     upper = 4.0 * rhs_total
-    global_ok = lhs_total <= upper + tol
+    global_ok = lhs_total <= upper + tol * max(1.0, upper)
 
     return BiTreeCertificate(
         shape=shape,
@@ -627,19 +643,39 @@ class BiEmbeddingReport:
     converged: bool
 
 
+def _common_ancestor_apply(depth: int, x: np.ndarray, axis: int) -> np.ndarray:
+    """``C x`` along one axis of a leaf array, ``C[i, j]`` the common ancestors.
+
+    Leaves ``i`` and ``j`` of a depth-``depth`` tree share one ancestor per
+    level at which their blocks coincide, so ``C x`` adds, at every leaf,
+    the block sums of ``x`` over the leaf's blocks at all levels: block
+    sums up the levels, then each level broadcast down onto its children.
+    """
+    before = math.prod(x.shape[:axis])
+    work = x.reshape(before, x.shape[axis], -1)
+    levels = [work]
+    for _ in range(depth):
+        work = work[:, 0::2] + work[:, 1::2]
+        levels.append(work)
+    out = levels.pop()
+    while levels:
+        fine = levels.pop()
+        rows, half, after = out.shape
+        out = (fine.reshape(rows, half, 2, after) + out[:, :, None]).reshape(fine.shape)
+    return out.reshape(x.shape)
+
+
 def _apply_bi_gram(
-    shape: BiTreeShape,
-    active: np.ndarray,
-    sqrt_mass: np.ndarray,
-    g: np.ndarray,
+    depths: tuple[int, int], weights: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    grid = np.zeros(shape.cell_grid)
-    grid[active] = sqrt_mass * g
-    sums = rect_integrals(shape, grid)
-    sums = ancestor_sums(shape.depths[1], sums, axis=1)
-    sums = ancestor_sums(shape.depths[0], sums, axis=0)
-    block = sums[shape.row_tree.first_leaf - 1 :, shape.col_tree.first_leaf - 1 :]
-    return sqrt_mass * block[active]
+    """``W (C_n ⊗ C_m) W g`` on the cell grid, ``W`` the diagonal of ``weights``.
+
+    ``C_n ⊗ C_m`` counts the rectangles containing both cells of a pair,
+    so this sums the weighted rectangle integrals back over every
+    rectangle containing each cell, one axis at a time.
+    """
+    x = _common_ancestor_apply(depths[1], weights * g, axis=1)
+    return weights * _common_ancestor_apply(depths[0], x, axis=0)
 
 
 def bi_embedding_constant(
@@ -647,27 +683,28 @@ def bi_embedding_constant(
 ) -> BiEmbeddingReport:
     """Largest eigenvalue of the rectangle-summation Gram operator.
 
-    Power iteration over the positive-mass cells; the operator applies
-    square-root mass weights, accumulates rectangle integrals, and sums
-    them back over all containing rectangles.  Convergence requires two
-    consecutive Rayleigh quotients within relative ``tol``.
+    Power iteration on the cell grid from the indicator of the
+    positive-mass cells; the operator applies square-root mass weights,
+    accumulates rectangle integrals, and sums them back over all
+    containing rectangles.  Convergence requires two consecutive Rayleigh
+    quotients within relative ``tol``.
     """
     active = mu.cells > 0
     if not active.any():
         return BiEmbeddingReport(0.0, 0, True)
-    sqrt_mass = np.sqrt(mu.cells[active])
-    x = np.ones(int(active.sum()))
+    weights = np.sqrt(mu.cells)
+    x = active.astype(float)
     x /= np.linalg.norm(x)
     value = 0.0
     hits = 0
     for iteration in range(1, max_iter + 1):
-        y = _apply_bi_gram(mu.shape, active, sqrt_mass, x)
-        current = float(x @ y)
+        y = _apply_bi_gram(mu.shape.depths, weights, x)
+        current = float(np.vdot(x, y))
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return BiEmbeddingReport(0.0, iteration, True)
         x = y / norm
-        if abs(current - value) <= tol * max(1.0, abs(current)):
+        if abs(current - value) <= tol * max(abs(current), 1e-300):
             hits += 1
             if hits >= 2:
                 return BiEmbeddingReport(current, iteration, True)

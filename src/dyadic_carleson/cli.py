@@ -70,26 +70,33 @@ def _config(args) -> RunConfig:
     )
 
 
-def _pyify(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_pyify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _pyify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_pyify(v) for v in value]
-    return value
+def _plain(value):
+    """``json.dumps`` hook for the numpy values that JSON cannot encode.
+
+    Python containers and ``float`` subclasses such as ``np.float64`` are
+    encoded directly, so only numpy arrays and non-float scalars land here.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain)
 
 
 def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
     if cfg.fmt == "json" or csv_rows is None:
-        text = json.dumps(_pyify(report), sort_keys=True, indent=2) + "\n"
+        text = _dumps(report) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(csv_header)
-        writer.writerows(_pyify(list(csv_rows)))
+        # csv writes repr() of a float, which for np.float64 is not the number
+        writer.writerows(
+            [v.item() if isinstance(v, np.generic) else v for v in row]
+            for row in csv_rows
+        )
         text = buffer.getvalue()
     if cfg.out:
         with open(cfg.out, "w") as handle:
@@ -101,8 +108,7 @@ def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
 def _write_counterexample(command: str, cfg: RunConfig, payload: dict) -> None:
     path = (cfg.out or command) + ".counterexample.json"
     with open(path, "w") as handle:
-        json.dump(_pyify(payload), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(_dumps(payload) + "\n")
     print(f"counterexample written to {path}", file=sys.stderr)
 
 

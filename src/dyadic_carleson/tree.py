@@ -303,7 +303,8 @@ def ancestor_sums(depth: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1
         parents = vw[(1 << (d - 1)) - 1 : lo]
-        vw[lo:hi] += np.repeat(parents, 2, axis=0)
+        vw[lo:hi:2] += parents
+        vw[lo + 1 : hi : 2] += parents
     return out
 
 
@@ -314,8 +315,8 @@ def subtree_sums(depth: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
     for d in range(depth - 1, -1, -1):
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1
-        children = vw[hi : (1 << (d + 2)) - 1]
-        vw[lo:hi] += children.reshape(hi - lo, 2, *vw.shape[1:]).sum(axis=1)
+        end = (1 << (d + 2)) - 1
+        vw[lo:hi] += vw[hi:end:2] + vw[hi + 1 : end : 2]
     return out
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, report formats, measure files."""
 
 import codecs
+import csv
+import io
 import json
 
 import numpy as np
@@ -19,6 +21,7 @@ from dyadic_carleson import (
     uniform_bimeasure,
     uniform_boundary_measure,
 )
+from dyadic_carleson import cli
 from dyadic_carleson.carleson import EmbeddingReport, PairCheckResult
 from dyadic_carleson.cli import run_command
 from dyadic_carleson.measure_io import parse_measure_dict
@@ -439,6 +442,60 @@ def test_gap_probe_reports(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "step,gap,one_box,embedding"
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+
+def _walk_pyify(value):
+    """Reference encoder: converts every value to a Python one, one by one."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_walk_pyify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _walk_pyify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walk_pyify(v) for v in value]
+    return value
+
+
+def _numpy_payload():
+    rng = np.random.default_rng(5)
+    return {
+        "float": np.float64(1 / 3),
+        "int": np.int64(-7),
+        "flag": np.bool_(True),
+        "grid": rng.normal(size=(3, 4)),
+        "empty": np.zeros((0, 2)),
+        "mixed": [np.float32(0.1), (np.float64(np.nan), np.float64(-np.inf)),
+                  {"ints": np.arange(3), "none": None}],
+        "zeros": [-0.0, np.float64(-0.0), 0.0],
+        "plain": (1, 2.5, "text", True, False, np.False_),
+        "small": [np.uint8(3), np.float16(0.1), rng.normal(size=3).astype(np.float32)],
+        "cells": rng.exponential(size=(4, 4)).tolist(),
+    }
+
+
+def test_json_reports_match_per_value_walk():
+    payload = _numpy_payload()
+    want = json.dumps(_walk_pyify(payload), sort_keys=True, indent=2)
+    assert cli._dumps(payload) == want
+
+
+def test_csv_reports_match_per_value_walk(capsys):
+    rows = [(0, np.float64(0.1), "x", np.int64(3), np.float32(0.2), 2.5, np.bool_(False)),
+            (1, np.float64(np.nan), None, -0.0, np.float64(-0.0), 1e300, True)]
+    header = ("a", "b", "c", "d", "e", "f", "g")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(_walk_pyify(rows))
+    cfg = cli.RunConfig(seed=0, trials=0, tol=1e-9, fmt="csv", out=None)
+    cli._emit({}, cfg, csv_rows=iter(rows), csv_header=header)
+    assert capsys.readouterr().out == buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
