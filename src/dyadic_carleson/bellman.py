@@ -32,7 +32,7 @@ the embedding theorem with constant exactly 4.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -514,68 +514,23 @@ def _draw_mode(rng: np.random.Generator, count: int, mode: str, stats: SamplerSt
     return batch, ~(cs_bad | a_bad)
 
 
-def _select(batch, keep: np.ndarray):
-    def cut(arr):
-        return arr[keep]
+def _rebuild(parts: list, combine):
+    """One batch from same-typed ``parts``, each array field ``combine``d."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return combine(parts)
+    return type(first)(*(
+        _rebuild([getattr(p, field.name) for p in parts], combine)
+        for field in fields(first)
+    ))
 
-    if isinstance(batch, MartingaleBatch):
-        return MartingaleBatch(
-            _ChildArrays(*(cut(x) for x in (batch.left.F, batch.left.f, batch.left.A, batch.left.v))),
-            _ChildArrays(*(cut(x) for x in (batch.right.F, batch.right.f, batch.right.A, batch.right.v))),
-            cut(batch.m),
-        )
-    if isinstance(batch, TreeSplitBatch):
-        return TreeSplitBatch(
-            _ChildArrays(*(cut(x) for x in (batch.left.F, batch.left.f, batch.left.A, batch.left.v))),
-            _ChildArrays(*(cut(x) for x in (batch.right.F, batch.right.f, batch.right.A, batch.right.v))),
-            cut(batch.a),
-            cut(batch.b),
-            cut(batch.c),
-        )
-    return CompensationBatch(*(cut(x) for x in (
-        batch.F, batch.f, batch.A, batch.v, batch.a, batch.b, batch.c)))
+
+def _select(batch, keep: np.ndarray):
+    return _rebuild([batch], lambda arrays: arrays[0][keep])
 
 
 def _concat(parts):
-    first = parts[0]
-    if isinstance(first, MartingaleBatch):
-        return MartingaleBatch(
-            _ChildArrays(
-                np.concatenate([p.left.F for p in parts]),
-                np.concatenate([p.left.f for p in parts]),
-                np.concatenate([p.left.A for p in parts]),
-                np.concatenate([p.left.v for p in parts]),
-            ),
-            _ChildArrays(
-                np.concatenate([p.right.F for p in parts]),
-                np.concatenate([p.right.f for p in parts]),
-                np.concatenate([p.right.A for p in parts]),
-                np.concatenate([p.right.v for p in parts]),
-            ),
-            np.concatenate([p.m for p in parts]),
-        )
-    if isinstance(first, TreeSplitBatch):
-        return TreeSplitBatch(
-            _ChildArrays(
-                np.concatenate([p.left.F for p in parts]),
-                np.concatenate([p.left.f for p in parts]),
-                np.concatenate([p.left.A for p in parts]),
-                np.concatenate([p.left.v for p in parts]),
-            ),
-            _ChildArrays(
-                np.concatenate([p.right.F for p in parts]),
-                np.concatenate([p.right.f for p in parts]),
-                np.concatenate([p.right.A for p in parts]),
-                np.concatenate([p.right.v for p in parts]),
-            ),
-            np.concatenate([p.a for p in parts]),
-            np.concatenate([p.b for p in parts]),
-            np.concatenate([p.c for p in parts]),
-        )
-    return CompensationBatch(
-        *(np.concatenate([getattr(p, name) for p in parts])
-          for name in ("F", "f", "A", "v", "a", "b", "c"))
-    )
+    return _rebuild(parts, np.concatenate)
 
 
 MAX_REJECTION_ROUNDS = 10_000
@@ -601,7 +556,7 @@ def sample_batch(seed, count: int, mode: str):
         if need == 0:
             break
         batch, keep = _draw_mode(rng, need, mode, stats)
-        kept = _select(batch, keep)
+        kept = batch if keep.all() else _select(batch, keep)
         parts.append(kept)
         need -= len(kept)
     else:
@@ -610,7 +565,7 @@ def sample_batch(seed, count: int, mode: str):
         )
     if not parts:
         parts = [_draw_mode(rng, 0, mode, stats)[0]]
-    return _concat(parts), stats
+    return (parts[0] if len(parts) == 1 else _concat(parts)), stats
 
 
 def sample_admissible(seed, count: int, mode: str) -> Iterator:

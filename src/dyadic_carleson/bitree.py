@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import BellmanPoint, bellman_values
-from .carleson import _safe_ratio
+from .carleson import _power_iteration, _safe_ratio
 from .errors import (
     PreconditionError,
     ShapeMismatchError,
@@ -540,6 +540,33 @@ def boundary_set_ratio(mu: BiMeasure, member) -> float:
     return _set_ratio(mu, rect_masses(mu), grid)
 
 
+def _row_subset_sums(table: np.ndarray) -> None:
+    """In place, row ``i`` of a ``2**k``-row table becomes its submask sum.
+
+    One pass per bit ``b`` adds each row with the bit clear into the row
+    with it set: in blocks of ``2 * 2**b`` rows, the upper half takes the
+    lower half.
+    """
+    for b in range(table.shape[0].bit_length() - 1):
+        halves = table.reshape(-1, 2, table.shape[1] << b)
+        halves[:, 1] += halves[:, 0]
+
+
+def _subset_sums(values: np.ndarray) -> None:
+    """In place, entry ``mask`` of a ``2**k`` array becomes its submask sum.
+
+    The passes run bit by bit from the lowest, as row passes of a table:
+    the low bits on its transpose, so that every pass adds long rows
+    rather than many short runs.
+    """
+    low = (values.size.bit_length() - 1) // 2
+    grid = values.reshape(-1, 1 << low)
+    flipped = grid.T.copy()
+    _row_subset_sums(flipped)
+    grid[:] = flipped.T
+    _row_subset_sums(grid)
+
+
 def _exhaustive_set_test(mu: BiMeasure) -> tuple[float, int]:
     shape = mu.shape
     cells = shape.cell_count
@@ -555,13 +582,8 @@ def _exhaustive_set_test(mu: BiMeasure) -> tuple[float, int]:
         num[mask] += m * m
     den = np.zeros(size)
     den[1 << np.arange(cells)] = mu.cells.ravel()
-    # subset-sum (zeta) passes: after bit b, each entry holds the sum of
-    # its sources with that bit optionally cleared
-    for b in range(cells):
-        bit = 1 << b
-        idx = (np.arange(size) & bit).astype(bool)
-        num[idx] += num[np.arange(size)[idx] ^ bit]
-        den[idx] += den[np.arange(size)[idx] ^ bit]
+    _subset_sums(num)
+    _subset_sums(den)
     ratios = np.zeros(size)
     np.divide(num, den, out=ratios, where=den > 0)
     best = int(np.argmax(ratios))
@@ -692,26 +714,15 @@ def bi_embedding_constant(
     active = mu.cells > 0
     if not active.any():
         return BiEmbeddingReport(0.0, 0, True)
+    grid = mu.cells.shape
     weights = np.sqrt(mu.cells)
-    x = active.astype(float)
-    x /= np.linalg.norm(x)
-    value = 0.0
-    hits = 0
-    for iteration in range(1, max_iter + 1):
-        y = _apply_bi_gram(mu.shape.depths, weights, x)
-        current = float(np.vdot(x, y))
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return BiEmbeddingReport(0.0, iteration, True)
-        x = y / norm
-        if abs(current - value) <= tol * max(abs(current), 1e-300):
-            hits += 1
-            if hits >= 2:
-                return BiEmbeddingReport(current, iteration, True)
-        else:
-            hits = 0
-        value = current
-    return BiEmbeddingReport(value, max_iter, False)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return _apply_bi_gram(mu.shape.depths, weights, x.reshape(grid)).ravel()
+
+    return BiEmbeddingReport(
+        *_power_iteration(apply, active.ravel().astype(float), tol, max_iter)
+    )
 
 
 def _pairwise_common_ancestors(depth: int, leaves: np.ndarray) -> np.ndarray:

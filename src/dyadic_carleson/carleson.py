@@ -21,6 +21,7 @@ with arbitrary non-negative weights ``alpha``; the box-area weights
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +32,8 @@ from .tree import (
     NodeVector,
     TreeMeasure,
     TreeShape,
-    ancestor_sums,
+    _ancestor_sums_inplace,
+    _subtree_sums_inplace,
     as_node_array,
     subtree_sums,
 )
@@ -159,14 +161,35 @@ def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _apply_gram(mu: TreeMeasure, supp: np.ndarray, sqrt_m: np.ndarray,
-                g: np.ndarray) -> np.ndarray:
-    """One application of the symmetrized embedding operator on supp(mu)."""
-    depth = mu.shape.depth
-    full = np.zeros(mu.shape.node_count)
-    full[supp] = sqrt_m * g
-    acc = ancestor_sums(depth, subtree_sums(depth, full))
-    return sqrt_m * acc[supp]
+def _power_iteration(apply, x: np.ndarray, tol: float,
+                     max_iter: int) -> tuple[float, int, bool]:
+    """Largest eigenvalue of a positive semidefinite operator from start ``x``.
+
+    ``apply`` maps a flat vector to a new array, which the loop then
+    normalizes in place.  Stops once successive Rayleigh quotients agree
+    to ``tol`` relatively twice in a row (to dodge spurious plateaus), or
+    with value 0 when ``apply`` returns the zero vector.  Returns
+    ``(value, iterations, converged)``.
+    """
+    x = x / math.sqrt(x.dot(x))
+    value = 0.0
+    hits = 0
+    for iteration in range(1, max_iter + 1):
+        y = apply(x)
+        current = float(x.dot(y))
+        norm = math.sqrt(y.dot(y))
+        if norm == 0.0:
+            return 0.0, iteration, True
+        y /= norm
+        x = y
+        if abs(current - value) <= tol * max(abs(current), 1e-300):
+            hits += 1
+            if hits >= 2:
+                return current, iteration, True
+        else:
+            hits = 0
+        value = current
+    return value, max_iter, False
 
 
 def embedding_constant(
@@ -186,33 +209,21 @@ def embedding_constant(
     if supp.size == 0:
         return EmbeddingReport(ratios.test_constant, 0.0, ratios.argmax_node, 0, True)
     sqrt_m = np.sqrt(mu.masses[supp])
+    depth = mu.shape.depth
+    full = np.zeros(mu.shape.node_count)
 
-    g = np.ones(supp.size)
-    g /= np.linalg.norm(g)
-    rho_prev = 0.0
-    rho = 0.0
-    hits = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = _apply_gram(mu, supp, sqrt_m, g)
-        rho = float(g @ y)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            rho = 0.0
-            converged = True
-            break
-        g = y / norm
-        if abs(rho - rho_prev) <= tol * max(abs(rho), 1e-300):
-            hits += 1
-            if hits >= 2:
-                converged = True
-                break
-        else:
-            hits = 0
-        rho_prev = rho
+    def apply(g: np.ndarray) -> np.ndarray:
+        full.fill(0.0)
+        full[supp] = sqrt_m * g
+        _subtree_sums_inplace(depth, full)
+        _ancestor_sums_inplace(depth, full)
+        return sqrt_m * full[supp]
+
+    value, iterations, converged = _power_iteration(
+        apply, np.ones(supp.size), tol, max_iter
+    )
     return EmbeddingReport(
-        ratios.test_constant, rho, ratios.argmax_node, iterations, converged
+        ratios.test_constant, value, ratios.argmax_node, iterations, converged
     )
 
 

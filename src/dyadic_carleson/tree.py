@@ -298,26 +298,34 @@ def as_node_array(shape: TreeShape, values) -> np.ndarray:
 def ancestor_sums(depth: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum ``values`` over ancestors (root-to-leaf pass), along ``axis``."""
     out = np.array(values, dtype=float)
-    vw = np.moveaxis(out, axis, 0)
-    for d in range(1, depth + 1):
-        lo = (1 << d) - 1
-        hi = (1 << (d + 1)) - 1
-        parents = vw[(1 << (d - 1)) - 1 : lo]
-        vw[lo:hi:2] += parents
-        vw[lo + 1 : hi : 2] += parents
+    _ancestor_sums_inplace(depth, out if axis == 0 else out.swapaxes(0, axis))
     return out
 
 
 def subtree_sums(depth: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum ``values`` over subtrees (leaf-to-root pass), along ``axis``."""
     out = np.array(values, dtype=float)
-    vw = np.moveaxis(out, axis, 0)
+    _subtree_sums_inplace(depth, out if axis == 0 else out.swapaxes(0, axis))
+    return out
+
+
+def _ancestor_sums_inplace(depth: int, vw: np.ndarray) -> None:
+    """:func:`ancestor_sums` along the leading axis, overwriting ``vw``."""
+    for d in range(1, depth + 1):
+        lo = (1 << d) - 1
+        hi = (1 << (d + 1)) - 1
+        parents = vw[(1 << (d - 1)) - 1 : lo]
+        vw[lo:hi:2] += parents
+        vw[lo + 1 : hi : 2] += parents
+
+
+def _subtree_sums_inplace(depth: int, vw: np.ndarray) -> None:
+    """:func:`subtree_sums` along the leading axis, overwriting ``vw``."""
     for d in range(depth - 1, -1, -1):
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1
         end = (1 << (d + 2)) - 1
         vw[lo:hi] += vw[hi:end:2] + vw[hi + 1 : end : 2]
-    return out
 
 
 # ---------------------------------------------------------------------------

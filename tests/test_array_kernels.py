@@ -1,35 +1,48 @@
 """Array kernels of the tree and bi-tree layers against independent references.
 
 The references are the earlier forms of the kernels: reshape/repeat tree
-passes, rectangle integrals over a zero-padded rectangle array, and the
+passes, rectangle integrals over a zero-padded rectangle array, the
 Gram apply that builds every rectangle sum and spreads it back with two
-ancestor passes.  The pass kernels add in the same order and must agree
-exactly.  Only the sign of a zero may differ in the tree passes: a
+ancestor passes, the fancy-index subset-sum passes of the exhaustive set
+test, and the two power-iteration loops the embedding constants had
+before they shared one.  The pass kernels add in the same order and must
+agree exactly.  Only the sign of a zero may differ in the tree passes: a
 ``reshape(...).sum(axis=1)`` of two -0.0 halves gives +0.0 in some numpy
-versions and -0.0 in others.  Rectangle integrals agree bit for bit.  The
-Gram apply adds in another order and must agree to rounding, and also
-with a dense matvec of the common-ancestor kernel.
+versions and -0.0 in others.  Rectangle integrals, subset sums and both
+power iterations agree bit for bit.  The Gram apply adds in another
+order and must agree to rounding, and also with a dense matvec of the
+common-ancestor kernel.
 """
 
 import numpy as np
 import pytest
 
 from dyadic_carleson import (
+    ALL_NODES,
+    BOUNDARY_ONLY,
     BiMeasure,
     PreconditionError,
+    TreeMeasure,
     bi_embedding_constant,
     bi_embedding_constant_dense,
     bitree_bellman_certify,
     build_bitree,
+    build_tree,
+    embedding_constant,
     random_bimeasure,
+    random_tree_measure,
+    set_test_constant,
     uniform_bimeasure,
 )
 from dyadic_carleson.bitree import (
     _apply_bi_gram,
     _child_pair_sums,
     _pairwise_common_ancestors,
+    _rect_cell_masks,
+    _subset_sums,
     normalized_to_unit_onebox,
     rect_integrals,
+    rect_masses,
 )
 from dyadic_carleson.tree import ancestor_sums, subtree_sums
 
@@ -236,3 +249,180 @@ def test_certificate_checks_the_box_before_phi():
         bitree_bellman_certify(mu, np.ones((3, 3)))
     zero = BiMeasure(shape, np.zeros(shape.cell_grid))
     assert bitree_bellman_certify(zero, np.ones(shape.cell_grid)).ok
+
+
+# ---------------------------------------------------------------------------
+# subset sums of the exhaustive set test
+# ---------------------------------------------------------------------------
+
+
+def _ref_set_sums(mu):
+    """Inputs of the subset sums: squared rectangle masses at each
+    rectangle's cell mask, and cell masses at the one-cell masks."""
+    shape = mu.shape
+    size = 1 << shape.cell_count
+    num = np.zeros(size)
+    for mask, m in zip(_rect_cell_masks(shape), rect_masses(mu).ravel()):
+        num[mask] += m * m
+    den = np.zeros(size)
+    den[1 << np.arange(shape.cell_count)] = mu.cells.ravel()
+    return num, den
+
+
+def _ref_subset_sums(values):
+    size = values.size
+    out = values.copy()
+    for b in range(size.bit_length() - 1):
+        bit = 1 << b
+        idx = (np.arange(size) & bit).astype(bool)
+        out[idx] += out[np.arange(size)[idx] ^ bit]
+    return out
+
+
+SET_TEST_DEPTHS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2),
+                   (2, 1), (3, 0), (0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+
+
+def _set_test_measures(shape):
+    """Zero-mass cells, ties (uniform, and equal masses), a point, nothing."""
+    rng = np.random.default_rng(shape.cell_count)
+    sparse = rng.exponential(size=shape.cell_grid)
+    sparse *= rng.uniform(size=shape.cell_grid) < 0.6
+    equal = np.where(rng.uniform(size=shape.cell_grid) < 0.5, 2.0, 0.0)
+    point = np.zeros(shape.cell_grid)
+    point[-1, 0] = 3.0
+    return [BiMeasure(shape, grid) for grid in (
+        sparse, np.ones(shape.cell_grid), equal, point, np.zeros(shape.cell_grid))]
+
+
+@pytest.mark.parametrize("bits", range(17))
+def test_subset_sums_match_fancy_index_passes(bits):
+    rng = np.random.default_rng(bits)
+    for values in (rng.exponential(size=1 << bits), _signed_values(rng, 1 << bits)):
+        got = values.copy()
+        _subset_sums(got)
+        assert _same_bits(got, _ref_subset_sums(values))
+
+
+@pytest.mark.parametrize("depths", SET_TEST_DEPTHS)
+def test_exhaustive_set_test_matches_fancy_index_reference(depths):
+    shape = build_bitree(*depths)
+    cols = shape.cell_grid[1]
+    for mu in _set_test_measures(shape):
+        sums = []
+        for values in _ref_set_sums(mu):
+            want = _ref_subset_sums(values)
+            got = values.copy()
+            _subset_sums(got)
+            assert _same_bits(got, want)
+            sums.append(want)
+        num, den = sums
+        ratios = np.zeros_like(num)
+        np.divide(num, den, out=ratios, where=den > 0)
+        best = int(np.argmax(ratios))
+        result = set_test_constant(mu)
+        assert _same_bits(np.float64(result.constant), ratios[best])
+        assert result.witness == [
+            divmod(k, cols) for k in range(shape.cell_count) if best >> k & 1
+        ]
+
+
+# ---------------------------------------------------------------------------
+# power iterations
+# ---------------------------------------------------------------------------
+
+
+def _ref_tree_power(mu, tol=1e-12, max_iter=100_000):
+    supp = np.flatnonzero(mu.masses)
+    if supp.size == 0:
+        return 0.0, 0, True
+    depth = mu.shape.depth
+    sqrt_m = np.sqrt(mu.masses[supp])
+    g = np.ones(supp.size)
+    g /= np.linalg.norm(g)
+    rho_prev = rho = 0.0
+    hits = iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        full = np.zeros(mu.shape.node_count)
+        full[supp] = sqrt_m * g
+        y = sqrt_m * ancestor_sums(depth, subtree_sums(depth, full))[supp]
+        rho = float(g @ y)
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            rho = 0.0
+            converged = True
+            break
+        g = y / norm
+        if abs(rho - rho_prev) <= tol * max(abs(rho), 1e-300):
+            hits += 1
+            if hits >= 2:
+                converged = True
+                break
+        else:
+            hits = 0
+        rho_prev = rho
+    return rho, iterations, converged
+
+
+def _ref_bitree_power(mu, tol=1e-12, max_iter=100_000):
+    active = mu.cells > 0
+    if not active.any():
+        return 0.0, 0, True
+    weights = np.sqrt(mu.cells)
+    x = active.astype(float)
+    x /= np.linalg.norm(x)
+    value = 0.0
+    hits = 0
+    for iteration in range(1, max_iter + 1):
+        y = _apply_bi_gram(mu.shape.depths, weights, x)
+        current = float(np.vdot(x, y))
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return 0.0, iteration, True
+        x = y / norm
+        if abs(current - value) <= tol * max(abs(current), 1e-300):
+            hits += 1
+            if hits >= 2:
+                return current, iteration, True
+        else:
+            hits = 0
+        value = current
+    return value, max_iter, False
+
+
+def _same_outcome(got, want):
+    value, iterations, converged = want
+    return (_same_bits(np.float64(got[0]), np.float64(value))
+            and got[1:] == (iterations, converged))
+
+
+@pytest.mark.parametrize("depth", range(11))
+@pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
+def test_tree_power_iteration_matches_old_loop(depth, mode):
+    shape = build_tree(depth)
+    zero = np.zeros(shape.node_count)
+    measures = [random_tree_measure(depth, shape, support_mode=mode),
+                random_tree_measure(depth + 50, shape, support_mode=mode, density=0.1),
+                TreeMeasure(shape, zero, mode)]
+    for mu in measures:
+        for max_iter in (100_000, 2):
+            report = embedding_constant(mu, max_iter=max_iter)
+            got = (report.embedding_constant, report.iterations, report.converged)
+            assert _same_outcome(got, _ref_tree_power(mu, max_iter=max_iter))
+    # two Rayleigh quotients can agree at most once in two iterations
+    assert not embedding_constant(measures[0], max_iter=2).converged
+
+
+@pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4), (6, 6)])
+def test_bitree_power_iteration_matches_old_loop(depths):
+    shape = build_bitree(*depths)
+    measures = [random_bimeasure(sum(depths), shape),
+                random_bimeasure(sum(depths) + 50, shape, density=0.2),
+                BiMeasure(shape, np.zeros(shape.cell_grid))]
+    for mu in measures:
+        for max_iter in (100_000, 2):
+            report = bi_embedding_constant(mu, max_iter=max_iter)
+            got = (report.value, report.iterations, report.converged)
+            assert _same_outcome(got, _ref_bitree_power(mu, max_iter=max_iter))
+    assert not bi_embedding_constant(measures[0], max_iter=2).converged

@@ -5,6 +5,8 @@ closed form B = 4 (F - f^2 / (v + A)); the comments spell the arithmetic
 out so the numbers can be re-derived without running anything.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +38,7 @@ from dyadic_carleson import (
     tree_split_slack,
     uniform_boundary_measure,
 )
+from dyadic_carleson import bellman
 from dyadic_carleson.bellman import (
     CertificateRow,
     MartingaleWitness,
@@ -221,6 +224,69 @@ def test_sampler_is_deterministic_and_rejection_free(mode):
         assert np.array_equal(batch1.values(), batch2.values())
     else:
         assert np.array_equal(batch1.slacks(), batch2.slacks())
+
+
+def _batch_arrays(batch):
+    out = []
+    for field in dataclasses.fields(batch):
+        value = getattr(batch, field.name)
+        out += _batch_arrays(value) if dataclasses.is_dataclass(value) else [value]
+    return out
+
+
+def _ref_sample_batch(seed, count, mode):
+    """The arrays of the always-copy sampler: each round's kept draws, joined."""
+    rng = np.random.default_rng(seed)
+    stats = bellman.SamplerStats()
+    rounds = []
+    need = count
+    while need:
+        batch, keep = bellman._draw_mode(rng, need, mode, stats)
+        rounds.append([values[keep] for values in _batch_arrays(batch)])
+        need -= int(np.count_nonzero(keep))
+    if not rounds:
+        batch = bellman._draw_mode(rng, 0, mode, stats)[0]
+        rounds = [_batch_arrays(batch)]
+    return type(batch), [np.concatenate(column) for column in zip(*rounds)], stats
+
+
+def _same_batch(batch, stats, ref):
+    kind, arrays, ref_stats = ref
+    return type(batch) is kind and stats == ref_stats and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(_batch_arrays(batch), arrays, strict=True)
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_sampler_matches_always_copy_path(mode, count):
+    batch, stats = sample_batch(11, count, mode)
+    assert _same_batch(batch, stats, _ref_sample_batch(11, count, mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sampler_rounds_with_rejections_match_always_copy_path(mode, monkeypatch):
+    draw = bellman._draw_mode
+
+    def run(sampler):
+        rounds = []
+
+        def dropping(rng, count, mode, stats):
+            batch, keep = draw(rng, count, mode, stats)
+            if not rounds:
+                keep = keep & (np.arange(count) % 3 != 0)
+            rounds.append(count)
+            return batch, keep
+
+        monkeypatch.setattr(bellman, "_draw_mode", dropping)
+        result = sampler(5, 300, mode)
+        assert rounds == [300, 100]
+        return result
+
+    batch, stats = run(sample_batch)
+    assert len(batch) == 300
+    assert _same_batch(batch, stats, run(_ref_sample_batch))
 
 
 @pytest.mark.parametrize("mode", ["martingale", "tree_split"])

@@ -572,3 +572,48 @@ def test_bellman_failure_writes_witness(capsys, tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "bellman-sample.counterexample.json").read_text())
     assert payload["left"] == [1, 0, 0, 1]
     assert "counterexample" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+PARSER_SEQUENCE = [
+    ["tree-embed", "--depth", "3", "--seed", "2", "--tol", "1e-6", "--format", "csv",
+     "--out", "{out}"],
+    ["tree-test", "--depth", "2", "--trials", "3"],
+    ["bitree-onebox", "--depths", "1,1", "--trials", "2", "--format", "csv"],
+    ["tree-test", "--depth"],
+    ["tree-embed", "--tol", "1e-6"],
+    ["--help"],
+    ["bitree-settest", "--help"],
+    ["tree-embed", "--depth", "3", "--seed", "2", "--out", "{out}"],
+    ["bitree-onebox", "--depths", "1,1", "--trials", "2"],
+    ["certify"],
+]
+
+
+def _outcomes(capsys, tmp_path, fresh):
+    out = tmp_path / "report.txt"
+    results = []
+    for argv in PARSER_SEQUENCE:
+        if fresh:
+            cli._shared_parser.cache_clear()
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = _run(capsys, *(a.format(out=out) for a in argv))
+        written = out.read_text() if out.exists() else None
+        results.append((code, stdout, stderr, written))
+    return results
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys, tmp_path):
+    cli._shared_parser.cache_clear()
+    shared = _outcomes(capsys, tmp_path, fresh=False)
+    fresh = _outcomes(capsys, tmp_path, fresh=True)
+    assert [r[0] for r in shared] == [0, 0, 0, 1, 1, 0, 0, 0, 0, 1]
+    assert shared[0][3] is not None and shared[7][3] is not None
+    assert shared[2][1].startswith("trial,constant,")
+    assert shared[8][1].startswith("{")
+    assert shared[5][1].startswith("usage: dyadic-carleson")
+    assert shared == fresh
