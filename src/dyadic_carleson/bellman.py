@@ -25,14 +25,16 @@ the parent node's own function value:
 
       (B(F - b^2, f - a b, A - c, v - a^2) - B(F, f, A - c, v)) / 4 <= 0.
 
-``certify_tree_embedding`` turns these into a per-node certificate of
-the embedding theorem with constant exactly 4.
+``sample_batch`` draws admissible witnesses of any of the three checks
+into one ``SampleBatch`` record of named coordinate arrays, and
+``certify_tree_embedding`` turns the checks into a per-node certificate
+of the embedding theorem with constant exactly 4.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -45,16 +47,14 @@ __all__ = [
     "BellmanPoint",
     "CertificateRow",
     "CertificateRows",
-    "CompensationBatch",
     "CompensationWitness",
     "GradientReport",
-    "MartingaleBatch",
     "MartingaleWitness",
+    "SampleBatch",
     "SamplerStats",
     "ShiftGain",
     "SplitWitness",
     "TreeCertificate",
-    "TreeSplitBatch",
     "a_shift_gain",
     "bellman_gradient",
     "bellman_value",
@@ -153,10 +153,16 @@ def bellman_gradient(p: BellmanPoint) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _drift(f: float, v: float, amount: float) -> float:
-    if v <= 0:
-        return 0.0
-    return f * f / (v * v) * amount
+def _split_slack(
+    left: BellmanPoint, right: BellmanPoint, parent: BellmanPoint, increment: float,
+    tol: float,
+) -> float:
+    """B(parent) - (B(left) + B(right))/2 - increment * f^2 / v^2 at the parent."""
+    _require_domain(parent, tol)
+    half = 0.5 * (bellman_value(left, tol) + bellman_value(right, tol))
+    f, v = parent.f, parent.v
+    drift = f * f / (v * v) * increment if v > 0 else 0.0
+    return bellman_value(parent, tol) - half - drift
 
 
 def martingale_split_slack(
@@ -178,9 +184,7 @@ def martingale_split_slack(
         m + 0.5 * (left.A + right.A),
         0.5 * (left.v + right.v),
     )
-    _require_domain(parent, tol)
-    half = 0.5 * (bellman_value(left, tol) + bellman_value(right, tol))
-    return bellman_value(parent, tol) - half - _drift(parent.f, parent.v, m)
+    return _split_slack(left, right, parent, m, tol)
 
 
 @dataclass(frozen=True)
@@ -227,10 +231,7 @@ def tree_split_slack(witness: SplitWitness, tol: float = DOMAIN_TOL) -> float:
     """Slack of the tree-split main inequality; must be >= -1e-9."""
     _require_domain(witness.left, tol)
     _require_domain(witness.right, tol)
-    parent = witness.parent()
-    _require_domain(parent, tol)
-    half = 0.5 * (bellman_value(witness.left, tol) + bellman_value(witness.right, tol))
-    return bellman_value(parent, tol) - half - _drift(parent.f, parent.v, witness.c)
+    return _split_slack(witness.left, witness.right, witness.parent(), witness.c, tol)
 
 
 def split_compensation(
@@ -362,175 +363,97 @@ class SamplerStats:
     rejected_test_bound: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class _ChildArrays:
-    F: np.ndarray
-    f: np.ndarray
-    A: np.ndarray
-    v: np.ndarray
-
-
-def _draw_children(rng: np.random.Generator, count: int) -> _ChildArrays:
+def _draw_children(rng: np.random.Generator, count: int, side: str) -> dict:
     F = rng.exponential(1.0, count)
     v = rng.exponential(1.0, count)
     A = rng.uniform(0.0, v)
     f = rng.uniform(-1.0, 1.0, count) * np.sqrt(F * v)
-    return _ChildArrays(F, f, A, v)
+    return {"F" + side: F, "f" + side: f, "A" + side: A, "v" + side: v}
 
 
 @dataclass(frozen=True, eq=False)
-class MartingaleBatch:
-    left: _ChildArrays
-    right: _ChildArrays
-    m: np.ndarray
+class SampleBatch:
+    """Equal-length named arrays of one sampler mode.
+
+    The split modes hold the children ``F-, f-, A-, v-, F+, f+, A+, v+``
+    followed by ``m`` (martingale) or ``a, b, c`` (tree split); the
+    compensation mode holds the parent ``F, f, A, v`` and ``a, b, c``.
+    ``slacks`` serves the split modes and ``values`` the compensation.
+    """
+
+    mode: str
+    arrays: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return self.m.size
+        return next(iter(self.arrays.values())).size
 
     def parent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        F = 0.5 * (self.left.F + self.right.F)
-        f = 0.5 * (self.left.f + self.right.f)
-        A = self.m + 0.5 * (self.left.A + self.right.A)
-        v = 0.5 * (self.left.v + self.right.v)
-        return F, f, A, v
+        x = self.arrays
+        if self.mode == MODE_COMPENSATION:
+            return x["F"], x["f"], x["A"], x["v"]
+        F, f, A, v = (0.5 * (x[k + "-"] + x[k + "+"]) for k in "FfAv")
+        if self.mode == MODE_MARTINGALE:
+            return F, f, x["m"] + A, v
+        a, b = x["a"], x["b"]
+        return F + b * b, f + a * b, A + x["c"], v + a * a
 
     def slacks(self) -> np.ndarray:
+        x = self.arrays
         F, f, A, v = self.parent()
         half = 0.5 * (
-            bellman_values(self.left.F, self.left.f, self.left.A, self.left.v)
-            + bellman_values(self.right.F, self.right.f, self.right.A, self.right.v)
+            bellman_values(x["F-"], x["f-"], x["A-"], x["v-"])
+            + bellman_values(x["F+"], x["f+"], x["A+"], x["v+"])
         )
+        increment = x["m"] if self.mode == MODE_MARTINGALE else x["c"]
         drift = np.zeros_like(f)
-        np.divide(f * f * self.m, v * v, out=drift, where=v > 0)
+        np.divide(f * f * increment, v * v, out=drift, where=v > 0)
         return bellman_values(F, f, A, v) - half - drift
-
-    def witness(self, i: int) -> MartingaleWitness:
-        return MartingaleWitness(
-            BellmanPoint(self.left.F[i], self.left.f[i], self.left.A[i], self.left.v[i]),
-            BellmanPoint(
-                self.right.F[i], self.right.f[i], self.right.A[i], self.right.v[i]
-            ),
-            float(self.m[i]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class TreeSplitBatch:
-    left: _ChildArrays
-    right: _ChildArrays
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __len__(self) -> int:
-        return self.a.size
-
-    def parent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        F = 0.5 * (self.left.F + self.right.F) + self.b * self.b
-        f = 0.5 * (self.left.f + self.right.f) + self.a * self.b
-        A = 0.5 * (self.left.A + self.right.A) + self.c
-        v = 0.5 * (self.left.v + self.right.v) + self.a * self.a
-        return F, f, A, v
-
-    def slacks(self) -> np.ndarray:
-        F, f, A, v = self.parent()
-        half = 0.5 * (
-            bellman_values(self.left.F, self.left.f, self.left.A, self.left.v)
-            + bellman_values(self.right.F, self.right.f, self.right.A, self.right.v)
-        )
-        drift = np.zeros_like(f)
-        np.divide(f * f * self.c, v * v, out=drift, where=v > 0)
-        return bellman_values(F, f, A, v) - half - drift
-
-    def witness(self, i: int) -> SplitWitness:
-        return SplitWitness(
-            BellmanPoint(self.left.F[i], self.left.f[i], self.left.A[i], self.left.v[i]),
-            BellmanPoint(
-                self.right.F[i], self.right.f[i], self.right.A[i], self.right.v[i]
-            ),
-            float(self.a[i]),
-            float(self.b[i]),
-            float(self.c[i]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class CompensationBatch:
-    F: np.ndarray
-    f: np.ndarray
-    A: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __len__(self) -> int:
-        return self.a.size
 
     def values(self) -> np.ndarray:
-        Ft = self.F - self.b * self.b
-        ft = self.f - self.a * self.b
-        vt = self.v - self.a * self.a
-        As = self.A - self.c
+        x = self.arrays
+        a, b = x["a"], x["b"]
+        As = x["A"] - x["c"]
         return 0.25 * (
-            bellman_values(Ft, ft, As, vt) - bellman_values(self.F, self.f, As, self.v)
+            bellman_values(x["F"] - b * b, x["f"] - a * b, As, x["v"] - a * a)
+            - bellman_values(x["F"], x["f"], As, x["v"])
         )
 
-    def witness(self, i: int) -> CompensationWitness:
-        return CompensationWitness(
-            BellmanPoint(self.F[i], self.f[i], self.A[i], self.v[i]),
-            float(self.a[i]),
-            float(self.b[i]),
-            float(self.c[i]),
+    def witness(self, i: int):
+        """The scalar witness at index ``i``, of the mode's witness class."""
+        x = self.arrays
+        if self.mode == MODE_COMPENSATION:
+            point = BellmanPoint(x["F"][i], x["f"][i], x["A"][i], x["v"][i])
+            return CompensationWitness(point, *(float(x[k][i]) for k in "abc"))
+        left, right = (
+            BellmanPoint(*(x[k + side][i] for k in "FfAv")) for side in "-+"
         )
+        if self.mode == MODE_MARTINGALE:
+            return MartingaleWitness(left, right, float(x["m"][i]))
+        return SplitWitness(left, right, *(float(x[k][i]) for k in "abc"))
 
 
 def _draw_mode(rng: np.random.Generator, count: int, mode: str, stats: SamplerStats):
-    left = _draw_children(rng, count)
-    right = _draw_children(rng, count)
-    a_half = 0.5 * (left.A + right.A)
-    v_half = 0.5 * (left.v + right.v)
+    x = {**_draw_children(rng, count, "-"), **_draw_children(rng, count, "+")}
+    a_half = 0.5 * (x["A-"] + x["A+"])
+    v_half = 0.5 * (x["v-"] + x["v+"])
     if mode == MODE_MARTINGALE:
-        m = rng.uniform(0.0, v_half - a_half)
-        batch = MartingaleBatch(left, right, m)
+        x["m"] = rng.uniform(0.0, v_half - a_half)
     else:
         a = np.abs(rng.normal(0.0, 1.0, count))
         b = rng.normal(0.0, 1.0, count)
-        c = rng.uniform(0.0, v_half + a * a - a_half)
-        if mode == MODE_TREE_SPLIT:
-            batch = TreeSplitBatch(left, right, a, b, c)
-        else:
-            F, f, A, v = TreeSplitBatch(left, right, a, b, c).parent()
-            batch = CompensationBatch(F, f, A, v, a, b, c)
+        x.update(a=a, b=b, c=rng.uniform(0.0, v_half + a * a - a_half))
+    split = MODE_MARTINGALE if mode == MODE_MARTINGALE else MODE_TREE_SPLIT
+    batch = SampleBatch(split, x)
+    F, f, A, v = batch.parent()
+    if mode == MODE_COMPENSATION:
+        abc = {k: x[k] for k in "abc"}
+        batch = SampleBatch(mode, dict(F=F, f=f, A=A, v=v, **abc))
     stats.draws += count
-    F, f, A, v = (
-        batch.parent() if not isinstance(batch, CompensationBatch)
-        else (batch.F, batch.f, batch.A, batch.v)
-    )
     cs_bad = f * f > F * v + DOMAIN_TOL
     a_bad = A > v + DOMAIN_TOL
     stats.rejected_cauchy_schwarz += int(np.count_nonzero(cs_bad))
     stats.rejected_test_bound += int(np.count_nonzero(a_bad & ~cs_bad))
     return batch, ~(cs_bad | a_bad)
-
-
-def _rebuild(parts: list, combine):
-    """One batch from same-typed ``parts``, each array field ``combine``d."""
-    first = parts[0]
-    if isinstance(first, np.ndarray):
-        return combine(parts)
-    return type(first)(*(
-        _rebuild([getattr(p, field.name) for p in parts], combine)
-        for field in fields(first)
-    ))
-
-
-def _select(batch, keep: np.ndarray):
-    return _rebuild([batch], lambda arrays: arrays[0][keep])
-
-
-def _concat(parts):
-    return _rebuild(parts, np.concatenate)
 
 
 MAX_REJECTION_ROUNDS = 10_000
@@ -553,19 +476,21 @@ def sample_batch(seed, count: int, mode: str):
     parts = []
     need = count
     for _ in range(MAX_REJECTION_ROUNDS):
+        batch, keep = _draw_mode(rng, need, mode, stats)
+        if not keep.all():
+            batch = SampleBatch(mode, {k: x[keep] for k, x in batch.arrays.items()})
+        parts.append(batch)
+        need -= len(batch)
         if need == 0:
             break
-        batch, keep = _draw_mode(rng, need, mode, stats)
-        kept = batch if keep.all() else _select(batch, keep)
-        parts.append(kept)
-        need -= len(kept)
     else:
         raise PreconditionError(
             "sampler exceeded the rejection budget; the domain logic is broken"
         )
-    if not parts:
-        parts = [_draw_mode(rng, 0, mode, stats)[0]]
-    return (parts[0] if len(parts) == 1 else _concat(parts)), stats
+    if len(parts) == 1:
+        return parts[0], stats
+    arrays = {k: np.concatenate([p.arrays[k] for p in parts]) for k in parts[0].arrays}
+    return SampleBatch(mode, arrays), stats
 
 
 def sample_admissible(seed, count: int, mode: str) -> Iterator:

@@ -16,7 +16,6 @@ either coordinate directly.  Quantities that only need the cell grid
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple
@@ -31,7 +30,7 @@ from .errors import (
     SizeError,
     ValidationError,
 )
-from .tree import MAX_NODES_ENV, TreeShape, subtree_sums
+from .tree import MAX_NODES_ENV, TreeShape, _size_limit, subtree_sums
 
 __all__ = [
     "BiCertificateRow",
@@ -71,18 +70,6 @@ STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_K_RECT = "k-rect-unions"
 STRATEGY_RANDOM = "random-downsets"
 SET_TEST_STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_K_RECT, STRATEGY_RANDOM)
-
-
-def _max_rects() -> int:
-    raw = os.environ.get(MAX_NODES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_RECTS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{MAX_NODES_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -133,24 +120,23 @@ class BiTreeShape:
 
     def row_span(self, node: int) -> tuple[int, int]:
         """Half-open range of boundary row indices below a row node."""
-        tree = self.row_tree
-        tree.require_node(node)
-        shift = tree.depth - tree.depth_of(node)
-        first = tree.first_leaf
-        return ((node << shift) - first, ((node + 1) << shift) - first)
+        return _leaf_span(self.row_tree, node)
 
     def col_span(self, node: int) -> tuple[int, int]:
-        tree = self.col_tree
-        tree.require_node(node)
-        shift = tree.depth - tree.depth_of(node)
-        first = tree.first_leaf
-        return ((node << shift) - first, ((node + 1) << shift) - first)
+        return _leaf_span(self.col_tree, node)
+
+
+def _leaf_span(tree: TreeShape, node: int) -> tuple[int, int]:
+    tree.require_node(node)
+    shift = tree.depth - tree.depth_of(node)
+    first = tree.first_leaf
+    return ((node << shift) - first, ((node + 1) << shift) - first)
 
 
 def build_bitree(n: int, m: int) -> BiTreeShape:
     """Validated shape; rectangle count is capped by the size guard."""
     shape = BiTreeShape((int(n), int(m)))
-    limit = _max_rects()
+    limit = _size_limit(DEFAULT_MAX_RECTS)
     if shape.rect_count > limit:
         raise SizeError(
             f"depths {shape.depths} give {shape.rect_count} rectangles, over the "

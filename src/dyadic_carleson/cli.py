@@ -5,16 +5,25 @@ computed here that the API cannot do.  Exit codes: 0 when all assertions
 pass, 2 when a checked inequality fails (a counterexample file is
 written next to the report), 1 for usage or input problems.  Reports are
 deterministic for fixed inputs and seed.
+
+The subcommands are the rows of ``COMMANDS``: a run function, its help
+text, its ``--trials`` default and its own flags.  A run function
+returns an ``Outcome`` (the report, an optional CSV table, and the
+counterexample of a failed check); ``run_command`` alone writes the
+report and the counterexample and picks the exit code.  A report or
+counterexample that cannot be written is an exit-1 input problem.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +35,6 @@ __all__ = ["main", "run_command"]
 
 FORMATS = ("json", "csv")
 SANDWICH_TOL = 1e-9
-
-MODE_FLAGS = {
-    "martingale": bellman.MODE_MARTINGALE,
-    "tree-split": bellman.MODE_TREE_SPLIT,
-    "compensation": bellman.MODE_COMPENSATION,
-}
-
 
 class _UsageError(Exception):
     pass
@@ -61,14 +63,23 @@ class RunConfig:
             raise _UsageError(f"--format must be one of {FORMATS}")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        trials=getattr(args, "trials", 0),
-        tol=args.tol,
-        fmt=args.format,
-        out=args.out,
-    )
+@dataclass(frozen=True)
+class Outcome:
+    """What one subcommand found; a counterexample means a check failed.
+
+    A failure report is always JSON: ``--format csv`` applies only to a
+    report that carries a table.
+    """
+
+    report: dict
+    csv_header: tuple | None = None
+    csv_rows: list | None = None
+    counterexample: dict | None = None
+
+
+def _columns(rows: list[dict], *names: str) -> dict:
+    """The CSV table of ``rows`` restricted to ``names``, as Outcome fields."""
+    return {"csv_header": names, "csv_rows": [tuple(r[n] for n in names) for r in rows]}
 
 
 def _plain(value):
@@ -86,6 +97,14 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_plain)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
     if cfg.fmt == "json" or csv_rows is None:
         text = _dumps(report) + "\n"
@@ -100,17 +119,9 @@ def _emit(report: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
         )
         text = buffer.getvalue()
     if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
+        _write(cfg.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _write_counterexample(command: str, cfg: RunConfig, payload: dict) -> None:
-    path = (cfg.out or command) + ".counterexample.json"
-    with open(path, "w") as handle:
-        handle.write(_dumps(payload) + "\n")
-    print(f"counterexample written to {path}", file=sys.stderr)
 
 
 def _load_measure(path: str):
@@ -118,18 +129,6 @@ def _load_measure(path: str):
         return measure_io.load_measure(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
-
-
-def _require_tree(measure, flag: str) -> tree.TreeMeasure:
-    if not isinstance(measure, tree.TreeMeasure):
-        raise _UsageError(f"{flag} expects a tree measure file")
-    return measure
-
-
-def _require_bitree(measure, flag: str) -> bitree.BiMeasure:
-    if not isinstance(measure, bitree.BiMeasure):
-        raise _UsageError(f"{flag} expects a bitree measure file")
-    return measure
 
 
 def _parse_depths(text: str) -> tuple[int, int]:
@@ -143,12 +142,75 @@ def _parse_depths(text: str) -> tuple[int, int]:
     return (n, m)
 
 
+TREE_MODES = (tree.BOUNDARY_ONLY, tree.ALL_NODES)
+
+
+def _instances(args, cfg: RunConfig, kind: str, count: int = 1, values: bool = False,
+               modes: tuple = TREE_MODES):
+    """Lazy ``(measure, values)`` jobs: the ``--in`` measure, else ``count`` random ones.
+
+    ``kind`` is ``"tree"``, sized by ``--depth``, or ``"bitree"``, sized by
+    ``--depths``; a measure file of the other kind is a usage error.  One
+    generator seeded with ``--seed`` draws each job's measure (tree ones
+    cycle through the support ``modes``) and then, with ``values``, its
+    nonnegative node or signed cell values; else values is None.
+    """
+    is_tree = kind == "tree"
+    mu = None
+    if getattr(args, "infile", None):
+        mu = _load_measure(args.infile)
+        if not isinstance(mu, tree.TreeMeasure if is_tree else bitree.BiMeasure):
+            raise _UsageError(f"{args.command} --in expects a {kind} measure file")
+        shape, count = mu.shape, 1
+    elif (args.depth if is_tree else args.depths) is None:
+        flag = "--depth" if is_tree else "--depths"
+        raise _UsageError(f"{args.command} needs --in or {flag}")
+    else:
+        shape = (tree.build_tree(args.depth) if is_tree
+                 else bitree.build_bitree(*_parse_depths(args.depths)))
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw(trial):
+        if mu is not None:
+            measure = mu
+        elif is_tree:
+            mode = modes[trial % len(modes)]
+            measure = instances.random_tree_measure(rng, shape, support_mode=mode)
+        else:
+            measure = instances.random_bimeasure(rng, shape)
+        if not values:
+            return measure, None
+        if is_tree:
+            return measure, instances.random_node_values(rng, shape, nonneg=True)
+        return measure, instances.random_cell_values(rng, shape)
+
+    return map(draw, range(count))
+
+
+def _trial_rows(jobs: Iterable, check: Callable):
+    """``(rows, failure)`` of ``check(job)`` over the jobs, stopping at a failure.
+
+    ``check`` returns a row and, when the trial fails, its counterexample.
+    Rows and counterexample gain the trial index; ``failure`` is None or
+    the outcome whose report holds the rows up to the failing trial.
+    """
+    rows = []
+    for trial, job in enumerate(jobs):
+        row, counterexample = check(job)
+        rows.append({"trial": trial, **row})
+        if counterexample is not None:
+            report = {"rows": rows, "passed": False}
+            return rows, Outcome(report, counterexample={"trial": trial, **counterexample})
+    return rows, None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_row(mu: tree.TreeMeasure) -> tuple[carleson.PairCheckResult, dict]:
+def _sandwich(mu: tree.TreeMeasure):
+    """The sandwich check of ``mu``: result, report row, counterexample or None."""
     pair = carleson.embedding_pair_check(mu, rel_tol=SANDWICH_TOL)
     test = pair.report.test_constant
     emb = pair.report.embedding_constant
@@ -159,36 +221,26 @@ def _sandwich_row(mu: tree.TreeMeasure) -> tuple[carleson.PairCheckResult, dict]
         "iterations": pair.report.iterations,
         "converged": pair.report.converged,
     }
-    return pair, row
+    failure = None if pair.ok else {
+        "reason": "embedding constant escaped [c_test, 4 c_test]",
+        "measure": measure_io.measure_to_dict(mu),
+        **pair.counterexample(),
+    }
+    return pair, row, failure
 
 
-def _cmd_tree_test(args) -> int:
-    cfg = _config(args)
-    rng = np.random.default_rng(cfg.seed)
-    shape = tree.build_tree(args.depth)
-    modes = (tree.BOUNDARY_ONLY, tree.ALL_NODES)
-    rows = []
-    for trial in range(cfg.trials):
-        mode = modes[trial % 2] if args.support == "both" else args.support
-        mu = instances.random_tree_measure(rng, shape, support_mode=mode)
-        pair, row = _sandwich_row(mu)
-        row = {"trial": trial, "support_mode": mode, **row}
-        rows.append(row)
-        if not pair.ok:
-            _write_counterexample(
-                "tree-test",
-                cfg,
-                {
-                    "reason": "embedding constant escaped [c_test, 4 c_test]",
-                    "trial": trial,
-                    "measure": measure_io.measure_to_dict(mu),
-                    **pair.counterexample(),
-                },
-            )
-            _emit({"command": "tree-test", "rows": rows, "passed": False}, cfg)
-            return 2
+def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
+    def check(job):
+        mu = job[0]
+        _, row, failure = _sandwich(mu)
+        return {"support_mode": mu.support_mode, **row}, failure
+
+    modes = TREE_MODES if args.support == "both" else (args.support,)
+    jobs = _instances(args, cfg, "tree", cfg.trials, modes=modes)
+    rows, failure = _trial_rows(jobs, check)
+    if failure:
+        return failure
     report = {
-        "command": "tree-test",
         "depth": args.depth,
         "trials": cfg.trials,
         "seed": cfg.seed,
@@ -196,51 +248,20 @@ def _cmd_tree_test(args) -> int:
         "max_ratio": max((r["ratio"] for r in rows), default=0.0),
         "rows": rows,
     }
-    _emit(
-        report,
-        cfg,
-        csv_rows=[
-            (r["trial"], r["support_mode"], r["c_test"], r["c_emb"], r["ratio"])
-            for r in rows
-        ],
-        csv_header=("trial", "support_mode", "c_test", "c_emb", "ratio"),
+    return Outcome(
+        report, **_columns(rows, "trial", "support_mode", "c_test", "c_emb", "ratio")
     )
-    return 0
 
 
-def _cmd_tree_embed(args) -> int:
-    cfg = _config(args)
-    if args.infile:
-        mu = _require_tree(_load_measure(args.infile), "tree-embed --in")
-    else:
-        if args.depth is None:
-            raise _UsageError("tree-embed needs --in or --depth")
-        mu = instances.random_tree_measure(cfg.seed, tree.build_tree(args.depth))
-    pair, row = _sandwich_row(mu)
-    report = {
-        "command": "tree-embed",
-        "argmax_node": pair.report.argmax_node,
-        "passed": pair.ok,
-        **row,
-    }
-    _emit(report, cfg)
-    if not pair.ok:
-        _write_counterexample(
-            "tree-embed",
-            cfg,
-            {
-                "reason": "embedding constant escaped [c_test, 4 c_test]",
-                "measure": measure_io.measure_to_dict(mu),
-                **pair.counterexample(),
-            },
-        )
-        return 2
-    return 0
+def _cmd_tree_embed(args, cfg: RunConfig) -> Outcome:
+    [(mu, _)] = _instances(args, cfg, "tree")
+    pair, row, failure = _sandwich(mu)
+    report = {"argmax_node": pair.report.argmax_node, "passed": pair.ok, **row}
+    return Outcome(report, counterexample=failure)
 
 
-def _cmd_bellman_sample(args) -> int:
-    cfg = _config(args)
-    mode = MODE_FLAGS[args.mode]
+def _cmd_bellman_sample(args, cfg: RunConfig) -> Outcome:
+    mode = args.mode.replace("-", "_")  # the flag spells bellman.MODES with hyphens
     batch, stats = bellman.sample_batch(cfg.seed, cfg.trials, mode)
     if mode == bellman.MODE_COMPENSATION:
         values = batch.values()
@@ -255,7 +276,6 @@ def _cmd_bellman_sample(args) -> int:
         summary = {"min_slack": worst, "threshold": -cfg.tol}
         bad = int(np.argmin(values)) if len(batch) else None
     report = {
-        "command": "bellman-sample",
         "mode": args.mode,
         "trials": cfg.trials,
         "seed": cfg.seed,
@@ -266,182 +286,99 @@ def _cmd_bellman_sample(args) -> int:
         "passed": passed,
         **summary,
     }
-    _emit(report, cfg)
-    if not passed:
-        witness = batch.witness(bad)
-        payload = {"reason": f"{args.mode} inequality violated", "index": bad}
-        if hasattr(witness, "left"):
-            payload["left"] = witness.left.as_tuple()
-            payload["right"] = witness.right.as_tuple()
-            for name in ("m", "a", "b", "c"):
-                if hasattr(witness, name):
-                    payload[name] = getattr(witness, name)
-        else:
-            payload["parent"] = witness.parent.as_tuple()
-            payload.update(a=witness.a, b=witness.b, c=witness.c)
-        _write_counterexample("bellman-sample", cfg, payload)
-        return 2
-    return 0
+    if passed:
+        return Outcome(report)
+    witness = batch.witness(bad)
+    payload = {"reason": f"{args.mode} inequality violated", "index": bad}
+    for field in dataclasses.fields(witness):
+        value = getattr(witness, field.name)
+        point = isinstance(value, bellman.BellmanPoint)
+        payload[field.name] = value.as_tuple() if point else value
+    return Outcome(report, counterexample=payload)
 
 
-def _maximal_instance(mu: tree.TreeMeasure, phi, tol: float) -> dict:
-    box = carleson.carleson_ratios(mu).test_constant
-    if box > 1.0:
-        mu = mu.scaled(1.0 / box)
-    report = maximal.maximal_theorem_check(mu, phi, tol=tol)
-    invariants = maximal.verify_stopping_invariants(
-        report.decomposition, mu, phi
-    )
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "passed": report.passed,
-        "stopping_bound": report.stopping_bound,
-        "stopping_bound_ok": report.stopping_bound_ok,
-        "invariants_ok": invariants.ok,
-        "invariant_failures": list(invariants.failures),
-        "stopping_vertices": len(report.decomposition.beta),
-        "generations": len(report.decomposition.generations),
-        "_mu": mu,
-        "_dec": report.decomposition,
-    }
+def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
+    def check(job):
+        mu, phi = job
+        box = carleson.carleson_ratios(mu).test_constant
+        if box > 1.0:
+            mu = mu.scaled(1.0 / box)
+        result = maximal.maximal_theorem_check(mu, phi, tol=cfg.tol)
+        dec = result.decomposition
+        invariants = maximal.verify_stopping_invariants(dec, mu, phi)
+        row = {
+            "lhs": result.lhs,
+            "rhs": result.rhs,
+            "ratio": result.ratio,
+            "passed": result.passed,
+            "stopping_bound": result.stopping_bound,
+            "stopping_bound_ok": result.stopping_bound_ok,
+            "invariants_ok": invariants.ok,
+            "invariant_failures": invariants.failures,
+            "stopping_vertices": len(dec.beta),
+            "generations": len(dec.generations),
+        }
+        if result.passed and result.stopping_bound_ok and invariants.ok:
+            return row, None
+        return row, {
+            "reason": "maximal inequality or stopping invariant failed",
+            "measure": measure_io.measure_to_dict(mu),
+            "phi": phi,
+            "decomposition": dec.to_dict(),
+            **row,
+        }
 
-
-def _cmd_maximal_verify(args) -> int:
-    cfg = _config(args)
-    rng = np.random.default_rng(cfg.seed)
-    if args.infile:
-        mu = _require_tree(_load_measure(args.infile), "maximal-verify --in")
-        jobs = [(mu, instances.random_node_values(rng, mu.shape, nonneg=True))]
-    else:
-        if args.depth is None:
-            raise _UsageError("maximal-verify needs --in or --depth")
-        shape = tree.build_tree(args.depth)
-        jobs = []
-        for trial in range(max(1, cfg.trials)):
-            mode = (tree.BOUNDARY_ONLY, tree.ALL_NODES)[trial % 2]
-            jobs.append(
-                (
-                    instances.random_tree_measure(rng, shape, support_mode=mode),
-                    instances.random_node_values(rng, shape, nonneg=True),
-                )
-            )
-    rows = []
-    for index, (mu, phi) in enumerate(jobs):
-        result = _maximal_instance(mu, phi, cfg.tol)
-        ok = result["passed"] and result["stopping_bound_ok"] and result["invariants_ok"]
-        scrubbed = {k: v for k, v in result.items() if not k.startswith("_")}
-        rows.append({"trial": index, **scrubbed})
-        if not ok:
-            _write_counterexample(
-                "maximal-verify",
-                cfg,
-                {
-                    "reason": "maximal inequality or stopping invariant failed",
-                    "trial": index,
-                    "measure": measure_io.measure_to_dict(result["_mu"]),
-                    "phi": [float(v) for v in np.asarray(phi)],
-                    "decomposition": result["_dec"].to_dict(),
-                    **scrubbed,
-                },
-            )
-            _emit({"command": "maximal-verify", "rows": rows, "passed": False}, cfg)
-            return 2
+    jobs = _instances(args, cfg, "tree", max(1, cfg.trials), values=True)
+    rows, failure = _trial_rows(jobs, check)
+    if failure:
+        return failure
     report = {
-        "command": "maximal-verify",
         "seed": cfg.seed,
         "passed": True,
         "max_ratio": max((r["ratio"] for r in rows), default=0.0),
         "rows": rows,
     }
-    _emit(
-        report,
-        cfg,
-        csv_rows=[
-            (r["trial"], r["lhs"], r["rhs"], r["ratio"], r["stopping_bound"])
-            for r in rows
-        ],
-        csv_header=("trial", "lhs", "rhs", "ratio", "stopping_bound"),
+    return Outcome(
+        report, **_columns(rows, "trial", "lhs", "rhs", "ratio", "stopping_bound")
     )
-    return 0
 
 
-def _cmd_bitree_onebox(args) -> int:
-    cfg = _config(args)
-    if args.infile:
-        mus = [_require_bitree(_load_measure(args.infile), "bitree-onebox --in")]
-    else:
-        if args.depths is None:
-            raise _UsageError("bitree-onebox needs --in or --depths")
-        shape = bitree.build_bitree(*_parse_depths(args.depths))
-        rng = np.random.default_rng(cfg.seed)
-        mus = [
-            instances.random_bimeasure(rng, shape) for _ in range(max(1, cfg.trials))
-        ]
-    rows = []
-    for index, mu in enumerate(mus):
-        constant, rect = bitree.one_box_constant(mu)
-        rows.append(
-            {
-                "trial": index,
-                "constant": constant,
-                "argmax_row": rect[0],
-                "argmax_col": rect[1],
-            }
-        )
-    report = {"command": "bitree-onebox", "seed": cfg.seed, "rows": rows}
-    _emit(
-        report,
-        cfg,
-        csv_rows=[
-            (r["trial"], r["constant"], r["argmax_row"], r["argmax_col"])
-            for r in rows
-        ],
-        csv_header=("trial", "constant", "argmax_row", "argmax_col"),
+def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
+    def check(job):
+        constant, (row, col) = bitree.one_box_constant(job[0])
+        return {"constant": constant, "argmax_row": row, "argmax_col": col}, None
+
+    rows, _ = _trial_rows(_instances(args, cfg, "bitree", max(1, cfg.trials)), check)
+    report = {"seed": cfg.seed, "rows": rows}
+    return Outcome(
+        report, **_columns(rows, "trial", "constant", "argmax_row", "argmax_col")
     )
-    return 0
 
 
-def _cmd_bitree_settest(args) -> int:
-    cfg = _config(args)
-    if args.infile:
-        mu = _require_bitree(_load_measure(args.infile), "bitree-settest --in")
-    else:
-        if args.depths is None:
-            raise _UsageError("bitree-settest needs --in or --depths")
-        shape = bitree.build_bitree(*_parse_depths(args.depths))
-        mu = instances.random_bimeasure(cfg.seed, shape)
+def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
+    [(mu, _)] = _instances(args, cfg, "bitree")
     result = bitree.set_test_constant(
         mu, args.strategy, k=args.k, trials=cfg.trials, seed=cfg.seed
     )
     embedding = bitree.bi_embedding_constant(mu)
     passed = result.constant <= embedding.value + cfg.tol
     report = {
-        "command": "bitree-settest",
         "strategy": result.strategy,
         "constant": result.constant,
-        "witness": [list(c) for c in result.witness],
+        "witness": result.witness,
         "embedding_constant": embedding.value,
         "embedding_converged": embedding.converged,
         "one_box_constant": bitree.one_box_constant(mu).constant,
         "passed": passed,
     }
-    _emit(report, cfg)
-    if not passed:
-        _write_counterexample(
-            "bitree-settest",
-            cfg,
-            {
-                "reason": "set test exceeded the embedding constant",
-                "measure": measure_io.measure_to_dict(mu),
-                "set_test": result.constant,
-                "embedding": embedding.value,
-                "witness": [list(c) for c in result.witness],
-            },
-        )
-        return 2
-    return 0
+    failure = None if passed else {
+        "reason": "set test exceeded the embedding constant",
+        "measure": measure_io.measure_to_dict(mu),
+        "set_test": result.constant,
+        "embedding": embedding.value,
+        "witness": result.witness,
+    }
+    return Outcome(report, counterexample=failure)
 
 
 def _certify_bitree_one(mu: bitree.BiMeasure, phi, tol: float) -> dict:
@@ -460,57 +397,26 @@ def _certify_bitree_one(mu: bitree.BiMeasure, phi, tol: float) -> dict:
     }
 
 
-def _cmd_bitree_certify(args) -> int:
-    cfg = _config(args)
-    rng = np.random.default_rng(cfg.seed)
-    if args.infile:
-        mu = _require_bitree(_load_measure(args.infile), "bitree-certify --in")
-        jobs = [(mu, instances.random_cell_values(rng, mu.shape))]
-    else:
-        if args.depths is None:
-            raise _UsageError("bitree-certify needs --in or --depths")
-        shape = bitree.build_bitree(*_parse_depths(args.depths))
-        jobs = [
-            (
-                instances.random_bimeasure(rng, shape),
-                instances.random_cell_values(rng, shape),
-            )
-            for _ in range(max(1, cfg.trials))
-        ]
-    rows = []
-    for index, (mu, phi) in enumerate(jobs):
-        result = _certify_bitree_one(mu, phi, cfg.tol)
-        rows.append({"trial": index, **result})
-        if not result["passed"]:
-            _write_counterexample(
-                "bitree-certify",
-                cfg,
-                {
-                    "reason": "per-rectangle certificate failed",
-                    "trial": index,
-                    "measure": measure_io.measure_to_dict(mu),
-                    "phi": [[float(v) for v in row] for row in np.asarray(phi)],
-                    **result,
-                },
-            )
-            _emit({"command": "bitree-certify", "rows": rows, "passed": False}, cfg)
-            return 2
-    report = {"command": "bitree-certify", "seed": cfg.seed, "passed": True, "rows": rows}
-    _emit(
-        report,
-        cfg,
-        csv_rows=[
-            (r["trial"], r["min_slack"], r["lhs"], r["upper_bound"]) for r in rows
-        ],
-        csv_header=("trial", "min_slack", "lhs", "upper_bound"),
-    )
-    return 0
+def _cmd_bitree_certify(args, cfg: RunConfig) -> Outcome:
+    def check(job):
+        mu, phi = job
+        row = _certify_bitree_one(mu, phi, cfg.tol)
+        return row, None if row["passed"] else {
+            "reason": "per-rectangle certificate failed",
+            "measure": measure_io.measure_to_dict(mu),
+            "phi": phi,
+            **row,
+        }
+
+    jobs = _instances(args, cfg, "bitree", max(1, cfg.trials), values=True)
+    rows, failure = _trial_rows(jobs, check)
+    if failure:
+        return failure
+    report = {"seed": cfg.seed, "passed": True, "rows": rows}
+    return Outcome(report, **_columns(rows, "trial", "min_slack", "lhs", "upper_bound"))
 
 
-def _cmd_gap_probe(args) -> int:
-    cfg = _config(args)
-    if args.depths is None:
-        raise _UsageError("gap-probe needs --depths")
+def _cmd_gap_probe(args, cfg: RunConfig) -> Outcome:
     config = bitree.GapProbeConfig(
         depths=_parse_depths(args.depths),
         trials=cfg.trials,
@@ -519,30 +425,24 @@ def _cmd_gap_probe(args) -> int:
     )
     probe = bitree.gap_probe(config)
     report = {
-        "command": "gap-probe",
-        "depths": list(config.depths),
+        "depths": config.depths,
         "trials": config.trials,
         "seed": config.seed,
         "optimizer": config.optimizer,
         "best_gap": probe.best_gap,
         "best_one_box": probe.best_one_box,
         "best_embedding": probe.best_embedding,
-        "best_cells": None
-        if probe.best_cells is None
-        else probe.best_cells.tolist(),
-        "trajectory": [list(point) for point in probe.trajectory],
+        "best_cells": probe.best_cells,
+        "trajectory": probe.trajectory,
     }
-    _emit(
+    return Outcome(
         report,
-        cfg,
-        csv_rows=[tuple(point) for point in probe.trajectory],
         csv_header=("step", "gap", "one_box", "embedding"),
+        csv_rows=probe.trajectory,
     )
-    return 0
 
 
-def _cmd_certify(args) -> int:
-    cfg = _config(args)
+def _cmd_certify(args, cfg: RunConfig) -> Outcome:
     measure = _load_measure(args.infile)
     if isinstance(measure, tree.TreeMeasure):
         alpha = carleson.box_squared_alpha(measure.shape)
@@ -550,8 +450,8 @@ def _cmd_certify(args) -> int:
         mu = measure.scaled(1.0 / test) if test > 1.0 else measure
         phi = np.ones(measure.shape.node_count)
         cert = bellman.certify_tree_embedding(mu, phi, alpha, tol=cfg.tol)
-        report = {
-            "command": "certify",
+        # unlike the bi-tree one, the tree counterexample names its kind
+        kind, result = "tree", {
             "kind": "tree",
             "test_constant": test,
             "total": cert.total,
@@ -560,127 +460,101 @@ def _cmd_certify(args) -> int:
             "min_slack": cert.min_slack,
             "passed": cert.ok,
         }
-        _emit(report, cfg)
-        if not cert.ok:
-            _write_counterexample(
-                "certify",
-                cfg,
-                {
-                    "reason": "tree certificate failed",
-                    "measure": measure_io.measure_to_dict(mu),
-                    **{k: v for k, v in report.items() if k != "command"},
-                },
-            )
-            return 2
-        return 0
-    phi = np.ones(measure.shape.cell_grid)
-    result = _certify_bitree_one(measure, phi, cfg.tol)
-    report = {"command": "certify", "kind": "bitree", **result}
-    _emit(report, cfg)
-    if not result["passed"]:
-        _write_counterexample(
-            "certify",
-            cfg,
-            {
-                "reason": "bitree certificate failed",
-                "measure": measure_io.measure_to_dict(measure),
-                **result,
-            },
-        )
-        return 2
-    return 0
+    else:
+        mu = measure
+        phi = np.ones(measure.shape.cell_grid)
+        kind, result = "bitree", _certify_bitree_one(measure, phi, cfg.tol)
+    failure = None if result["passed"] else {
+        "reason": f"{kind} certificate failed",
+        "measure": measure_io.measure_to_dict(mu),
+        **result,
+    }
+    return Outcome({"kind": kind, **result}, counterexample=failure)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table and the driver
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, trials_default: int = 100) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument(
-        "--trials", type=int, default=trials_default, help="number of instances"
-    )
-    sub.add_argument("--tol", type=float, default=SANDWICH_TOL, help="slack tolerance")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument(
-        "--format", choices=FORMATS, default="json", help="report format"
-    )
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[argparse.Namespace, RunConfig], Outcome]
+    help: str
+    trials: int
+    flags: tuple = ()
+
+
+def _flag(*names: str, **kwargs) -> tuple:
+    return names, kwargs
+
+
+_IN = _flag("--in", dest="infile", help="measure file")
+_DEPTHS = _flag("--depths", help="pair 'n,m' (without --in)")
+
+COMMANDS = {
+    "tree-test": Command(
+        _cmd_tree_test, "random sandwich checks of the two constants", 100, (
+            _flag("--depth", type=int, required=True),
+            _flag("--support", choices=(tree.BOUNDARY_ONLY, tree.ALL_NODES, "both"),
+                  default="both"),
+        )),
+    "tree-embed": Command(
+        _cmd_tree_embed, "constants for one measure", 100, (
+            _IN,
+            _flag("--depth", type=int, help="random measure depth (without --in)"),
+        )),
+    "bellman-sample": Command(
+        _cmd_bellman_sample, "sample witnesses of a main inequality", 1000, (
+            _flag("--mode", choices=sorted(m.replace("_", "-") for m in bellman.MODES),
+                  required=True),
+        )),
+    "maximal-verify": Command(
+        _cmd_maximal_verify, "stopping decomposition and the constant-32 bound", 20, (
+            _IN,
+            _flag("--depth", type=int, help="random instance depth (without --in)"),
+        )),
+    "bitree-onebox": Command(
+        _cmd_bitree_onebox, "rectangle box constants", 10, (_IN, _DEPTHS)),
+    "bitree-settest": Command(
+        _cmd_bitree_settest, "boundary-set test constant", 1000, (
+            _IN,
+            _DEPTHS,
+            _flag("--strategy", choices=bitree.SET_TEST_STRATEGIES, default="exhaustive"),
+            _flag("--k", type=int, default=2, help="union size for k-rect-unions"),
+        )),
+    "bitree-certify": Command(
+        _cmd_bitree_certify, "per-rectangle Bellman certificates", 10, (_IN, _DEPTHS)),
+    "gap-probe": Command(
+        _cmd_gap_probe, "search for embedding-vs-box-test gaps", 100, (
+            _flag("--depths", required=True, help="pair 'n,m'"),
+            _flag("--optimizer", choices=("random", "anneal"), default="anneal"),
+        )),
+    "certify": Command(
+        _cmd_certify, "full certificate for a measure file", 100, (
+            _flag("--in", dest="infile", required=True, help="measure file"),
+        )),
+}
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dyadic-carleson", description=__doc__)
+    # --help describes the CLI with the docstring's first two paragraphs
+    description = "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="dyadic-carleson", description=description)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = commands.add_parser("tree-test",
-                              help="random sandwich checks of the two constants")
-    _add_common(sub)
-    sub.add_argument("--depth", type=int, required=True)
-    sub.add_argument(
-        "--support",
-        choices=(tree.BOUNDARY_ONLY, tree.ALL_NODES, "both"),
-        default="both",
-    )
-    sub.set_defaults(func=_cmd_tree_test)
-
-    sub = commands.add_parser("tree-embed",
-                              help="constants for one measure")
-    _add_common(sub)
-    sub.add_argument("--in", dest="infile", help="measure file")
-    sub.add_argument("--depth", type=int, help="random measure depth (without --in)")
-    sub.set_defaults(func=_cmd_tree_embed)
-
-    sub = commands.add_parser("bellman-sample",
-                              help="sample witnesses of a main inequality")
-    _add_common(sub, trials_default=1000)
-    sub.add_argument("--mode", choices=sorted(MODE_FLAGS), required=True)
-    sub.set_defaults(func=_cmd_bellman_sample)
-
-    sub = commands.add_parser("maximal-verify",
-                              help="stopping decomposition and the constant-32 bound")
-    _add_common(sub, trials_default=20)
-    sub.add_argument("--in", dest="infile", help="measure file")
-    sub.add_argument("--depth", type=int, help="random instance depth (without --in)")
-    sub.set_defaults(func=_cmd_maximal_verify)
-
-    sub = commands.add_parser("bitree-onebox",
-                              help="rectangle box constants")
-    _add_common(sub, trials_default=10)
-    sub.add_argument("--in", dest="infile", help="measure file")
-    sub.add_argument("--depths", help="pair 'n,m' (without --in)")
-    sub.set_defaults(func=_cmd_bitree_onebox)
-
-    sub = commands.add_parser("bitree-settest",
-                              help="boundary-set test constant")
-    _add_common(sub, trials_default=1000)
-    sub.add_argument("--in", dest="infile", help="measure file")
-    sub.add_argument("--depths", help="pair 'n,m' (without --in)")
-    sub.add_argument(
-        "--strategy", choices=bitree.SET_TEST_STRATEGIES, default="exhaustive"
-    )
-    sub.add_argument("--k", type=int, default=2, help="union size for k-rect-unions")
-    sub.set_defaults(func=_cmd_bitree_settest)
-
-    sub = commands.add_parser("bitree-certify",
-                              help="per-rectangle Bellman certificates")
-    _add_common(sub, trials_default=10)
-    sub.add_argument("--in", dest="infile", help="measure file")
-    sub.add_argument("--depths", help="pair 'n,m' (without --in)")
-    sub.set_defaults(func=_cmd_bitree_certify)
-
-    sub = commands.add_parser("gap-probe",
-                              help="search for embedding-vs-box-test gaps")
-    _add_common(sub, trials_default=100)
-    sub.add_argument("--depths", required=True, help="pair 'n,m'")
-    sub.add_argument("--optimizer", choices=("random", "anneal"), default="anneal")
-    sub.set_defaults(func=_cmd_gap_probe)
-
-    sub = commands.add_parser("certify",
-                              help="full certificate for a measure file")
-    _add_common(sub)
-    sub.add_argument("--in", dest="infile", required=True, help="measure file")
-    sub.set_defaults(func=_cmd_certify)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        sub.add_argument("--seed", type=int, default=0, help="random seed")
+        sub.add_argument(
+            "--trials", type=int, default=command.trials, help="number of instances"
+        )
+        sub.add_argument("--tol", type=float, default=SANDWICH_TOL, help="slack tolerance")
+        sub.add_argument("--out", help="write the report here instead of stdout")
+        sub.add_argument(
+            "--format", choices=FORMATS, default="json", help="report format"
+        )
+        for names, kwargs in command.flags:
+            sub.add_argument(*names, **kwargs)
     return parser
 
 
@@ -693,11 +567,17 @@ def _shared_parser() -> _Parser:
 def run_command(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CarlesonError as exc:
+        cfg = RunConfig(args.seed, args.trials, args.tol, args.format, args.out)
+        outcome = COMMANDS[args.command].run(args, cfg)
+        report = {"command": args.command, **outcome.report}
+        _emit(report, cfg, outcome.csv_rows, outcome.csv_header)
+        if outcome.counterexample is None:
+            return 0
+        path = (cfg.out or args.command) + ".counterexample.json"
+        _write(path, _dumps(outcome.counterexample) + "\n")
+        print(f"counterexample written to {path}", file=sys.stderr)
+        return 2
+    except (_UsageError, CarlesonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

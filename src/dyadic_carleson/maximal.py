@@ -25,6 +25,7 @@ import numpy as np
 from .carleson import AlphaSequence, _safe_ratio, alpha_test_constant, carleson_ratios
 from .errors import PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
+from .tree import _ancestor_sums_inplace
 
 __all__ = [
     "MaximalReport",
@@ -38,11 +39,12 @@ __all__ = [
 ]
 
 
-def _subtree_arrays(lam: TreeMeasure, phi) -> tuple[np.ndarray, np.ndarray]:
+def _ratios(lam: TreeMeasure, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree ratios of ``phi`` against ``lam``, and the subtree masses."""
     phi_a = as_node_array(lam.shape, phi)
     num = subtree_sums(lam.shape.depth, phi_a * lam.masses)
     den = subtree_sums(lam.shape.depth, lam.masses)
-    return num, den
+    return _safe_ratio(num, den), den
 
 
 def _level(d: int) -> slice:
@@ -52,18 +54,18 @@ def _level(d: int) -> slice:
 
 def average_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Per-node ratio of the phi-integral to the mass of the subtree."""
-    num, den = _subtree_arrays(lam, phi)
-    return NodeVector(lam.shape, _safe_ratio(num, den))
+    return NodeVector(lam.shape, _ratios(lam, phi)[0])
+
+
+def _running_max(depth: int, r: np.ndarray) -> np.ndarray:
+    m = r.copy()
+    _ancestor_sums_inplace(depth, m, np.maximum)
+    return m
 
 
 def maximal_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Running maximum of the subtree ratios along root-to-node paths."""
-    num, den = _subtree_arrays(lam, phi)
-    m = _safe_ratio(num, den)
-    for d in range(1, lam.shape.depth + 1):
-        here = _level(d)
-        np.maximum(m[here], np.repeat(m[_level(d - 1)], 2), out=m[here])
-    return NodeVector(lam.shape, m)
+    return NodeVector(lam.shape, _running_max(lam.shape.depth, _ratios(lam, phi)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +125,7 @@ def stopping_decomposition(
         raise ValidationError(
             "phi must be nonnegative (pass allow_signed=True to override)"
         )
-    num, den = _subtree_arrays(lam, phi_a)
-    r = _safe_ratio(num, den)
+    r, den = _ratios(lam, phi_a)
 
     n = shape.node_count
     nodes = np.arange(1, n + 1, dtype=np.int64)
@@ -194,8 +195,12 @@ def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence
     most 1 because the beta masses of stopping descendants never exceed
     the subtree mass.
     """
-    shape = lam.shape
-    den = subtree_sums(shape.depth, lam.masses)
+    return _derived_alpha(dec, lam.shape, subtree_sums(lam.shape.depth, lam.masses))
+
+
+def _derived_alpha(
+    dec: StoppingDecomposition, shape: TreeShape, den: np.ndarray
+) -> AlphaSequence:
     keys, beta, _ = _node_items(dec.beta, shape.node_count)
     keep = den[keys - 1] > 0
     pos, beta = keys[keep] - 1, beta[keep]
@@ -216,9 +221,8 @@ def verify_stopping_invariants(
     """
     shape = lam.shape
     n = shape.node_count
-    num, den = _subtree_arrays(lam, phi)
-    r = _safe_ratio(num, den)
-    m = maximal_ratios(lam, phi).values
+    r, den = _ratios(lam, phi)
+    m = _running_max(shape.depth, r)
 
     # slot 0 of the owner-indexed arrays stands for "not a node"
     owner = np.array(dec.owner, dtype=np.int64)
@@ -280,7 +284,7 @@ def verify_stopping_invariants(
     maximal_margin = float((m - 2.0 * owner_ratio).max())
     maximal_ratio_ok = bool(maximal_margin <= tol)
 
-    alpha = derived_alpha(dec, lam)
+    alpha = _derived_alpha(dec, shape, den)
     alpha_constant = float(alpha_test_constant(lam, alpha).constant)
     alpha_test_ok = alpha_constant <= 1.0 + 1e-9
 
@@ -353,8 +357,8 @@ def maximal_theorem_check(
         )
     shape = lam.shape
     phi_a = as_node_array(shape, phi)
-    den = subtree_sums(shape.depth, lam.masses)
-    m = maximal_ratios(lam, phi_a).values
+    r, den = _ratios(lam, phi_a)
+    m = _running_max(shape.depth, r)
     lhs = float((den**2 * m**2).sum())
     rhs = float((phi_a**2 * lam.masses).sum())
     dec = stopping_decomposition(lam, phi_a, allow_signed=allow_signed)

@@ -56,17 +56,17 @@ ALL_NODES = "all-nodes"
 SUPPORT_MODES = (ALL_NODES, BOUNDARY_ONLY)
 
 
-def _max_nodes() -> int:
-    """Size guard, overridable through the CARLESON_MAX_NODES variable."""
+def _size_limit(default: int) -> int:
+    """Size guard of trees and bi-trees: CARLESON_MAX_NODES, else ``default``."""
     raw = os.environ.get(MAX_NODES_ENV)
     if raw is None:
-        return (1 << (DEFAULT_MAX_DEPTH + 1)) - 1
+        return default
     try:
         return int(raw)
-    except ValueError as exc:
+    except ValueError:
         raise ValidationError(
             f"{MAX_NODES_ENV} must be an integer, got {raw!r}"
-        ) from exc
+        ) from None
 
 
 @lru_cache(maxsize=128)
@@ -150,7 +150,7 @@ def build_tree(depth: int) -> TreeShape:
     if depth < 0:
         raise ValidationError("tree depth must be non-negative")
     node_count = (1 << (depth + 1)) - 1
-    limit = _max_nodes()
+    limit = _size_limit((1 << (DEFAULT_MAX_DEPTH + 1)) - 1)
     if node_count > limit:
         raise SizeError(
             f"depth {depth} needs {node_count} nodes, limit is {limit} "
@@ -309,14 +309,17 @@ def subtree_sums(depth: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
-def _ancestor_sums_inplace(depth: int, vw: np.ndarray) -> None:
-    """:func:`ancestor_sums` along the leading axis, overwriting ``vw``."""
+def _ancestor_sums_inplace(depth: int, vw: np.ndarray, op=np.add) -> None:
+    """:func:`ancestor_sums` along the leading axis, overwriting ``vw``.
+
+    ``op=np.maximum`` gives the running maximum along root-to-node paths.
+    """
     for d in range(1, depth + 1):
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1
         parents = vw[(1 << (d - 1)) - 1 : lo]
-        vw[lo:hi:2] += parents
-        vw[lo + 1 : hi : 2] += parents
+        for children in (vw[lo:hi:2], vw[lo + 1 : hi : 2]):
+            op(children, parents, out=children)
 
 
 def _subtree_sums_inplace(depth: int, vw: np.ndarray) -> None:

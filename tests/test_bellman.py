@@ -5,8 +5,6 @@ closed form B = 4 (F - f^2 / (v + A)); the comments spell the arithmetic
 out so the numbers can be re-derived without running anything.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -227,11 +225,7 @@ def test_sampler_is_deterministic_and_rejection_free(mode):
 
 
 def _batch_arrays(batch):
-    out = []
-    for field in dataclasses.fields(batch):
-        value = getattr(batch, field.name)
-        out += _batch_arrays(value) if dataclasses.is_dataclass(value) else [value]
-    return out
+    return list(batch.arrays.values())
 
 
 def _ref_sample_batch(seed, count, mode):

@@ -62,6 +62,9 @@ def test_size_guard(monkeypatch):
     with pytest.raises(SizeError, match="49 rectangles"):
         build_bitree(2, 2)
     assert build_bitree(1, 1).rect_count == 9
+    monkeypatch.setenv("CARLESON_MAX_NODES", "many")
+    with pytest.raises(ValidationError, match="CARLESON_MAX_NODES must be an integer"):
+        build_bitree(1, 1)
 
 
 def test_measure_validation():

@@ -574,6 +574,34 @@ def test_bellman_failure_writes_witness(capsys, tmp_path, monkeypatch):
     assert "counterexample" in err
 
 
+@pytest.mark.parametrize("target", ["missing/dir/r.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, "tree-embed", "--depth", "2", "--out", target)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("out", [None, "report.json"])
+def test_unwritable_counterexample_is_an_input_error(capsys, tmp_path, monkeypatch, out):
+    from dyadic_carleson import carleson
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(carleson, "embedding_pair_check",
+                        lambda mu, rel_tol=1e-9: _failing_pair(mu))
+    artifact = (out or "tree-embed") + ".counterexample.json"
+    (tmp_path / artifact).mkdir()
+    argv = ["tree-embed", "--depth", "2"] + (["--out", out] if out else [])
+    code, stdout, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {artifact}: ")
+    report = stdout if out is None else (tmp_path / out).read_text()
+    assert json.loads(report)["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------

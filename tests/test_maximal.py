@@ -21,6 +21,7 @@ from dyadic_carleson import (
     uniform_boundary_measure,
     verify_stopping_invariants,
 )
+from dyadic_carleson import carleson, maximal
 from dyadic_carleson.maximal import average_ratios, derived_alpha
 from dyadic_carleson.tree import subtree_sums
 
@@ -259,6 +260,46 @@ def test_maximal_matches_brute_force(seed):
     phi = np.abs(random_node_values(seed + 50, shape))
     got = maximal_ratios(lam, phi).values
     assert np.allclose(got, _brute_maximal(lam, phi), rtol=1e-12, atol=1e-12)
+
+
+def _level_loop_running_max(r, depth):
+    """The per-level ``np.repeat`` loop that maximal_ratios used before."""
+    m = r.copy()
+    for d in range(1, depth + 1):
+        up = slice((1 << (d - 1)) - 1, (1 << d) - 1)
+        here = slice((1 << d) - 1, (1 << (d + 1)) - 1)
+        np.maximum(m[here], np.repeat(m[up], 2), out=m[here])
+    return m
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 10])
+def test_running_max_matches_the_level_loop(depth):
+    shape = build_tree(depth)
+    lam = random_tree_measure(depth, shape, support_mode=ALL_NODES, density=0.5)
+    phi = np.abs(random_node_values(depth + 7, shape))
+    r = average_ratios(lam, phi).values
+    want = _level_loop_running_max(r, depth)
+    assert maximal_ratios(lam, phi).values.tobytes() == want.tobytes()
+
+
+def test_check_and_invariants_share_tree_passes(monkeypatch):
+    shape = build_tree(6)
+    lam = carleson_normalized(random_tree_measure(4, shape, support_mode=ALL_NODES))
+    phi = np.abs(random_node_values(5, shape))
+    calls = []
+    for module in (maximal, carleson):
+        real = module.subtree_sums
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "subtree_sums", counted)
+    report = maximal_theorem_check(lam, phi)
+    assert verify_stopping_invariants(report.decomposition, lam, phi).ok
+    # the check: box constant 2, ratios 2, decomposition 2; the invariants:
+    # ratios 2, beta sums 1, weighted test constant 2
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("seed", range(10))
