@@ -391,11 +391,17 @@ class SampleBatch:
         x = self.arrays
         if self.mode == MODE_COMPENSATION:
             return x["F"], x["f"], x["A"], x["v"]
+        # the half-sums take the node terms in place, so no array is left behind
         F, f, A, v = (0.5 * (x[k + "-"] + x[k + "+"]) for k in "FfAv")
         if self.mode == MODE_MARTINGALE:
-            return F, f, x["m"] + A, v
-        a, b = x["a"], x["b"]
-        return F + b * b, f + a * b, A + x["c"], v + a * a
+            A += x["m"]
+        else:
+            a, b = x["a"], x["b"]
+            F += b * b
+            f += a * b
+            A += x["c"]
+            v += a * a
+        return F, f, A, v
 
     def slacks(self) -> np.ndarray:
         x = self.arrays

@@ -401,12 +401,12 @@ def _cmd_bitree_certify(args, cfg: RunConfig) -> Outcome:
     def check(job):
         mu, phi = job
         row = _certify_bitree_one(mu, phi, cfg.tol)
-        return row, None if row["passed"] else {
+        return row, (None if row["passed"] else {
             "reason": "per-rectangle certificate failed",
             "measure": measure_io.measure_to_dict(mu),
             "phi": phi,
             **row,
-        }
+        })
 
     jobs = _instances(args, cfg, "bitree", max(1, cfg.trials), values=True)
     rows, failure = _trial_rows(jobs, check)
@@ -443,12 +443,12 @@ def _cmd_gap_probe(args, cfg: RunConfig) -> Outcome:
 
 
 def _cmd_certify(args, cfg: RunConfig) -> Outcome:
-    measure = _load_measure(args.infile)
-    if isinstance(measure, tree.TreeMeasure):
-        alpha = carleson.box_squared_alpha(measure.shape)
-        test = carleson.alpha_test_constant(measure, alpha).constant
-        mu = measure.scaled(1.0 / test) if test > 1.0 else measure
-        phi = np.ones(measure.shape.node_count)
+    mu = _load_measure(args.infile)
+    if isinstance(mu, tree.TreeMeasure):
+        alpha = carleson.box_squared_alpha(mu.shape)
+        test = carleson.alpha_test_constant(mu, alpha).constant
+        mu = mu.scaled(1.0 / test) if test > 1.0 else mu
+        phi = np.ones(mu.shape.node_count)
         cert = bellman.certify_tree_embedding(mu, phi, alpha, tol=cfg.tol)
         # unlike the bi-tree one, the tree counterexample names its kind
         kind, result = "tree", {
@@ -461,9 +461,8 @@ def _cmd_certify(args, cfg: RunConfig) -> Outcome:
             "passed": cert.ok,
         }
     else:
-        mu = measure
-        phi = np.ones(measure.shape.cell_grid)
-        kind, result = "bitree", _certify_bitree_one(measure, phi, cfg.tol)
+        phi = np.ones(mu.shape.cell_grid)
+        kind, result = "bitree", _certify_bitree_one(mu, phi, cfg.tol)
     failure = None if result["passed"] else {
         "reason": f"{kind} certificate failed",
         "measure": measure_io.measure_to_dict(mu),

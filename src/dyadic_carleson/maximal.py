@@ -57,15 +57,11 @@ def average_ratios(lam: TreeMeasure, phi) -> NodeVector:
     return NodeVector(lam.shape, _ratios(lam, phi)[0])
 
 
-def _running_max(depth: int, r: np.ndarray) -> np.ndarray:
-    m = r.copy()
-    _ancestor_sums_inplace(depth, m, np.maximum)
-    return m
-
-
 def maximal_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Running maximum of the subtree ratios along root-to-node paths."""
-    return NodeVector(lam.shape, _running_max(lam.shape.depth, _ratios(lam, phi)[0]))
+    m = _ratios(lam, phi)[0]
+    _ancestor_sums_inplace(lam.shape.depth, m, np.maximum)
+    return NodeVector(lam.shape, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +218,8 @@ def verify_stopping_invariants(
     shape = lam.shape
     n = shape.node_count
     r, den = _ratios(lam, phi)
-    m = _running_max(shape.depth, r)
+    m = r.copy()
+    _ancestor_sums_inplace(shape.depth, m, np.maximum)
 
     # slot 0 of the owner-indexed arrays stands for "not a node"
     owner = np.array(dec.owner, dtype=np.int64)
@@ -357,8 +354,8 @@ def maximal_theorem_check(
         )
     shape = lam.shape
     phi_a = as_node_array(shape, phi)
-    r, den = _ratios(lam, phi_a)
-    m = _running_max(shape.depth, r)
+    m, den = _ratios(lam, phi_a)
+    _ancestor_sums_inplace(shape.depth, m, np.maximum)
     lhs = float((den**2 * m**2).sum())
     rhs = float((phi_a**2 * lam.masses).sum())
     dec = stopping_decomposition(lam, phi_a, allow_signed=allow_signed)
