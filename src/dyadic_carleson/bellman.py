@@ -153,10 +153,8 @@ def bellman_gradient(p: BellmanPoint) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _split_slack(
-    left: BellmanPoint, right: BellmanPoint, parent: BellmanPoint, increment: float,
-    tol: float,
-) -> float:
+def _split_slack(left: BellmanPoint, right: BellmanPoint, parent: BellmanPoint,
+                 increment: float, tol: float) -> float:
     """B(parent) - (B(left) + B(right))/2 - increment * f^2 / v^2 at the parent."""
     _require_domain(parent, tol)
     half = 0.5 * (bellman_value(left, tol) + bellman_value(right, tol))

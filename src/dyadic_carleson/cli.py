@@ -472,7 +472,7 @@ def _cmd_certify(args, cfg: RunConfig) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# the command table and the driver
+# the command table and run_command
 # ---------------------------------------------------------------------------
 
 

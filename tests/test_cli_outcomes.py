@@ -114,6 +114,8 @@ USAGE = [
     "tree-embed --in missing.json",
     "certify --in missing.json",
     "bitree-onebox --in .",
+    "tree-test --depth 30 --trials 0",
+    "bitree-onebox --depths 20,20 --trials 0",
 ]
 
 # (argv, patch name, index of the first spoiled call)
