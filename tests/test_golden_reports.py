@@ -7,13 +7,18 @@ keeps the CLI byte-identical leaves every hash in place.  Float results
 can differ in the last digits between numpy releases, so the test skips
 on a numpy major.minor other than the recorded one.
 
-To regenerate the hashes after an intended change of the reports, run
-``PYTHONPATH=src python tests/test_golden_reports.py``; it keeps the
-measure files and rewrites the rest.
+Run ``PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]`` to
+record hashes.  It keeps the measure files, adds the hash of every case
+that has none yet, and rewrites the hash of each entry named on the
+command line: a report key such as ``"tree-embed --in {tree} --format
+json"``, or a case, which names both of its formats.  Any other entry
+whose report changed keeps its recorded hash; the script lists it and
+exits 1, so an unintended change of the reports cannot slip in.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,6 +34,8 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 CASES = [
     "tree-test --depth 4 --trials 6 --seed 3",
     "tree-test --depth 3 --trials 3 --seed 4 --support all-nodes --tol 1e-6",
+    "tree-test --depth 6 --trials 400 --seed 12",
+    "tree-test --depth 10 --trials 150 --seed 15",
     "tree-embed --depth 5 --seed 4",
     "tree-embed --in {tree}",
     "bellman-sample --mode martingale --trials 2000 --seed 5",
@@ -38,6 +45,7 @@ CASES = [
     "maximal-verify --in {tree} --seed 7",
     "bitree-onebox --depths 2,3 --trials 5 --seed 8",
     "bitree-onebox --in {bitree}",
+    "bitree-onebox --depths 3,3 --trials 1000 --seed 14",
     "bitree-settest --depths 2,2 --seed 9",
     "bitree-settest --depths 0,4 --seed 9",
     "bitree-settest --in {bitree}",
@@ -47,6 +55,8 @@ CASES = [
     "bitree-certify --in {bitree} --seed 10",
     "gap-probe --depths 2,2 --trials 20 --seed 11 --optimizer random",
     "gap-probe --depths 2,1 --trials 20 --seed 11",
+    "gap-probe --depths 4,4 --trials 300 --seed 13 --optimizer random",
+    "gap-probe --depths 6,6 --trials 70 --seed 16 --optimizer random",
     "certify --in {tree}",
     "certify --in {bitree}",
 ]
@@ -105,18 +115,36 @@ def test_report_matches_golden_hash(case, fmt, tmp_path, capsys):
     assert digest == golden["reports"][f"{case} --format {fmt}"]
 
 
-def _regenerate() -> dict:
+def _record(names: list[str]) -> int:
+    """Add missing hashes and rewrite the named ones; list any other change."""
     golden = _golden()
+    keys = [f"{case} --format {fmt}" for case in CASES for fmt in FORMATS]
+    unknown = [n for n in names if n not in CASES and n not in keys]
+    if unknown:
+        print("not a case or report key: " + "; ".join(unknown), file=sys.stderr)
+        return 1
+    named = {k for k in keys if k in names or k.rsplit(" --format ", 1)[0] in names}
+    old = golden["reports"]
+    reports, changed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         paths = _write_inputs(golden["inputs"], directory)
-        reports = {
-            f"{case} --format {fmt}": report_digest(case, fmt, paths, directory)
-            for case in CASES
-            for fmt in FORMATS
-        }
-    return {"numpy": _numpy_minor(), "inputs": golden["inputs"], "reports": reports}
+        for key in keys:
+            case, fmt = key.rsplit(" --format ", 1)
+            digest = report_digest(case, fmt, paths, directory)
+            if key in old and key not in named and digest != old[key]:
+                changed.append(key)
+                digest = old[key]
+            reports[key] = digest
+    # a hash kept from another numpy stays labelled with that numpy
+    numpy = golden["numpy"] if changed else _numpy_minor()
+    GOLDEN.write_text(json.dumps(
+        {"numpy": numpy, "inputs": golden["inputs"], "reports": reports},
+        indent=1, sort_keys=True) + "\n")
+    for key in changed:
+        print(f"changed, hash kept: {key}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_regenerate(), indent=1, sort_keys=True) + "\n")
+    sys.exit(_record(sys.argv[1:]))
