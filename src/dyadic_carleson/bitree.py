@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .bellman import BellmanPoint, bellman_values
-from .carleson import _power_iteration, _safe_ratio
+from .carleson import _batches, _power_iteration, _safe_ratio
 from .errors import (
     PreconditionError,
     ShapeMismatchError,
@@ -56,6 +57,7 @@ __all__ = [
     "gap_probe",
     "normalized_to_unit_onebox",
     "one_box_constant",
+    "one_box_constants",
     "one_box_ratios",
     "rect_integrals",
     "set_test_constant",
@@ -224,17 +226,22 @@ def rect_integrals(shape: BiTreeShape, cell_values: np.ndarray) -> np.ndarray:
     the leaf rows), then rows over every column.  The row pass runs last
     so parent rows equal their child-pair sums bit for bit.
     """
-    n, m = shape.depths
     grid = np.asarray(cell_values, dtype=float)
     if grid.shape != shape.cell_grid:
         raise ShapeMismatchError(
             f"expected grid {shape.cell_grid}, got {grid.shape}"
         )
-    out = np.empty(shape.node_counts)
-    leaf_rows = out[(1 << n) - 1 :]
-    leaf_rows[:, (1 << m) - 1 :] = grid
-    _fill_pair_levels(m, leaf_rows, axis=1)
-    _fill_pair_levels(n, out, axis=0)
+    return _rect_integrals(shape, grid)
+
+
+def _rect_integrals(shape: BiTreeShape, grid: np.ndarray) -> np.ndarray:
+    """:func:`rect_integrals` over the last two axes; leading axes are trials."""
+    n, m = shape.depths
+    out = np.empty(grid.shape[:-2] + shape.node_counts)
+    leaf_rows = out[..., (1 << n) - 1 :, :]
+    leaf_rows[..., (1 << m) - 1 :] = grid
+    _fill_pair_levels(m, leaf_rows, axis=-1)
+    _fill_pair_levels(n, out, axis=-2)
     return out
 
 
@@ -243,14 +250,17 @@ def rect_masses(mu: BiMeasure) -> np.ndarray:
 
 
 def _box_sums(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
-    """Sum of mu(Q)^2 over rectangles Q below each R, both axes."""
-    out = subtree_sums(shape.depths[1], masses**2, axis=1)
-    return subtree_sums(shape.depths[0], out, axis=0)
+    """Sum of mu(Q)^2 over rectangles Q below each R, over the last two axes."""
+    out = subtree_sums(shape.depths[1], masses**2, axis=-1)
+    return subtree_sums(shape.depths[0], out, axis=-2)
+
+
+def _one_box_ratios(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
+    return _safe_ratio(_box_sums(shape, masses), masses)
 
 
 def one_box_ratios(mu: BiMeasure) -> np.ndarray:
-    masses = rect_masses(mu)
-    return _safe_ratio(_box_sums(mu.shape, masses), masses)
+    return _one_box_ratios(mu.shape, rect_masses(mu))
 
 
 class OneBoxResult(NamedTuple):
@@ -258,14 +268,45 @@ class OneBoxResult(NamedTuple):
     argmax_rect: tuple[int, int]
 
 
+def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
+    """Largest ratio of each rectangle array along the leading axes.
+
+    The first largest in row-major order wins, as in ``np.argmax``.
+    """
+    flat = ratios.reshape(-1, ratios.shape[-2] * ratios.shape[-1])
+    best = flat.argmax(axis=1)
+    rows, cols = np.unravel_index(best, ratios.shape[-2:])
+    return [
+        OneBoxResult(float(flat[k, b]), (int(u) + 1, int(v) + 1))
+        for k, (b, u, v) in enumerate(zip(best, rows, cols))
+    ]
+
+
 def _largest_ratio(ratios: np.ndarray) -> OneBoxResult:
-    u, v = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return OneBoxResult(float(ratios[u, v]), (int(u) + 1, int(v) + 1))
+    return _largest_ratios(ratios)[0]
 
 
 def one_box_constant(mu: BiMeasure) -> OneBoxResult:
     """Largest rectangle-wise Carleson ratio and where it is attained."""
     return _largest_ratio(one_box_ratios(mu))
+
+
+def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult]:
+    """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack."""
+    return _largest_ratios(_one_box_ratios(shape, _rect_integrals(shape, cells)))
+
+
+def one_box_constants(measures: Sequence[BiMeasure]) -> list[OneBoxResult]:
+    """:func:`one_box_constant` of each measure of one shape, as one stack."""
+    if not measures:
+        return []
+    shape = measures[0].shape
+    for mu in measures:
+        if mu.shape != shape:
+            raise ShapeMismatchError(
+                f"measures built for depths {shape.depths} and {mu.shape.depths}"
+            )
+    return _one_box_results(shape, np.stack([mu.cells for mu in measures]))
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
@@ -678,12 +719,46 @@ def _apply_bi_gram(
 ) -> np.ndarray:
     """``W (C_n ⊗ C_m) W g`` on the cell grid, ``W`` the diagonal of ``weights``.
 
+    The grid is the last two axes; leading axes are trials.
     ``C_n ⊗ C_m`` counts the rectangles containing both cells of a pair,
     so this sums the weighted rectangle integrals back over every
     rectangle containing each cell, one axis at a time.
     """
-    x = _common_ancestor_apply(depths[1], weights * g, axis=1)
-    return weights * _common_ancestor_apply(depths[0], x, axis=0)
+    x = _common_ancestor_apply(depths[1], weights * g, axis=-1)
+    return weights * _common_ancestor_apply(depths[0], x, axis=-2)
+
+
+def _bi_embedding_values(
+    depths: tuple[int, int], cells: np.ndarray, tol: float = 1e-12,
+    max_iter: int = 100_000,
+) -> list[tuple[float, int, bool]]:
+    """Power iteration of the Gram operator of each grid of a cell stack.
+
+    ``cells`` is ``(trials, rows, cols)``; the active trials run as one
+    ``_apply_bi_gram`` on their stacked grids.  A grid without positive
+    cells gets ``(0.0, 0, True)``.
+    """
+    positive = cells > 0
+    solved = np.flatnonzero(positive.any(axis=(1, 2)))
+    weights, starts = np.sqrt(cells), positive.astype(float)
+    if solved.size < len(cells):
+        weights, starts = weights[solved], starts[solved]
+
+    def operator(rows: np.ndarray):
+        active = weights if rows.size == len(weights) else weights[rows]
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            return _apply_bi_gram(depths, active, x.reshape(active.shape)).ravel()
+
+        return apply
+
+    size = cells.shape[1] * cells.shape[2]
+    results = [(0.0, 0, True)] * len(cells)
+    offsets = range(0, (solved.size + 1) * size, size)
+    for k, solution in zip(solved, _power_iteration(operator, starts.ravel(), offsets,
+                                                    tol, max_iter)):
+        results[k] = solution
+    return results
 
 
 def bi_embedding_constant(
@@ -697,18 +772,8 @@ def bi_embedding_constant(
     containing rectangles.  Convergence requires two consecutive Rayleigh
     quotients within relative ``tol``.
     """
-    active = mu.cells > 0
-    if not active.any():
-        return BiEmbeddingReport(0.0, 0, True)
-    grid = mu.cells.shape
-    weights = np.sqrt(mu.cells)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _apply_bi_gram(mu.shape.depths, weights, x.reshape(grid)).ravel()
-
-    return BiEmbeddingReport(
-        *_power_iteration(apply, active.ravel().astype(float), tol, max_iter)
-    )
+    [solution] = _bi_embedding_values(mu.shape.depths, mu.cells[None], tol, max_iter)
+    return BiEmbeddingReport(*solution)
 
 
 def _pairwise_common_ancestors(depth: int, leaves: np.ndarray) -> np.ndarray:
@@ -789,12 +854,15 @@ def _random_cells(rng: np.random.Generator, shape: BiTreeShape) -> np.ndarray:
     return cells
 
 
-def _probe_values(mu: BiMeasure) -> tuple[float, float, float]:
-    box = one_box_constant(mu).constant
-    if box == 0.0:
-        return 0.0, 0.0, 0.0
-    emb = bi_embedding_constant(mu).value
-    return emb / box, box, emb
+def _probe_values(shape: BiTreeShape, cells: np.ndarray) -> list[tuple]:
+    """``(gap, one-box, embedding)`` of each grid of a ``(trials, rows, cols)`` stack."""
+    boxes = [result.constant for result in _one_box_results(shape, cells)]
+    positive = [k for k, box in enumerate(boxes) if box != 0.0]
+    values = [(0.0, 0.0, 0.0)] * len(boxes)
+    solutions = _bi_embedding_values(shape.depths, cells[positive])
+    for k, (emb, _, _) in zip(positive, solutions):
+        values[k] = (emb / boxes[k], boxes[k], emb)
+    return values
 
 
 def gap_probe(config: GapProbeConfig) -> GapProbeReport:
@@ -815,17 +883,18 @@ def gap_probe(config: GapProbeConfig) -> GapProbeReport:
         return GapProbeReport(config, None, None, None, None, trajectory)
 
     if config.optimizer == "random":
-        for step in range(config.trials):
-            cells = _random_cells(rng, shape)
-            gap, box, emb = _probe_values(BiMeasure(shape, cells))
-            trajectory.append(TrajectoryPoint(step, gap, box, emb))
-            if best_gap is None or gap > best_gap:
-                best_gap, best = gap, (box, emb, cells)
+        draws = (_random_cells(rng, shape) for _ in range(config.trials))
+        for batch in _batches(draws, np.size):
+            values = _probe_values(shape, np.stack(batch))
+            for cells, (gap, box, emb) in zip(batch, values):
+                trajectory.append(TrajectoryPoint(len(trajectory), gap, box, emb))
+                if best_gap is None or gap > best_gap:
+                    best_gap, best = gap, (box, emb, cells)
         box, emb, cells = best
         return GapProbeReport(config, best_gap, box, emb, cells, trajectory)
 
     cells = _random_cells(rng, shape)
-    gap, box, emb = _probe_values(BiMeasure(shape, cells))
+    [(gap, box, emb)] = _probe_values(shape, cells[None])
     best_gap, best = gap, (box, emb, cells.copy())
     start_t, end_t = 0.3, 1e-3
     for step in range(config.trials):
@@ -844,7 +913,7 @@ def gap_probe(config: GapProbeConfig) -> GapProbeReport:
         if not proposal.any():
             trajectory.append(TrajectoryPoint(step, gap, box, emb))
             continue
-        new_gap, new_box, new_emb = _probe_values(BiMeasure(shape, proposal))
+        [(new_gap, new_box, new_emb)] = _probe_values(shape, proposal[None])
         accept = new_gap >= gap
         if not accept and new_gap > 0 and gap > 0:
             accept = rng.uniform() < math.exp(

@@ -21,7 +21,9 @@ with arbitrary non-negative weights ``alpha``; the box-area weights
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,8 +52,10 @@ __all__ = [
     "carleson_ratios",
     "embedding_constant",
     "embedding_constant_dense",
+    "embedding_constants",
     "embedding_lhs",
     "embedding_pair_check",
+    "embedding_pair_checks",
     "carleson_normalized",
 ]
 
@@ -107,16 +111,19 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
-    """Test ratios at every node, the test constant and its argmax node.
+def _test_ratios(depth: int, masses: np.ndarray) -> np.ndarray:
+    """Test ratios at every node, along the leading axis of ``masses``.
 
     Both the numerator and the denominator are subtree sums, so the whole
-    computation is two leaf-to-root passes.
+    computation is two leaf-to-root passes.  Trailing axes are trials.
     """
-    depth = mu.shape.depth
-    box = subtree_sums(depth, mu.masses)
-    num = subtree_sums(depth, box**2)
-    ratios = _safe_ratio(num, box)
+    box = subtree_sums(depth, masses)
+    return _safe_ratio(subtree_sums(depth, box**2), box)
+
+
+def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
+    """Test ratios at every node, the test constant and its argmax node."""
+    ratios = _test_ratios(mu.shape.depth, mu.masses)
     arg = int(np.argmax(ratios))
     return CarlesonRatios(
         NodeVector(mu.shape, ratios), float(ratios[arg]), arg + 1
@@ -161,35 +168,141 @@ def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _power_iteration(apply, x: np.ndarray, tol: float,
-                     max_iter: int) -> tuple[float, int, bool]:
-    """Largest eigenvalue of a positive semidefinite operator from start ``x``.
+BATCH_ENTRIES = 1 << 17  # measure entries solved as one stack, which bounds its memory
 
-    ``apply`` maps a flat vector to a new array, which the loop then
-    normalizes in place.  Stops once successive Rayleigh quotients agree
-    to ``tol`` relatively twice in a row (to dodge spurious plateaus), or
-    with value 0 when ``apply`` returns the zero vector.  Returns
-    ``(value, iterations, converged)``.
+
+def _batches(items: Iterable, entries: Callable) -> Iterator[list]:
+    """Consecutive items in lists of about ``BATCH_ENTRIES`` measure entries.
+
+    ``entries(item)`` is the size of one item; each list is sized by its
+    first item and holds at least one.  Items are drawn only as the lists
+    are taken, so a caller that stops early leaves the rest undrawn.
     """
-    x = x / math.sqrt(x.dot(x))
-    value = 0.0
-    hits = 0
+    items = iter(items)
+    for first in items:
+        more = max(1, BATCH_ENTRIES // max(1, entries(first))) - 1
+        yield [first, *itertools.islice(items, more)]
+
+
+def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
+                     tol: float, max_iter: int) -> list[tuple[float, int, bool]]:
+    """Largest eigenvalues of a stack of positive semidefinite operators.
+
+    Row ``k`` of the stack starts from the non-zero vector
+    ``x[offsets[k]:offsets[k + 1]]``; the loop takes over ``x``.
+    ``operator(rows)`` returns the apply of the active rows ``rows``
+    (ascending row numbers): it maps their vectors, concatenated in that
+    order, to a new buffer of the same layout, which the loop then
+    normalizes row by row in place.  ``operator`` is called once and
+    again each time rows stop, never per iteration.
+
+    Each row stops once successive Rayleigh quotients agree to ``tol``
+    relatively twice in a row (to dodge spurious plateaus), or with value
+    0 when its image is the zero vector, or unconverged after
+    ``max_iter`` iterations.  Its quotient and norm are ``ndarray.dot``
+    of its own contiguous slice, so a row's outcome does not depend on
+    the rest of the stack.  Returns ``(value, iterations, converged)``
+    per row.
+    """
+    count = len(offsets) - 1
+    results: list = [None] * count
+    value, hits = [0.0] * count, [0] * count
+    rows, bounds = list(range(count)), list(offsets)
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = x[lo:hi]
+        row /= math.sqrt(row.dot(row))
+    apply = None
     for iteration in range(1, max_iter + 1):
+        if not rows:
+            break
+        if apply is None:
+            apply = operator(np.array(rows, dtype=np.int64))
         y = apply(x)
-        current = float(x.dot(y))
-        norm = math.sqrt(y.dot(y))
-        if norm == 0.0:
-            return 0.0, iteration, True
-        y /= norm
+        stopped = []
+        for pos, k in enumerate(rows):
+            lo, hi = bounds[pos], bounds[pos + 1]
+            image = y[lo:hi]
+            current = float(x[lo:hi].dot(image))
+            norm = math.sqrt(image.dot(image))
+            if norm == 0.0:
+                results[k] = (0.0, iteration, True)
+                stopped.append(pos)
+                continue
+            image /= norm
+            if abs(current - value[k]) <= tol * max(abs(current), 1e-300):
+                hits[k] += 1
+                if hits[k] >= 2:
+                    results[k] = (current, iteration, True)
+                    stopped.append(pos)
+                    continue
+            else:
+                hits[k] = 0
+            value[k] = current
         x = y
-        if abs(current - value) <= tol * max(abs(current), 1e-300):
-            hits += 1
-            if hits >= 2:
-                return current, iteration, True
+        if stopped:
+            keep = np.ones(x.size, dtype=bool)
+            for pos in stopped:
+                keep[bounds[pos] : bounds[pos + 1]] = False
+            x = x[keep]
+            left = [pos for pos in range(len(rows)) if keep[bounds[pos]]]
+            rows = [rows[pos] for pos in left]
+            bounds = [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in left)]
+            apply = None
+    for k in rows:
+        results[k] = (value[k], max_iter, False)
+    return results
+
+
+def _embedding_values(depth: int, masses: np.ndarray, tol: float,
+                      max_iter: int) -> list[tuple[float, int, bool]]:
+    """Power iteration of the Gram operator of each row of ``masses``.
+
+    ``masses`` holds one measure per row.  The active trials share one
+    ``(nodes, trials)`` array: their stacked ``sqrt(mu) * g`` is
+    scattered into it, both tree passes run along its leading axis, and
+    the result is gathered back.  A measure without support gets
+    ``(0.0, 0, True)``.
+    """
+    trials, nodes = masses.shape
+    positions = np.flatnonzero(masses)  # trial * nodes + node, trial by trial
+    sizes = np.count_nonzero(masses, axis=1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    sqrt_m = np.sqrt(masses.reshape(-1)[positions])
+    solved = np.flatnonzero(sizes)
+
+    def operator(rows: np.ndarray):
+        picked = solved[rows]
+        if picked.size == 1:
+            # a lone trial takes a 1-D array, which the passes walk faster
+            [k] = picked
+            weights = sqrt_m[bounds[k] : bounds[k + 1]]
+            index = positions[bounds[k] : bounds[k + 1]] - k * nodes
+            full = np.empty(nodes)
         else:
-            hits = 0
-        value = current
-    return value, max_iter, False
+            member = np.zeros(trials, dtype=bool)
+            member[picked] = True
+            keep = np.repeat(member, sizes)
+            weights = sqrt_m[keep]
+            slots = np.repeat(np.arange(picked.size), sizes[picked])
+            index = positions[keep] % nodes * picked.size + slots
+            full = np.empty((nodes, picked.size))
+        flat = full.reshape(-1)
+
+        def apply(g: np.ndarray) -> np.ndarray:
+            full.fill(0.0)
+            flat[index] = weights * g
+            _subtree_sums_inplace(depth, full)
+            _ancestor_sums_inplace(depth, full)
+            return weights * flat[index]
+
+        return apply
+
+    results = [(0.0, 0, True)] * trials
+    solutions = _power_iteration(operator, np.ones(positions.size),
+                                 bounds[np.append(solved, trials)], tol, max_iter)
+    for k, solution in zip(solved, solutions):
+        results[k] = solution
+    return results
 
 
 def embedding_constant(
@@ -205,26 +318,40 @@ def embedding_constant(
     relatively (twice in a row, to dodge spurious plateaus).
     """
     ratios = carleson_ratios(mu)
-    supp = np.flatnonzero(mu.masses)
-    if supp.size == 0:
-        return EmbeddingReport(ratios.test_constant, 0.0, ratios.argmax_node, 0, True)
-    sqrt_m = np.sqrt(mu.masses[supp])
-    depth = mu.shape.depth
-    full = np.zeros(mu.shape.node_count)
-
-    def apply(g: np.ndarray) -> np.ndarray:
-        full.fill(0.0)
-        full[supp] = sqrt_m * g
-        _subtree_sums_inplace(depth, full)
-        _ancestor_sums_inplace(depth, full)
-        return sqrt_m * full[supp]
-
-    value, iterations, converged = _power_iteration(
-        apply, np.ones(supp.size), tol, max_iter
+    [(value, iterations, converged)] = _embedding_values(
+        mu.shape.depth, mu.masses[None], tol, max_iter
     )
     return EmbeddingReport(
         ratios.test_constant, value, ratios.argmax_node, iterations, converged
     )
+
+
+def embedding_constants(
+    measures: Sequence[TreeMeasure], tol: float = 1e-12, max_iter: int = 100_000
+) -> list[EmbeddingReport]:
+    """:func:`embedding_constant` of each measure, solved as one stack.
+
+    The measures share one shape.  Their test ratios come from one pass
+    pair over the stacked masses, and their power iterations run in one
+    loop; each report equals the one :func:`embedding_constant` gives.
+    """
+    if not measures:
+        return []
+    shape = measures[0].shape
+    for mu in measures:
+        if mu.shape != shape:
+            raise ShapeMismatchError(
+                f"measures built for depths {shape.depth} and {mu.shape.depth}"
+            )
+    masses = np.stack([mu.masses for mu in measures])
+    ratios = _test_ratios(shape.depth, masses.T)
+    argmax = ratios.argmax(axis=0)
+    tests = ratios[argmax, np.arange(len(measures))]
+    solutions = _embedding_values(shape.depth, masses, tol, max_iter)
+    return [
+        EmbeddingReport(float(test), value, int(arg) + 1, iterations, converged)
+        for test, arg, (value, iterations, converged) in zip(tests, argmax, solutions)
+    ]
 
 
 def _bit_lengths(arr: np.ndarray) -> np.ndarray:
@@ -285,15 +412,27 @@ class PairCheckResult:
         }
 
 
-def embedding_pair_check(mu: TreeMeasure, rel_tol: float = 1e-9) -> PairCheckResult:
-    """Check ``test <= embedding <= 4 * test`` with relative slack."""
-    report = embedding_constant(mu)
+def _pair_check(report: EmbeddingReport, mu: TreeMeasure,
+                rel_tol: float) -> PairCheckResult:
     c_test = report.test_constant
     c_emb = report.embedding_constant
     scale = max(1.0, c_test, c_emb)
     lower_ok = c_test <= c_emb + rel_tol * scale
     upper_ok = c_emb <= 4.0 * c_test + rel_tol * scale
     return PairCheckResult(report, mu, lower_ok, upper_ok)
+
+
+def embedding_pair_check(mu: TreeMeasure, rel_tol: float = 1e-9) -> PairCheckResult:
+    """Check ``test <= embedding <= 4 * test`` with relative slack."""
+    return _pair_check(embedding_constant(mu), mu, rel_tol)
+
+
+def embedding_pair_checks(
+    measures: Sequence[TreeMeasure], rel_tol: float = 1e-9
+) -> list[PairCheckResult]:
+    """:func:`embedding_pair_check` of each measure, solved as one stack."""
+    reports = embedding_constants(measures)
+    return [_pair_check(report, mu, rel_tol) for report, mu in zip(reports, measures)]
 
 
 def embedding_lhs(phi, lam: TreeMeasure, alpha: AlphaSequence) -> EmbeddingSides:

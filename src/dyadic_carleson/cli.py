@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -59,6 +60,8 @@ class RunConfig:
             raise _UsageError(f"--trials must be nonnegative, got {self.trials}")
         if not self.tol > 0:
             raise _UsageError(f"--tol must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise _UsageError(f"--tol must be finite, got {self.tol}")
         if self.fmt not in FORMATS:
             raise _UsageError(f"--format must be one of {FORMATS}")
 
@@ -187,6 +190,18 @@ def _instances(args, cfg: RunConfig, kind: str, count: int = 1, values: bool = F
     return map(draw, range(count))
 
 
+def _solved(jobs: Iterable, solve: Callable, entries: Callable):
+    """Each job paired with its result, ``solve`` mapping measures to results.
+
+    Jobs are drawn in order and solved as stacks of about
+    ``carleson.BATCH_ENTRIES`` measure entries, ``entries(measure)`` each,
+    so memory stays bounded and a consumer that stops at a failing trial
+    leaves the later stacks undrawn.
+    """
+    for batch in carleson._batches(jobs, lambda job: entries(job[0])):
+        yield from zip(batch, solve([measure for measure, _ in batch]))
+
+
 def _trial_rows(jobs: Iterable, check: Callable):
     """``(rows, failure)`` of ``check(job)`` over the jobs, stopping at a failure.
 
@@ -209,9 +224,8 @@ def _trial_rows(jobs: Iterable, check: Callable):
 # ---------------------------------------------------------------------------
 
 
-def _sandwich(mu: tree.TreeMeasure):
-    """The sandwich check of ``mu``: result, report row, counterexample or None."""
-    pair = carleson.embedding_pair_check(mu, rel_tol=SANDWICH_TOL)
+def _sandwich(pair: carleson.PairCheckResult):
+    """Report row and counterexample (or None) of one sandwich check."""
     test = pair.report.test_constant
     emb = pair.report.embedding_constant
     row = {
@@ -223,21 +237,25 @@ def _sandwich(mu: tree.TreeMeasure):
     }
     failure = None if pair.ok else {
         "reason": "embedding constant escaped [c_test, 4 c_test]",
-        "measure": measure_io.measure_to_dict(mu),
+        "measure": measure_io.measure_to_dict(pair.measure),
         **pair.counterexample(),
     }
-    return pair, row, failure
+    return row, failure
 
 
 def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
-    def check(job):
-        mu = job[0]
-        _, row, failure = _sandwich(mu)
+    def check(solved_job):
+        (mu, _), pair = solved_job
+        row, failure = _sandwich(pair)
         return {"support_mode": mu.support_mode, **row}, failure
+
+    def solve(measures):
+        return carleson.embedding_pair_checks(measures, rel_tol=SANDWICH_TOL)
 
     modes = TREE_MODES if args.support == "both" else (args.support,)
     jobs = _instances(args, cfg, "tree", cfg.trials, modes=modes)
-    rows, failure = _trial_rows(jobs, check)
+    solved = _solved(jobs, solve, lambda mu: mu.masses.size)
+    rows, failure = _trial_rows(solved, check)
     if failure:
         return failure
     report = {
@@ -255,7 +273,8 @@ def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
 
 def _cmd_tree_embed(args, cfg: RunConfig) -> Outcome:
     [(mu, _)] = _instances(args, cfg, "tree")
-    pair, row, failure = _sandwich(mu)
+    pair = carleson.embedding_pair_check(mu, rel_tol=SANDWICH_TOL)
+    row, failure = _sandwich(pair)
     report = {"argmax_node": pair.report.argmax_node, "passed": pair.ok, **row}
     return Outcome(report, counterexample=failure)
 
@@ -344,11 +363,13 @@ def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
 
 
 def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
-    def check(job):
-        constant, (row, col) = bitree.one_box_constant(job[0])
+    def check(solved_job):
+        _, (constant, (row, col)) = solved_job
         return {"constant": constant, "argmax_row": row, "argmax_col": col}, None
 
-    rows, _ = _trial_rows(_instances(args, cfg, "bitree", max(1, cfg.trials)), check)
+    jobs = _instances(args, cfg, "bitree", max(1, cfg.trials))
+    solved = _solved(jobs, bitree.one_box_constants, lambda mu: mu.cells.size)
+    rows, _ = _trial_rows(solved, check)
     report = {"seed": cfg.seed, "rows": rows}
     return Outcome(
         report, **_columns(rows, "trial", "constant", "argmax_row", "argmax_col")

@@ -5,14 +5,18 @@ passes, rectangle integrals over a zero-padded rectangle array, the
 Gram apply that builds every rectangle sum and spreads it back with two
 ancestor passes, the fancy-index subset-sum passes of the exhaustive set
 test, and the two power-iteration loops the embedding constants had
-before they shared one.  The pass kernels add in the same order and must
+before they shared one, and the one-row loop that came before the stacked
+one.  The pass kernels add in the same order and must
 agree exactly.  Only the sign of a zero may differ in the tree passes: a
 ``reshape(...).sum(axis=1)`` of two -0.0 halves gives +0.0 in some numpy
 versions and -0.0 in others.  Rectangle integrals, subset sums and both
-power iterations agree bit for bit.  The Gram apply adds in another
+power iterations agree bit for bit, and so does every row of a stacked
+solve with its one-row solve.  The Gram apply adds in another
 order and must agree to rounding, and also with a dense matvec of the
 common-ancestor kernel.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,29 +26,49 @@ from dyadic_carleson import (
     BOUNDARY_ONLY,
     BiMeasure,
     PreconditionError,
+    ShapeMismatchError,
     TreeMeasure,
     bi_embedding_constant,
     bi_embedding_constant_dense,
     bitree_bellman_certify,
     build_bitree,
     build_tree,
+    carleson_ratios,
+    cell_point_mass,
     embedding_constant,
+    embedding_constants,
+    embedding_pair_check,
+    embedding_pair_checks,
+    leaf_point_mass,
+    one_box_constant,
+    one_box_constants,
     random_bimeasure,
     random_tree_measure,
     set_test_constant,
     uniform_bimeasure,
+    uniform_boundary_measure,
 )
+from dyadic_carleson import carleson
 from dyadic_carleson.bitree import (
     _apply_bi_gram,
+    _bi_embedding_values,
     _child_pair_sums,
     _pairwise_common_ancestors,
+    _probe_values,
     _rect_cell_masks,
     _subset_sums,
     normalized_to_unit_onebox,
     rect_integrals,
     rect_masses,
 )
-from dyadic_carleson.tree import ancestor_sums, subtree_sums
+from dyadic_carleson.carleson import _batches, _power_iteration
+from dyadic_carleson.cli import run_command
+from dyadic_carleson.tree import (
+    _ancestor_sums_inplace,
+    _subtree_sums_inplace,
+    ancestor_sums,
+    subtree_sums,
+)
 
 
 def _ref_ancestor_sums(depth, values, axis=0):
@@ -426,3 +450,238 @@ def test_bitree_power_iteration_matches_old_loop(depths):
             got = (report.value, report.iterations, report.converged)
             assert _same_outcome(got, _ref_bitree_power(mu, max_iter=max_iter))
     assert not bi_embedding_constant(measures[0], max_iter=2).converged
+
+
+# ---------------------------------------------------------------------------
+# stacked power iteration against the one-row loop
+# ---------------------------------------------------------------------------
+
+
+def _row_power_iteration(apply, x, tol, max_iter):
+    """The power loop of one operator, as it was before trials were stacked."""
+    x = x / math.sqrt(x.dot(x))
+    value = 0.0
+    hits = 0
+    for iteration in range(1, max_iter + 1):
+        y = apply(x)
+        current = float(x.dot(y))
+        norm = math.sqrt(y.dot(y))
+        if norm == 0.0:
+            return 0.0, iteration, True
+        y /= norm
+        x = y
+        if abs(current - value) <= tol * max(abs(current), 1e-300):
+            hits += 1
+            if hits >= 2:
+                return current, iteration, True
+        else:
+            hits = 0
+        value = current
+    return value, max_iter, False
+
+
+def _row_tree_solve(mu, tol=1e-12, max_iter=100_000):
+    supp = np.flatnonzero(mu.masses)
+    if supp.size == 0:
+        return 0.0, 0, True
+    sqrt_m = np.sqrt(mu.masses[supp])
+    depth = mu.shape.depth
+    full = np.zeros(mu.shape.node_count)
+
+    def apply(g):
+        full.fill(0.0)
+        full[supp] = sqrt_m * g
+        _subtree_sums_inplace(depth, full)
+        _ancestor_sums_inplace(depth, full)
+        return sqrt_m * full[supp]
+
+    return _row_power_iteration(apply, np.ones(supp.size), tol, max_iter)
+
+
+def _row_bitree_solve(mu, tol=1e-12, max_iter=100_000):
+    active = mu.cells > 0
+    if not active.any():
+        return 0.0, 0, True
+    weights = np.sqrt(mu.cells)
+
+    def apply(x):
+        return _apply_bi_gram(mu.shape.depths, weights, x.reshape(weights.shape)).ravel()
+
+    return _row_power_iteration(apply, active.ravel().astype(float), tol, max_iter)
+
+
+def _tree_stack(shape, mode):
+    """Random, zero, point, uniform and sparse measures in one support mode."""
+    depth = shape.depth
+    point = leaf_point_mass(shape, 2 * shape.first_leaf - 1, 2.5)
+    uniform = uniform_boundary_measure(shape, 3.0)
+    if mode == ALL_NODES:
+        masses = np.zeros(shape.node_count)
+        masses[shape.node_count // 2] = 2.5
+        point = TreeMeasure(shape, masses)
+        uniform = TreeMeasure(shape, np.full(shape.node_count, 0.5))
+    return [
+        random_tree_measure(depth, shape, support_mode=mode),
+        TreeMeasure(shape, np.zeros(shape.node_count), mode),
+        point,
+        uniform,
+        random_tree_measure(depth + 50, shape, support_mode=mode, density=0.1),
+        random_tree_measure(depth + 90, shape, support_mode=mode),
+    ]
+
+
+def _bitree_stack(shape):
+    """Random, zero, point, uniform and sparse grids."""
+    s = sum(shape.depths)
+    rows, cols = shape.cell_grid
+    return np.stack([
+        random_bimeasure(s, shape).cells,
+        np.zeros(shape.cell_grid),
+        cell_point_mass(shape, rows - 1, cols // 2, 2.5).cells,
+        uniform_bimeasure(shape, 3.0).cells,
+        random_bimeasure(s + 50, shape, density=0.2).cells,
+        random_bimeasure(s + 90, shape).cells,
+    ])
+
+
+@pytest.mark.parametrize("depth", range(9))
+@pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
+def test_stacked_tree_rows_match_one_row_loop(depth, mode):
+    measures = _tree_stack(build_tree(depth), mode)
+    for max_iter in (100_000, 2):
+        reports = embedding_constants(measures, max_iter=max_iter)
+        assert len(reports) == len(measures)
+        for mu, report in zip(measures, reports):
+            got = (report.embedding_constant, report.iterations, report.converged)
+            assert _same_outcome(got, _row_tree_solve(mu, max_iter=max_iter))
+            ratios = carleson_ratios(mu)
+            assert _same_bits(np.float64(report.test_constant),
+                              np.float64(ratios.test_constant))
+            assert report.argmax_node == ratios.argmax_node
+            assert embedding_constant(mu, max_iter=max_iter) == report
+
+
+@pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4)])
+def test_stacked_bitree_rows_match_one_row_loop(depths):
+    shape = build_bitree(*depths)
+    stack = _bitree_stack(shape)
+    for max_iter in (100_000, 2):
+        solutions = _bi_embedding_values(depths, stack, max_iter=max_iter)
+        assert len(solutions) == len(stack)
+        for cells, got in zip(stack, solutions):
+            mu = BiMeasure(shape, cells)
+            assert _same_outcome(got, _row_bitree_solve(mu, max_iter=max_iter))
+            single = bi_embedding_constant(mu, max_iter=max_iter)
+            assert (single.value, single.iterations, single.converged) == got
+    for cells, (gap, box, emb) in zip(stack, _probe_values(shape, stack)):
+        mu = BiMeasure(shape, cells)
+        want_box = one_box_constant(mu).constant
+        want_emb = bi_embedding_constant(mu).value if want_box else 0.0
+        assert (box, emb) == (want_box, want_emb)
+        assert gap == (want_emb / want_box if want_box else 0.0)
+
+
+def _block_operator(blocks):
+    """Apply of the block-diagonal operator of the given rows of ``blocks``."""
+    def operator(rows):
+        def apply(x):
+            out, start = [], 0
+            for k in rows:
+                size = len(blocks[k])
+                out.append(blocks[k] @ x[start : start + size])
+                start += size
+            return np.concatenate(out)
+        return apply
+    return operator
+
+
+def test_stacked_loop_matches_one_row_loop_on_every_exit():
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in (1, 4, 3, 6, 2, 5, 3):
+        a = rng.normal(size=(size, size))
+        blocks.append(a @ a.T)
+    blocks[2] = np.zeros((3, 3))              # zero image: value 0 at iteration 1
+    blocks[4] = np.eye(2)                     # stops at iteration 3, the earliest
+    blocks[6] = np.diag([1.0, 1.0 - 1e-3, 0.5])  # slow: runs into small max_iter
+    starts = [rng.exponential(size=len(b)) + 0.1 for b in blocks]
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    for max_iter in (0, 1, 2, 3, 7, 100_000):
+        got = _power_iteration(_block_operator(blocks), np.concatenate(starts),
+                               offsets, 1e-12, max_iter)
+        for k, block in enumerate(blocks):
+            want = _row_power_iteration(lambda v, b=block: b @ v, starts[k], 1e-12,
+                                        max_iter)
+            assert _same_outcome(got[k], want), (k, max_iter)
+
+
+def test_batches_of_none_and_of_one():
+    assert _power_iteration(_block_operator([]), np.zeros(0), [0], 1e-12, 10) == []
+    assert embedding_constants([]) == []
+    assert embedding_pair_checks([]) == []
+    assert one_box_constants([]) == []
+    assert _bi_embedding_values((2, 2), np.zeros((0, 4, 4))) == []
+    mu = random_tree_measure(3, build_tree(5))
+    assert embedding_constants([mu]) == [embedding_constant(mu)]
+    [pair] = embedding_pair_checks([mu])
+    assert (pair.report, pair.ok) == (embedding_pair_check(mu).report, True)
+    bi = random_bimeasure(3, build_bitree(2, 3))
+    assert one_box_constants([bi]) == [one_box_constant(bi)]
+
+
+def test_stacks_take_one_shape():
+    with pytest.raises(ShapeMismatchError):
+        embedding_constants([random_tree_measure(1, build_tree(2)),
+                             random_tree_measure(1, build_tree(3))])
+    with pytest.raises(ShapeMismatchError):
+        one_box_constants([random_bimeasure(1, build_bitree(1, 2)),
+                           random_bimeasure(1, build_bitree(2, 1))])
+
+
+@pytest.mark.parametrize("depths", SET_TEST_DEPTHS + [(3, 3), (4, 2), (5, 5)])
+def test_stacked_one_box_matches_one_box_constant(depths):
+    # uniform and equal masses tie many rectangles; the zero grid ties all
+    shape = build_bitree(*depths)
+    measures = _set_test_measures(shape)
+    for got, mu in zip(one_box_constants(measures), measures):
+        want = one_box_constant(mu)
+        assert _same_bits(np.float64(got.constant), np.float64(want.constant))
+        assert got.argmax_rect == want.argmax_rect
+    assert one_box_constants(measures)[-1] == (0.0, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# batch boundaries
+# ---------------------------------------------------------------------------
+
+
+def test_batches_are_lazy_and_bounded(monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 10)
+    drawn = []
+
+    def items():
+        for i in range(7):
+            drawn.append(i)
+            yield i
+
+    batches = _batches(items(), lambda item: 3)
+    assert next(batches) == [0, 1, 2]
+    assert drawn == [0, 1, 2]
+    assert list(batches) == [[3, 4, 5], [6]]
+    assert list(_batches(range(3), lambda item: 100)) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("argv", [
+    "tree-test --depth 3 --trials 9 --seed 2",
+    "tree-test --depth 2 --trials 7 --seed 3 --support all-nodes --format csv",
+    "bitree-onebox --depths 2,1 --trials 9 --seed 3",
+    "gap-probe --depths 1,2 --trials 9 --seed 4 --optimizer random",
+])
+def test_reports_do_not_depend_on_batch_size(argv, monkeypatch, tmp_path):
+    out = tmp_path / "report"
+    reports = []
+    for budget in (carleson.BATCH_ENTRIES, 1, 20, 40):
+        monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+        assert run_command(argv.split() + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1:] == reports[:1] * 3

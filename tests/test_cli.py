@@ -290,6 +290,19 @@ def test_usage_errors(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("argv", [
+    ("tree-embed", "--depth", "3", "--tol", "inf"),
+    ("bellman-sample", "--mode", "martingale", "--trials", "5", "--tol", "1e400"),
+])
+def test_non_finite_tol_is_a_usage_error(capsys, argv):
+    # an infinite tolerance would pass every slack check and put -Infinity,
+    # which is not JSON, into the bellman-sample report
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --tol must be finite, got inf\n"
+
+
 def test_missing_measure_file(capsys):
     code, _, err = _run(capsys, "tree-embed", "--in", "/no/such/file.json")
     assert code == 1

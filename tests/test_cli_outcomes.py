@@ -5,8 +5,9 @@ that holds only the two measure files of ``golden_reports.json`` (as
 ``tree.json`` and ``bitree.json``), and records its exit code, its stderr
 text and the sha256 of its stdout and of every file it wrote.  The cases
 cover ``--help`` of every subcommand, the usage errors, and every exit-2
-path; the failures are forced by wrapping one library call so that its
-real result is spoiled from a given call on.
+path; the failures are forced by wrapping a library call so that its real
+result is spoiled from a given call on, or from a given trial on for a
+call that solves a batch of trials.
 
 Help and error texts depend on argparse, so the cases skip on a Python
 major.minor other than the recorded one; the exit-2 cases print floats
@@ -63,19 +64,28 @@ class _SpoiledBatch:
         return out
 
 
-# patch name -> (module, function, spoil the real result)
+def _spoil_pair(result):
+    return dataclasses.replace(result, upper_ok=False)
+
+
+# patch name -> targets (module, function, spoil one real result, batched);
+# a batched function returns one result per trial and is spoiled from the
+# given trial on, counted over all its calls; any other function is spoiled
+# from the given call on.  tree-embed checks its one measure with
+# embedding_pair_check, tree-test its trials with embedding_pair_checks.
 SPOILERS = {
-    "pair": (carleson, "embedding_pair_check",
-             lambda r: dataclasses.replace(r, upper_ok=False)),
-    "maximal": (maximal, "maximal_theorem_check",
-                lambda r: dataclasses.replace(r, passed=False)),
-    "bitree-cert": (bitree, "bitree_bellman_certify",
-                    lambda r: dataclasses.replace(r, global_ok=False)),
-    "tree-cert": (bellman, "certify_tree_embedding",
-                  lambda r: dataclasses.replace(r, ok=False)),
-    "embedding": (bitree, "bi_embedding_constant",
-                  lambda r: dataclasses.replace(r, value=-1.0)),
-    "sampler": (bellman, "sample_batch", lambda r: (_SpoiledBatch(r[0]), r[1])),
+    "pair": [(carleson, "embedding_pair_check", _spoil_pair, False),
+             (carleson, "embedding_pair_checks", _spoil_pair, True)],
+    "maximal": [(maximal, "maximal_theorem_check",
+                 lambda r: dataclasses.replace(r, passed=False), False)],
+    "bitree-cert": [(bitree, "bitree_bellman_certify",
+                     lambda r: dataclasses.replace(r, global_ok=False), False)],
+    "tree-cert": [(bellman, "certify_tree_embedding",
+                   lambda r: dataclasses.replace(r, ok=False), False)],
+    "embedding": [(bitree, "bi_embedding_constant",
+                   lambda r: dataclasses.replace(r, value=-1.0), False)],
+    "sampler": [(bellman, "sample_batch",
+                 lambda r: (_SpoiledBatch(r[0]), r[1]), False)],
 }
 
 COMMANDS = ("tree-test", "tree-embed", "bellman-sample", "maximal-verify",
@@ -150,6 +160,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _spoiled(real, spoil, batched, first):
+    """``real`` with its results spoiled from call (or trial) ``first`` on."""
+    calls = itertools.count()
+
+    def spoiled(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if batched:
+            return [spoil(r) if next(calls) >= first else r for r in result]
+        return spoil(result) if next(calls) >= first else result
+
+    return spoiled
+
+
 def outcome(case, directory: Path) -> dict:
     """Run one case in ``directory`` and describe everything it produced."""
     argv, patch, first = case
@@ -160,15 +183,8 @@ def outcome(case, directory: Path) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(directory)
         mp.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
-        if patch is not None:
-            module, name, spoil = SPOILERS[patch]
-            real, calls = getattr(module, name), itertools.count()
-
-            def spoiled(*args, **kwargs):
-                result = real(*args, **kwargs)
-                return spoil(result) if next(calls) >= first else result
-
-            mp.setattr(module, name, spoiled)
+        for module, name, spoil, batched in SPOILERS.get(patch, ()):
+            mp.setattr(module, name, _spoiled(getattr(module, name), spoil, batched, first))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_command(argv.split())
     files = {
