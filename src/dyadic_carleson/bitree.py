@@ -744,8 +744,8 @@ def _bi_embedding_values(
     if solved.size < len(cells):
         weights, starts = weights[solved], starts[solved]
 
-    def operator(rows: np.ndarray):
-        active = weights if rows.size == len(weights) else weights[rows]
+    def operator(rows: list[int]):
+        active = weights if len(rows) == len(weights) else weights[rows]
 
         def apply(x: np.ndarray) -> np.ndarray:
             return _apply_bi_gram(depths, active, x.reshape(active.shape)).ravel()
@@ -754,7 +754,7 @@ def _bi_embedding_values(
 
     size = cells.shape[1] * cells.shape[2]
     results = [(0.0, 0, True)] * len(cells)
-    offsets = range(0, (solved.size + 1) * size, size)
+    offsets = range(0, (len(solved) + 1) * size, size)
     for k, solution in zip(solved, _power_iteration(operator, starts.ravel(), offsets,
                                                     tol, max_iter)):
         results[k] = solution

@@ -190,8 +190,8 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
 
     Row ``k`` of the stack starts from the non-zero vector
     ``x[offsets[k]:offsets[k + 1]]``; the loop takes over ``x``.
-    ``operator(rows)`` returns the apply of the active rows ``rows``
-    (ascending row numbers): it maps their vectors, concatenated in that
+    ``operator(rows)`` returns the apply of the active rows, a list of
+    ascending row numbers: it maps their vectors, concatenated in that
     order, to a new buffer of the same layout, which the loop then
     normalizes row by row in place.  ``operator`` is called once and
     again each time rows stop, never per iteration.
@@ -216,7 +216,7 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
         if not rows:
             break
         if apply is None:
-            apply = operator(np.array(rows, dtype=np.int64))
+            apply = operator(rows)
         y = apply(x)
         stopped = []
         for pos, k in enumerate(rows):
@@ -240,11 +240,13 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
             value[k] = current
         x = y
         if stopped:
-            keep = np.ones(x.size, dtype=bool)
-            for pos in stopped:
-                keep[bounds[pos] : bounds[pos + 1]] = False
-            x = x[keep]
-            left = [pos for pos in range(len(rows)) if keep[bounds[pos]]]
+            gone = set(stopped)
+            left = [pos for pos in range(len(rows)) if pos not in gone]
+            if left:
+                keep = np.ones(x.size, dtype=bool)
+                for pos in stopped:
+                    keep[bounds[pos] : bounds[pos + 1]] = False
+                x = x[keep]
             rows = [rows[pos] for pos in left]
             bounds = [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in left)]
             apply = None
@@ -265,14 +267,15 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
     """
     trials, nodes = masses.shape
     positions = np.flatnonzero(masses)  # trial * nodes + node, trial by trial
-    sizes = np.count_nonzero(masses, axis=1)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = np.searchsorted(positions, np.arange(trials + 1) * nodes)
+    sizes = np.diff(bounds)
     sqrt_m = np.sqrt(masses.reshape(-1)[positions])
-    solved = np.flatnonzero(sizes)
+    bounds = bounds.tolist()
+    solved = [k for k in range(trials) if sizes[k]]
 
-    def operator(rows: np.ndarray):
-        picked = solved[rows]
-        if picked.size == 1:
+    def operator(rows: list[int]):
+        picked = [solved[r] for r in rows]
+        if len(picked) == 1:
             # a lone trial takes a 1-D array, which the passes walk faster
             [k] = picked
             weights = sqrt_m[bounds[k] : bounds[k + 1]]
@@ -283,9 +286,9 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
             member[picked] = True
             keep = np.repeat(member, sizes)
             weights = sqrt_m[keep]
-            slots = np.repeat(np.arange(picked.size), sizes[picked])
-            index = positions[keep] % nodes * picked.size + slots
-            full = np.empty((nodes, picked.size))
+            slots = np.repeat(np.arange(len(picked)), sizes[picked])
+            index = positions[keep] % nodes * len(picked) + slots
+            full = np.empty((nodes, len(picked)))
         flat = full.reshape(-1)
 
         def apply(g: np.ndarray) -> np.ndarray:
@@ -298,8 +301,8 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
         return apply
 
     results = [(0.0, 0, True)] * trials
-    solutions = _power_iteration(operator, np.ones(positions.size),
-                                 bounds[np.append(solved, trials)], tol, max_iter)
+    offsets = [bounds[k] for k in solved] + [positions.size]
+    solutions = _power_iteration(operator, np.ones(positions.size), offsets, tol, max_iter)
     for k, solution in zip(solved, solutions):
         results[k] = solution
     return results
