@@ -282,13 +282,10 @@ def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
     ]
 
 
-def _largest_ratio(ratios: np.ndarray) -> OneBoxResult:
-    return _largest_ratios(ratios)[0]
-
-
 def one_box_constant(mu: BiMeasure) -> OneBoxResult:
     """Largest rectangle-wise Carleson ratio and where it is attained."""
-    return _largest_ratio(one_box_ratios(mu))
+    [result] = _largest_ratios(one_box_ratios(mu))
+    return result
 
 
 def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult]:
@@ -318,7 +315,7 @@ def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
 
 
 def _require_one_box(ratios: np.ndarray, tol: float = 1e-9) -> None:
-    result = _largest_ratio(ratios)
+    [result] = _largest_ratios(ratios)
     if result.constant > 1.0 + tol:
         raise PreconditionError(
             f"box constant {result.constant:.12g} at rectangle "
