@@ -266,11 +266,13 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
     ``(0.0, 0, True)``.
     """
     trials, nodes = masses.shape
-    positions = np.flatnonzero(masses)  # trial * nodes + node, trial by trial
-    bounds = np.searchsorted(positions, np.arange(trials + 1) * nodes)
+    node = np.flatnonzero(masses)  # trial * nodes + node, trial by trial
+    bounds = np.searchsorted(node, np.arange(trials + 1) * nodes)
     sizes = np.diff(bounds)
-    sqrt_m = np.sqrt(masses.reshape(-1)[positions])
+    sqrt_m = np.sqrt(masses.reshape(-1)[node])
     bounds = bounds.tolist()
+    for k in range(1, trials):  # down to the node numbers of each trial
+        node[bounds[k] : bounds[k + 1]] -= k * nodes
     solved = [k for k in range(trials) if sizes[k]]
 
     def operator(rows: list[int]):
@@ -279,7 +281,7 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
             # a lone trial takes a 1-D array, which the passes walk faster
             [k] = picked
             weights = sqrt_m[bounds[k] : bounds[k + 1]]
-            index = positions[bounds[k] : bounds[k + 1]] - k * nodes
+            index = node[bounds[k] : bounds[k + 1]]
             full = np.empty(nodes)
         else:
             member = np.zeros(trials, dtype=bool)
@@ -287,7 +289,7 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
             keep = np.repeat(member, sizes)
             weights = sqrt_m[keep]
             slots = np.repeat(np.arange(len(picked)), sizes[picked])
-            index = positions[keep] % nodes * len(picked) + slots
+            index = node[keep] * len(picked) + slots
             full = np.empty((nodes, len(picked)))
         flat = full.reshape(-1)
 
@@ -301,8 +303,8 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
         return apply
 
     results = [(0.0, 0, True)] * trials
-    offsets = [bounds[k] for k in solved] + [positions.size]
-    solutions = _power_iteration(operator, np.ones(positions.size), offsets, tol, max_iter)
+    offsets = [bounds[k] for k in solved] + [node.size]
+    solutions = _power_iteration(operator, np.ones(node.size), offsets, tol, max_iter)
     for k, solution in zip(solved, solutions):
         results[k] = solution
     return results
