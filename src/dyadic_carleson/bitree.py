@@ -273,12 +273,11 @@ def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
 
     The first largest in row-major order wins, as in ``np.argmax``.
     """
-    flat = ratios.reshape(-1, ratios.shape[-2] * ratios.shape[-1])
-    best = flat.argmax(axis=1)
-    rows, cols = np.unravel_index(best, ratios.shape[-2:])
+    cols = ratios.shape[-1]
+    flat = ratios.reshape(-1, ratios.shape[-2] * cols)
     return [
-        OneBoxResult(float(flat[k, b]), (int(u) + 1, int(v) + 1))
-        for k, (b, u, v) in enumerate(zip(best, rows, cols))
+        OneBoxResult(float(flat[k, b]), (b // cols + 1, b % cols + 1))
+        for k, b in enumerate(flat.argmax(axis=1).tolist())
     ]
 
 
