@@ -16,14 +16,14 @@ either coordinate directly.  Quantities that only need the cell grid
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from collections.abc import Sequence
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import BellmanPoint, bellman_values
+from .bellman import bellman_values
 from .carleson import _batches, _power_iteration, _safe_ratio
 from .errors import (
     PreconditionError,
@@ -31,10 +31,9 @@ from .errors import (
     SizeError,
     ValidationError,
 )
-from .tree import MAX_NODES_ENV, TreeShape, _size_limit, subtree_sums
+from .tree import MAX_NODES_ENV, TreeShape, _common_ancestors, _size_limit, subtree_sums
 
 __all__ = [
-    "BiCertificateRow",
     "BiEmbeddingReport",
     "BiMeasure",
     "BiTreeCertificate",
@@ -114,11 +113,6 @@ class BiTreeShape:
     def areas(self) -> np.ndarray:
         """|R| for every rectangle, as an outer product of side lengths."""
         return np.outer(self.row_tree.lengths(), self.col_tree.lengths())
-
-    def require_rect(self, rect: tuple[int, int]) -> None:
-        u, v = rect
-        self.row_tree.require_node(u)
-        self.col_tree.require_node(v)
 
     def row_span(self, node: int) -> tuple[int, int]:
         """Half-open range of boundary row indices below a row node."""
@@ -292,17 +286,17 @@ def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult
     return _largest_ratios(_one_box_ratios(shape, _rect_integrals(shape, cells)))
 
 
-def one_box_constants(measures: Sequence[BiMeasure]) -> list[OneBoxResult]:
-    """:func:`one_box_constant` of each measure of one shape, as one stack."""
-    if not measures:
-        return []
-    shape = measures[0].shape
-    for mu in measures:
-        if mu.shape != shape:
-            raise ShapeMismatchError(
-                f"measures built for depths {shape.depths} and {mu.shape.depths}"
-            )
-    return _one_box_results(shape, np.stack([mu.cells for mu in measures]))
+def one_box_constants(measures: Iterable[BiMeasure]) -> Iterator[OneBoxResult]:
+    """:func:`one_box_constant` of each measure, drawn and solved lazily as
+    stacks of about ``carleson.BATCH_ENTRIES`` cells of one shape."""
+    for batch in _batches(measures, lambda mu: mu.cells.size):
+        shape = batch[0].shape
+        for mu in batch:
+            if mu.shape != shape:
+                raise ShapeMismatchError(
+                    f"measures built for depths {shape.depths} and {mu.shape.depths}"
+                )
+        yield from _one_box_results(shape, np.stack([mu.cells for mu in batch]))
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
@@ -348,14 +342,6 @@ def cube_embedding_check(
     return CubeEmbeddingReport(lhs, rhs, ratio, lhs <= 4.0 * rhs + tol)
 
 
-@dataclass(frozen=True)
-class BiCertificateRow:
-    rect: tuple[int, int]
-    point: BellmanPoint
-    slack: float
-    weighted_value: float
-
-
 def _child_pair_sums(values: np.ndarray, axis: int) -> np.ndarray:
     """Per-parent child sums along one heap axis, zero at childless slots."""
     work = np.moveaxis(values, axis, 0)
@@ -368,7 +354,7 @@ def _child_pair_sums(values: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BiTreeCertificate:
-    """Row-by-row Bellman verification of the area-weighted embedding."""
+    """Per-rectangle Bellman verification of the area-weighted embedding."""
 
     shape: BiTreeShape
     masses: np.ndarray
@@ -399,26 +385,6 @@ class BiTreeCertificate:
             and self.telescope_ok
             and self.global_ok
         )
-
-    def rows(self) -> Iterator[BiCertificateRow]:
-        areas = self.shape.areas()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.where(areas > 0, self.square_integrals / areas, 0.0)
-            f = np.where(areas > 0, self.integrals / areas, 0.0)
-            A = np.where(areas > 0, self.box_sums / areas, 0.0)
-            v = np.where(areas > 0, self.masses / areas, 0.0)
-        n1, n2 = self.shape.node_counts
-        for u in range(n1):
-            for v_ in range(n2):
-                yield BiCertificateRow(
-                    (u + 1, v_ + 1),
-                    BellmanPoint(
-                        float(F[u, v_]), float(f[u, v_]),
-                        float(A[u, v_]), float(v[u, v_]),
-                    ),
-                    float(self.slacks[u, v_]),
-                    float(self.weighted_values[u, v_]),
-                )
 
 
 def bitree_bellman_certify(
@@ -466,7 +432,7 @@ def bitree_bellman_certify(
     gain_ok = gain_margin >= -1e-12
 
     G1sq = G1**2
-    W = areas * (G2 - _safe_ratio(G1sq, M + SQ))
+    W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
     childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
     slacks = W - childW - 0.25 * areas * G1sq
     min_slack = float(slacks.min())
@@ -772,18 +738,6 @@ def bi_embedding_constant(
     return BiEmbeddingReport(*solution)
 
 
-def _pairwise_common_ancestors(depth: int, leaves: np.ndarray) -> np.ndarray:
-    """Count of common ancestors for same-depth leaf heap indices."""
-    xor = leaves[:, None] ^ leaves[None, :]
-    shift = np.zeros_like(xor)
-    work = xor.copy()
-    while (work > 0).any():
-        positive = work > 0
-        shift[positive] += 1
-        work >>= 1
-    return depth + 1 - shift
-
-
 def bi_embedding_constant_dense(mu: BiMeasure) -> float:
     """Dense eigensolve oracle for the embedding constant."""
     active = np.argwhere(mu.cells > 0)
@@ -797,7 +751,8 @@ def bi_embedding_constant_dense(mu: BiMeasure) -> float:
     n, m = mu.shape.depths
     rows = active[:, 0] + (1 << n)
     cols = active[:, 1] + (1 << m)
-    common = _pairwise_common_ancestors(n, rows) * _pairwise_common_ancestors(m, cols)
+    common = (_common_ancestors(rows[:, None], rows[None, :])
+              * _common_ancestors(cols[:, None], cols[None, :]))
     w = np.sqrt(mu.cells[mu.cells > 0])
     kernel = np.outer(w, w) * common
     return float(max(0.0, np.linalg.eigvalsh(kernel)[-1]))

@@ -35,6 +35,7 @@ from .tree import (
     TreeMeasure,
     TreeShape,
     _ancestor_sums_inplace,
+    _common_ancestors,
     _subtree_sums_inplace,
     as_node_array,
     subtree_sums,
@@ -359,14 +360,6 @@ def embedding_constants(
     ]
 
 
-def _bit_lengths(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape, dtype=np.int64)
-    top = int(arr.max()) if arr.size else 0
-    for b in range(top.bit_length()):
-        out = np.where(arr >= (1 << b), b + 1, out)
-    return out
-
-
 def embedding_constant_dense(mu: TreeMeasure) -> float:
     """Oracle: dense eigensolve of the Gram kernel on the support.
 
@@ -377,17 +370,7 @@ def embedding_constant_dense(mu: TreeMeasure) -> float:
     if supp.size == 0:
         return 0.0
     ids = supp + 1
-    s = supp.size
-    p = np.broadcast_to(ids[:, None], (s, s)).copy()
-    q = np.broadcast_to(ids[None, :], (s, s)).copy()
-    while True:
-        gt = p > q
-        lt = q > p
-        if not gt.any() and not lt.any():
-            break
-        p = np.where(gt, p >> 1, p)
-        q = np.where(lt, q >> 1, q)
-    common = _bit_lengths(p).astype(float)  # depth(lca) + 1
+    common = _common_ancestors(ids[:, None], ids[None, :])  # depth(lca) + 1
     w = np.sqrt(mu.masses[supp])
     kernel = (w[:, None] * w[None, :]) * common
     return float(np.linalg.eigvalsh(kernel)[-1])
@@ -433,11 +416,13 @@ def embedding_pair_check(mu: TreeMeasure, rel_tol: float = 1e-9) -> PairCheckRes
 
 
 def embedding_pair_checks(
-    measures: Sequence[TreeMeasure], rel_tol: float = 1e-9
-) -> list[PairCheckResult]:
-    """:func:`embedding_pair_check` of each measure, solved as one stack."""
-    reports = embedding_constants(measures)
-    return [_pair_check(report, mu, rel_tol) for report, mu in zip(reports, measures)]
+    measures: Iterable[TreeMeasure], rel_tol: float = 1e-9
+) -> Iterator[PairCheckResult]:
+    """:func:`embedding_pair_check` of each measure, drawn and solved lazily
+    as :func:`embedding_constants` stacks of about ``BATCH_ENTRIES`` masses."""
+    for batch in _batches(measures, lambda mu: mu.masses.size):
+        for report, mu in zip(embedding_constants(batch), batch):
+            yield _pair_check(report, mu, rel_tol)
 
 
 def embedding_lhs(phi, lam: TreeMeasure, alpha: AlphaSequence) -> EmbeddingSides:

@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as "-1,2" starts like a negative number, not a flag
+        self._negative_number_matcher = re.compile(r"-\d")
+
     # argparse exits with status 2 on bad flags; remap to the usage code
     def error(self, message):
         raise _UsageError(message)
@@ -190,18 +196,6 @@ def _instances(args, cfg: RunConfig, kind: str, count: int = 1, values: bool = F
     return map(draw, range(count))
 
 
-def _solved(jobs: Iterable, solve: Callable, entries: Callable):
-    """Each job paired with its result, ``solve`` mapping measures to results.
-
-    Jobs are drawn in order and solved as stacks of about
-    ``carleson.BATCH_ENTRIES`` measure entries, ``entries(measure)`` each,
-    so memory stays bounded and a consumer that stops at a failing trial
-    leaves the later stacks undrawn.
-    """
-    for batch in carleson._batches(jobs, lambda job: entries(job[0])):
-        yield from zip(batch, solve([measure for measure, _ in batch]))
-
-
 def _trial_rows(jobs: Iterable, check: Callable):
     """``(rows, failure)`` of ``check(job)`` over the jobs, stopping at a failure.
 
@@ -244,18 +238,14 @@ def _sandwich(pair: carleson.PairCheckResult):
 
 
 def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
-    def check(solved_job):
-        (mu, _), pair = solved_job
+    def check(pair):
         row, failure = _sandwich(pair)
-        return {"support_mode": mu.support_mode, **row}, failure
-
-    def solve(measures):
-        return carleson.embedding_pair_checks(measures, rel_tol=SANDWICH_TOL)
+        return {"support_mode": pair.measure.support_mode, **row}, failure
 
     modes = TREE_MODES if args.support == "both" else (args.support,)
     jobs = _instances(args, cfg, "tree", cfg.trials, modes=modes)
-    solved = _solved(jobs, solve, lambda mu: mu.masses.size)
-    rows, failure = _trial_rows(solved, check)
+    pairs = carleson.embedding_pair_checks((mu for mu, _ in jobs), rel_tol=SANDWICH_TOL)
+    rows, failure = _trial_rows(pairs, check)
     if failure:
         return failure
     report = {
@@ -363,13 +353,13 @@ def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
 
 
 def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
-    def check(solved_job):
-        _, (constant, (row, col)) = solved_job
+    def check(result):
+        constant, (row, col) = result
         return {"constant": constant, "argmax_row": row, "argmax_col": col}, None
 
     jobs = _instances(args, cfg, "bitree", max(1, cfg.trials))
-    solved = _solved(jobs, bitree.one_box_constants, lambda mu: mu.cells.size)
-    rows, _ = _trial_rows(solved, check)
+    results = bitree.one_box_constants(mu for mu, _ in jobs)
+    rows, _ = _trial_rows(results, check)
     report = {"seed": cfg.seed, "rows": rows}
     return Outcome(
         report, **_columns(rows, "trial", "constant", "argmax_row", "argmax_col")

@@ -242,10 +242,6 @@ class TreeMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def support_nodes(self) -> np.ndarray:
-        """Heap indices of the nodes carrying positive mass."""
-        return np.flatnonzero(self.masses) + 1
-
     def scaled(self, factor: float) -> "TreeMeasure":
         if factor < 0:
             raise ValidationError("measure scale factor must be non-negative")
@@ -329,6 +325,18 @@ def _subtree_sums_inplace(depth: int, vw: np.ndarray) -> None:
         hi = (1 << (d + 1)) - 1
         end = (1 << (d + 2)) - 1
         vw[lo:hi] += vw[hi:end:2] + vw[hi + 1 : end : 2]
+
+
+def _common_ancestors(a, b) -> np.ndarray:
+    """Number of common ancestors of heap nodes ``a`` and ``b``, broadcast.
+
+    Lifted to the shallower depth, the two share the leading bits left of
+    their xor; ``np.frexp`` gives the bit length of an integer exactly.
+    """
+    len_a, len_b = np.frexp(a)[1], np.frexp(b)[1]
+    common = np.minimum(len_a, len_b)
+    lifted = (a >> (len_a - common)) ^ (b >> (len_b - common))
+    return common - np.frexp(lifted)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ versions and -0.0 in others.  Rectangle integrals, subset sums and both
 power iterations agree bit for bit, and so does every row of a stacked
 solve with its one-row solve.  The Gram apply adds in another
 order and must agree to rounding, and also with a dense matvec of the
-common-ancestor kernel.
+common-ancestor kernel.  The common-ancestor counter of the dense oracles
+must equal, exactly, the LCA loop and the xor-shift count it replaced and
+a brute force over ancestor sets.
 """
 
 import math
@@ -53,7 +55,6 @@ from dyadic_carleson.bitree import (
     _apply_bi_gram,
     _bi_embedding_values,
     _child_pair_sums,
-    _pairwise_common_ancestors,
     _probe_values,
     _rect_cell_masks,
     _subset_sums,
@@ -65,6 +66,7 @@ from dyadic_carleson.carleson import _batches, _power_iteration
 from dyadic_carleson.cli import run_command
 from dyadic_carleson.tree import (
     _ancestor_sums_inplace,
+    _common_ancestors,
     _subtree_sums_inplace,
     ancestor_sums,
     subtree_sums,
@@ -119,12 +121,47 @@ def _ref_gram_apply(shape, weights, g):
     return weights * sums[(1 << n) - 1 :, (1 << m) - 1 :]
 
 
+def _ref_pairwise_common_ancestors(depth, leaves):
+    """Count of common ancestors for same-depth leaf heap indices."""
+    xor = leaves[:, None] ^ leaves[None, :]
+    shift = np.zeros_like(xor)
+    work = xor.copy()
+    while (work > 0).any():
+        positive = work > 0
+        shift[positive] += 1
+        work >>= 1
+    return depth + 1 - shift
+
+
+def _ref_bit_lengths(arr):
+    out = np.zeros(arr.shape, dtype=np.int64)
+    top = int(arr.max()) if arr.size else 0
+    for b in range(top.bit_length()):
+        out = np.where(arr >= (1 << b), b + 1, out)
+    return out
+
+
+def _ref_lca_common_ancestors(ids):
+    """Common ancestors of every pair of ``ids``: lift the larger until equal."""
+    s = ids.size
+    p = np.broadcast_to(ids[:, None], (s, s)).copy()
+    q = np.broadcast_to(ids[None, :], (s, s)).copy()
+    while True:
+        gt = p > q
+        lt = q > p
+        if not gt.any() and not lt.any():
+            break
+        p = np.where(gt, p >> 1, p)
+        q = np.where(lt, q >> 1, q)
+    return _ref_bit_lengths(p)  # depth(lca) + 1
+
+
 def _dense_gram_apply(shape, weights, g):
     n, m = shape.depths
     rows, cols = np.indices(shape.cell_grid)
-    common = _pairwise_common_ancestors(
+    common = _ref_pairwise_common_ancestors(
         n, rows.ravel() + (1 << n)
-    ) * _pairwise_common_ancestors(m, cols.ravel() + (1 << m))
+    ) * _ref_pairwise_common_ancestors(m, cols.ravel() + (1 << m))
     w = weights.ravel()
     return (w * (common @ (w * g.ravel()))).reshape(shape.cell_grid)
 
@@ -235,6 +272,30 @@ def test_gram_apply_matches_dense_kernel(depths):
                      _ref_gram_apply(shape, weights, g)):
             assert np.abs(got - want).max() <= 1e-13 * scale
         assert np.all(got[cells == 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# common-ancestor counter of the dense oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_common_ancestors_match_old_helpers(depth):
+    nodes = np.arange(1, 1 << (depth + 1))
+    got = _common_ancestors(nodes[:, None], nodes[None, :])
+    assert np.array_equal(got, _ref_lca_common_ancestors(nodes))
+    leaves = np.arange(1 << depth, 1 << (depth + 1))
+    got = _common_ancestors(leaves[:, None], leaves[None, :])
+    assert np.array_equal(got, _ref_pairwise_common_ancestors(depth, leaves))
+
+
+def test_common_ancestors_match_ancestor_sets():
+    nodes = range(1, 1 << 7)  # every node of depths 0-6, mixed depths
+    ancestors = {k: {k >> s for s in range(k.bit_length())} for k in nodes}
+    want = np.array([[len(ancestors[a] & ancestors[b]) for b in nodes]
+                     for a in nodes])
+    got = _common_ancestors(np.array(nodes)[:, None], np.array(nodes)[None, :])
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +679,15 @@ def test_stacked_loop_matches_one_row_loop_on_every_exit():
 def test_batches_of_none_and_of_one():
     assert _power_iteration(_block_operator([]), np.zeros(0), [0], 1e-12, 10) == []
     assert embedding_constants([]) == []
-    assert embedding_pair_checks([]) == []
-    assert one_box_constants([]) == []
+    assert list(embedding_pair_checks([])) == []
+    assert list(one_box_constants([])) == []
     assert _bi_embedding_values((2, 2), np.zeros((0, 4, 4))) == []
     mu = random_tree_measure(3, build_tree(5))
     assert embedding_constants([mu]) == [embedding_constant(mu)]
     [pair] = embedding_pair_checks([mu])
     assert (pair.report, pair.ok) == (embedding_pair_check(mu).report, True)
     bi = random_bimeasure(3, build_bitree(2, 3))
-    assert one_box_constants([bi]) == [one_box_constant(bi)]
+    assert list(one_box_constants([bi])) == [one_box_constant(bi)]
 
 
 def test_stacks_take_one_shape():
@@ -634,8 +695,8 @@ def test_stacks_take_one_shape():
         embedding_constants([random_tree_measure(1, build_tree(2)),
                              random_tree_measure(1, build_tree(3))])
     with pytest.raises(ShapeMismatchError):
-        one_box_constants([random_bimeasure(1, build_bitree(1, 2)),
-                           random_bimeasure(1, build_bitree(2, 1))])
+        list(one_box_constants([random_bimeasure(1, build_bitree(1, 2)),
+                                random_bimeasure(1, build_bitree(2, 1))]))
 
 
 @pytest.mark.parametrize("depths", SET_TEST_DEPTHS + [(3, 3), (4, 2), (5, 5)])
@@ -643,11 +704,13 @@ def test_stacked_one_box_matches_one_box_constant(depths):
     # uniform and equal masses tie many rectangles; the zero grid ties all
     shape = build_bitree(*depths)
     measures = _set_test_measures(shape)
-    for got, mu in zip(one_box_constants(measures), measures):
+    results = list(one_box_constants(measures))
+    assert len(results) == len(measures)
+    for got, mu in zip(results, measures):
         want = one_box_constant(mu)
         assert _same_bits(np.float64(got.constant), np.float64(want.constant))
         assert got.argmax_rect == want.argmax_rect
-    assert one_box_constants(measures)[-1] == (0.0, (1, 1))
+    assert results[-1] == (0.0, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +732,47 @@ def test_batches_are_lazy_and_bounded(monkeypatch):
     assert drawn == [0, 1, 2]
     assert list(batches) == [[3, 4, 5], [6]]
     assert list(_batches(range(3), lambda item: 100)) == [[0], [1], [2]]
+
+
+def _taken_lazily(solve, measures, stack):
+    """All results of ``solve`` over a generator of ``measures``, checking its draws.
+
+    Nothing is drawn before the first result is taken, only the first
+    stack with it, and never more than one stack beyond the results taken.
+    """
+    drawn = []
+
+    def draws():
+        for mu in measures:
+            drawn.append(mu)
+            yield mu
+
+    results = solve(draws())
+    assert drawn == []
+    taken = []
+    for result in results:
+        taken.append(result)
+        assert len(taken) <= len(drawn) <= len(taken) + stack
+        if len(taken) == 1:
+            assert len(drawn) <= stack
+    assert drawn == measures
+    return taken
+
+
+def test_pair_checks_draw_lazily(monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 21)  # 7 masses each: stacks of 3
+    measures = [random_tree_measure(seed, build_tree(2)) for seed in range(8)]
+    pairs = _taken_lazily(embedding_pair_checks, measures, 3)
+    assert [pair.report for pair in pairs] == [
+        embedding_pair_check(mu).report for mu in measures
+    ]
+
+
+def test_one_box_constants_draw_lazily(monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 24)  # 8 cells each: stacks of 3
+    measures = [random_bimeasure(seed, build_bitree(1, 2)) for seed in range(8)]
+    results = _taken_lazily(one_box_constants, measures, 3)
+    assert results == [one_box_constant(mu) for mu in measures]
 
 
 @pytest.mark.parametrize("argv", [

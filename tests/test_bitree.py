@@ -207,10 +207,8 @@ def test_certificate_point_mass():
     assert cert.ok
     assert cert.lhs_total == pytest.approx(9.0 / 64.0, rel=1e-12)
     assert cert.rhs_total == pytest.approx(0.25, rel=1e-12)
-    rows = list(cert.rows())
-    assert len(rows) == 9
-    assert rows[0].rect == (1, 1)
-    assert min(r.slack for r in rows) == pytest.approx(cert.min_slack, abs=1e-15)
+    assert cert.slacks.shape == cert.weighted_values.shape == (3, 3)
+    assert cert.slacks.min() == cert.min_slack
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -290,6 +290,17 @@ def test_usage_errors(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("command", ["bitree-onebox", "bitree-settest",
+                                     "bitree-certify", "gap-probe"])
+@pytest.mark.parametrize("depths", [("--depths", "-1,2"), ("--depths=-1,2",)])
+def test_negative_depths_reach_the_depths_check(capsys, command, depths):
+    # a separated value starting with "-<digit>" is the flag's value, not a flag
+    code, out, err = _run(capsys, command, *depths)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --depths must be nonnegative, got '-1,2'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("tree-embed", "--depth", "3", "--tol", "inf"),
     ("bellman-sample", "--mode", "martingale", "--trials", "5", "--tol", "1e400"),

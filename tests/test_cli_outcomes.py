@@ -69,7 +69,7 @@ def _spoil_pair(result):
 
 
 # patch name -> targets (module, function, spoil one real result, batched);
-# a batched function returns one result per trial and is spoiled from the
+# a batched function yields one result per trial and is spoiled from the
 # given trial on, counted over all its calls; any other function is spoiled
 # from the given call on.  tree-embed checks its one measure with
 # embedding_pair_check, tree-test its trials with embedding_pair_checks.
@@ -167,7 +167,7 @@ def _spoiled(real, spoil, batched, first):
     def spoiled(*args, **kwargs):
         result = real(*args, **kwargs)
         if batched:
-            return [spoil(r) if next(calls) >= first else r for r in result]
+            return (spoil(r) if next(calls) >= first else r for r in result)
         return spoil(result) if next(calls) >= first else result
 
     return spoiled
