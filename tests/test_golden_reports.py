@@ -59,6 +59,10 @@ CASES = [
     "gap-probe --depths 6,6 --trials 70 --seed 16 --optimizer random",
     "certify --in {tree}",
     "certify --in {bitree}",
+    "bitree-certify --depths 4,4 --trials 600 --seed 17",
+    "bitree-certify --depths 2,3 --trials 5 --seed 18",
+    "maximal-verify --depth 8 --trials 300 --seed 19",
+    "maximal-verify --depth 3 --trials 40 --seed 20",
 ]
 FORMATS = ("json", "csv")
 
