@@ -361,10 +361,16 @@ class SamplerStats:
     rejected_test_bound: int = 0
 
 
+# ``rng.random(n) * high`` draws the same stream and bits as
+# ``rng.uniform(0.0, high)`` at a fraction of the cost of broadcasting
+# ``high``; likewise ``standard_exponential`` and ``standard_normal``
+# stand for ``exponential(1.0)`` and ``normal(0.0, 1.0)``.
+
+
 def _draw_children(rng: np.random.Generator, count: int, side: str) -> dict:
-    F = rng.exponential(1.0, count)
-    v = rng.exponential(1.0, count)
-    A = rng.uniform(0.0, v)
+    F = rng.standard_exponential(count)
+    v = rng.standard_exponential(count)
+    A = rng.random(count) * v
     f = rng.uniform(-1.0, 1.0, count) * np.sqrt(F * v)
     return {"F" + side: F, "f" + side: f, "A" + side: A, "v" + side: v}
 
@@ -441,11 +447,11 @@ def _draw_mode(rng: np.random.Generator, count: int, mode: str, stats: SamplerSt
     a_half = 0.5 * (x["A-"] + x["A+"])
     v_half = 0.5 * (x["v-"] + x["v+"])
     if mode == MODE_MARTINGALE:
-        x["m"] = rng.uniform(0.0, v_half - a_half)
+        x["m"] = rng.random(count) * (v_half - a_half)
     else:
-        a = np.abs(rng.normal(0.0, 1.0, count))
-        b = rng.normal(0.0, 1.0, count)
-        x.update(a=a, b=b, c=rng.uniform(0.0, v_half + a * a - a_half))
+        a = np.abs(rng.standard_normal(count))
+        b = rng.standard_normal(count)
+        x.update(a=a, b=b, c=rng.random(count) * (v_half + a * a - a_half))
     split = MODE_MARTINGALE if mode == MODE_MARTINGALE else MODE_TREE_SPLIT
     batch = SampleBatch(split, x)
     F, f, A, v = batch.parent()

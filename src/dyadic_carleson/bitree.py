@@ -19,13 +19,15 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .bellman import bellman_values
-from .carleson import _batches, _power_iteration, _safe_ratio
+from .carleson import _batches, _power_iteration, _results, _safe_ratio, _shape_batches
 from .errors import (
+    CarlesonError,
     PreconditionError,
     ShapeMismatchError,
     SizeError,
@@ -46,6 +48,7 @@ __all__ = [
     "SET_TEST_STRATEGIES",
     "SetTestResult",
     "TrajectoryPoint",
+    "UnitBoxCertificate",
     "bi_embedding_constant",
     "bi_embedding_constant_dense",
     "bitree_bellman_certify",
@@ -61,6 +64,7 @@ __all__ = [
     "rect_integrals",
     "set_test_constant",
     "uniform_bimeasure",
+    "unit_box_certificates",
 ]
 
 DEFAULT_MAX_RECTS = 1 << 22
@@ -288,33 +292,38 @@ def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult
 
 def one_box_constants(measures: Iterable[BiMeasure]) -> Iterator[OneBoxResult]:
     """:func:`one_box_constant` of each measure, drawn and solved lazily as
-    stacks of about ``carleson.BATCH_ENTRIES`` cells of one shape."""
-    for batch in _batches(measures, lambda mu: mu.cells.size):
-        shape = batch[0].shape
-        for mu in batch:
-            if mu.shape != shape:
-                raise ShapeMismatchError(
-                    f"measures built for depths {shape.depths} and {mu.shape.depths}"
-                )
+    stacks of about ``carleson.BATCH_ENTRIES`` cells; all measures take the
+    shape of the first."""
+    for shape, batch in _shape_batches(measures, lambda shape: shape.cell_count):
         yield from _one_box_results(shape, np.stack([mu.cells for mu in batch]))
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
     """Scale so the box constant becomes exactly 1; zero measure passes through."""
-    constant = one_box_constant(mu).constant
-    if constant == 0.0:
-        return mu, 1.0
-    return mu.scaled(1.0 / constant), 1.0 / constant
+    [scale] = _unit_box_scales(mu.shape, mu.cells[None])
+    return (mu, 1.0) if scale == 1.0 else (mu.scaled(scale), scale)
+
+
+def _unit_box_scales(shape: BiTreeShape, cells: np.ndarray) -> list[float]:
+    """The factor that scales each grid of a stack to box constant 1, else 1.0."""
+    return [1.0 / c if c else 1.0 for c, _ in _one_box_results(shape, cells)]
+
+
+def _box_error(result: OneBoxResult, tol: float = 1e-9) -> PreconditionError | None:
+    if not result.constant > 1.0 + tol:
+        return None
+    return PreconditionError(
+        f"box constant {result.constant:.12g} at rectangle "
+        f"{result.argmax_rect} exceeds 1; scale the measure by "
+        f"1/{result.constant:.12g} first"
+    )
 
 
 def _require_one_box(ratios: np.ndarray, tol: float = 1e-9) -> None:
     [result] = _largest_ratios(ratios)
-    if result.constant > 1.0 + tol:
-        raise PreconditionError(
-            f"box constant {result.constant:.12g} at rectangle "
-            f"{result.argmax_rect} exceeds 1; scale the measure by "
-            f"1/{result.constant:.12g} first"
-        )
+    error = _box_error(result, tol)
+    if error:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -406,70 +415,133 @@ def bitree_bellman_certify(
 
     Raises when the box constant exceeds 1, naming the worst rectangle.
     """
-    shape = mu.shape
-    M = rect_masses(mu)
-    SQ = _box_sums(shape, M)
-    _require_one_box(_safe_ratio(SQ, M))
-    phi_grid = _checked_grid(shape, phi, "phi")
-    G1 = rect_integrals(shape, phi_grid * mu.cells)
-    G2 = rect_integrals(shape, phi_grid**2 * mu.cells)
-    areas = shape.areas()
+    [cert] = _results(_certificates(mu.shape, mu.cells[None], [phi], tol))
+    return cert
 
-    deviation = 0.0
+
+class UnitBoxCertificate(NamedTuple):
+    measure: BiMeasure
+    phi: object
+    scale: float
+    certificate: BiTreeCertificate
+
+
+def unit_box_certificates(
+    jobs: Iterable[tuple[BiMeasure, object]], tol: float = 1e-9
+) -> Iterator[UnitBoxCertificate]:
+    """:func:`bitree_bellman_certify` of each ``(mu, phi)`` after scaling
+    ``mu`` to box constant 1 (a zero measure keeps scale 1).
+
+    The jobs are drawn and solved lazily as stacks of about
+    ``carleson.BATCH_ENTRIES`` rectangles; all measures take the shape of
+    the first.  Each certificate equals the one-measure computation, and an
+    error is raised when the loop over the jobs reaches its measure.
+    """
+    batches = _shape_batches(jobs, lambda shape: shape.rect_count, itemgetter(0))
+    for shape, batch in batches:
+        cells = np.stack([mu.cells for mu, _ in batch])
+        scales = _unit_box_scales(shape, cells)
+        cells *= np.array(scales)[:, None, None]
+        # a NaN box constant makes the scaled measure invalid
+        invalid = [k for k, scale in enumerate(scales) if math.isnan(scale)]
+        cells[invalid] = 0.0
+        certs = _certificates(shape, cells, [phi for _, phi in batch], tol)
+        for k in invalid:
+            try:
+                batch[k][0].scaled(scales[k])
+            except CarlesonError as exc:
+                certs[k] = exc
+        for (mu, phi), scale, cert in zip(batch, scales, _results(certs)):
+            yield UnitBoxCertificate(mu, phi, scale, cert)
+
+
+def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
+                  tol: float) -> list:
+    """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
+    stack with its phi, or the error it raises.
+
+    The arrays of the whole stack are computed at once, and exact min/max
+    reductions run over the stack.  Every sum runs on one trial's own
+    slice, so each certificate equals the one-trial computation bit for
+    bit.  A trial's box-constant error comes before its phi error.
+    """
+    M = _rect_integrals(shape, cells)
+    SQ = _box_sums(shape, M)
+    results = [_box_error(box) for box in _largest_ratios(_safe_ratio(SQ, M))]
+    phi = np.zeros(cells.shape)
+    for k, values in enumerate(phis):
+        try:
+            phi[k] = _checked_grid(shape, values, "phi")
+        except CarlesonError as exc:
+            results[k] = results[k] or exc
+    G1 = _rect_integrals(shape, phi * cells)
+    G2 = _rect_integrals(shape, phi**2 * cells)
+    del phi
+    # a leading axis lets numpy reuse the temporaries of a stack of one
+    areas = shape.areas()[None]
+
+    # per trial: the largest deviation of each (array, axis) pair
+    deviations = []
     for arr in (M, G1, G2):
-        for axis in (0, 1):
+        for axis in (1, 2):
             work = np.moveaxis(arr, axis, 0)
             internal = (work.shape[0] - 1) // 2
             if internal:
-                dev = np.abs(work[1::2] + work[2::2] - work[:internal]).max()
-                deviation = max(deviation, float(dev))
-    # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
-    magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
-    martingale_ok = deviation <= 1e-12 * magnitude
+                deviations.append(np.abs(work[1::2] + work[2::2] - work[:internal])
+                                  .max(axis=(0, 2)).tolist())
 
-    gain = SQ - 0.5 * (_child_pair_sums(SQ, 0) + _child_pair_sums(SQ, 1)) - M**2
-    gain_margin = float(gain.min())
-    gain_ok = gain_margin >= -1e-12
-
+    gain = SQ - 0.5 * (_child_pair_sums(SQ, 1) + _child_pair_sums(SQ, 2)) - M**2
     G1sq = G1**2
     W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
-    childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
+    childW = _child_pair_sums(W, 1) + _child_pair_sums(W, 2)
     slacks = W - childW - 0.25 * areas * G1sq
-    min_slack = float(slacks.min())
-    slack_ok = min_slack >= -tol
+    absW = np.abs(W)
+    telescope = [
+        (float(W[k].sum() - childW[k].sum()),
+         float(W[k, 0, 0] - W[k, 1:, 1:].sum()),
+         max(1.0, float(absW[k].sum())))
+        for k in range(len(cells))
+    ]
+    del absW
+    weighted = areas * G1sq
 
-    net = float(W.sum() - childW.sum())
-    expected = float(W[0, 0] - W[1:, 1:].sum())
-    scale = max(1.0, float(np.abs(W).sum()))
-    telescope_deviation = abs(net - expected)
-    telescope_ok = telescope_deviation <= tol * scale
-
-    lhs_total = float((areas * G1sq).sum())
-    rhs_total = float(G2[0, 0])
-    upper = 4.0 * rhs_total
-    global_ok = lhs_total <= upper + tol * max(1.0, upper)
-
-    return BiTreeCertificate(
-        shape=shape,
-        masses=M,
-        box_sums=SQ,
-        integrals=G1,
-        square_integrals=G2,
-        weighted_values=W,
-        slacks=slacks,
-        martingale_deviation=deviation,
-        martingale_ok=martingale_ok,
-        gain_margin=gain_margin,
-        gain_ok=gain_ok,
-        min_slack=min_slack,
-        slack_ok=slack_ok,
-        telescope_deviation=telescope_deviation,
-        telescope_ok=telescope_ok,
-        lhs_total=lhs_total,
-        rhs_total=rhs_total,
-        upper_bound=upper,
-        global_ok=global_ok,
-    )
+    for k, error in enumerate(results):
+        if error:
+            continue
+        deviation = 0.0
+        for dev in deviations:
+            deviation = max(deviation, dev[k])
+        # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
+        magnitude = max(1.0, float(M[k, 0, 0]), float(G2[k, 0, 0]))
+        gain_margin = float(gain[k].min())
+        min_slack = float(slacks[k].min())
+        net, expected, scale = telescope[k]
+        telescope_deviation = abs(net - expected)
+        lhs_total = float(weighted[k].sum())
+        rhs_total = float(G2[k, 0, 0])
+        upper = 4.0 * rhs_total
+        results[k] = BiTreeCertificate(
+            shape=shape,
+            masses=M[k],
+            box_sums=SQ[k],
+            integrals=G1[k],
+            square_integrals=G2[k],
+            weighted_values=W[k],
+            slacks=slacks[k],
+            martingale_deviation=deviation,
+            martingale_ok=deviation <= 1e-12 * magnitude,
+            gain_margin=gain_margin,
+            gain_ok=gain_margin >= -1e-12,
+            min_slack=min_slack,
+            slack_ok=min_slack >= -tol,
+            telescope_deviation=telescope_deviation,
+            telescope_ok=telescope_deviation <= tol * scale,
+            lhs_total=lhs_total,
+            rhs_total=rhs_total,
+            upper_bound=upper,
+            global_ok=lhs_total <= upper + tol * max(1.0, upper),
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeMismatchError, ValidationError
+from .errors import CarlesonError, PreconditionError, ShapeMismatchError, ValidationError
 from .tree import (
     NodeVector,
     TreeMeasure,
@@ -183,6 +183,34 @@ def _batches(items: Iterable, entries: Callable) -> Iterator[list]:
     for first in items:
         more = max(1, BATCH_ENTRIES // max(1, entries(first))) - 1
         yield [first, *itertools.islice(items, more)]
+
+
+def _shape_batches(items: Iterable, entries: Callable,
+                   measure: Callable = lambda item: item) -> Iterator[tuple]:
+    """``(shape, batch)`` over :func:`_batches` of items that carry measures.
+
+    ``measure(item)`` is the measure of an item and ``entries(shape)`` its
+    size.  Every measure must have the shape of the first one, across all
+    stacks: another shape raises ``ShapeMismatchError`` when its stack is
+    drawn, whatever the stack size.
+    """
+    shape = None
+    for batch in _batches(items, lambda item: entries(measure(item).shape)):
+        shape = shape or measure(batch[0]).shape
+        for item in batch:
+            if measure(item).shape != shape:
+                raise ShapeMismatchError(
+                    f"measures built for shapes {shape} and {measure(item).shape}"
+                )
+        yield shape, batch
+
+
+def _results(outcomes: Iterable) -> Iterator:
+    """Each outcome in turn; an outcome that is an error is raised instead."""
+    for outcome in outcomes:
+        if isinstance(outcome, CarlesonError):
+            raise outcome
+        yield outcome
 
 
 def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
@@ -419,8 +447,9 @@ def embedding_pair_checks(
     measures: Iterable[TreeMeasure], rel_tol: float = 1e-9
 ) -> Iterator[PairCheckResult]:
     """:func:`embedding_pair_check` of each measure, drawn and solved lazily
-    as :func:`embedding_constants` stacks of about ``BATCH_ENTRIES`` masses."""
-    for batch in _batches(measures, lambda mu: mu.masses.size):
+    as :func:`embedding_constants` stacks of about ``BATCH_ENTRIES`` masses.
+    All measures take the shape of the first."""
+    for _, batch in _shape_batches(measures, lambda shape: shape.node_count):
         for report, mu in zip(embedding_constants(batch), batch):
             yield _pair_check(report, mu, rel_tol)
 

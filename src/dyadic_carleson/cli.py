@@ -307,14 +307,8 @@ def _cmd_bellman_sample(args, cfg: RunConfig) -> Outcome:
 
 
 def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
-    def check(job):
-        mu, phi = job
-        box = carleson.carleson_ratios(mu).test_constant
-        if box > 1.0:
-            mu = mu.scaled(1.0 / box)
-        result = maximal.maximal_theorem_check(mu, phi, tol=cfg.tol)
-        dec = result.decomposition
-        invariants = maximal.verify_stopping_invariants(dec, mu, phi)
+    def check(trial):
+        result, dec, invariants = trial.report, trial.report.decomposition, trial.invariants
         row = {
             "lhs": result.lhs,
             "rhs": result.rhs,
@@ -331,14 +325,14 @@ def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
             return row, None
         return row, {
             "reason": "maximal inequality or stopping invariant failed",
-            "measure": measure_io.measure_to_dict(mu),
-            "phi": phi,
+            "measure": measure_io.measure_to_dict(trial.measure.scaled(trial.scale)),
+            "phi": trial.phi,
             "decomposition": dec.to_dict(),
             **row,
         }
 
     jobs = _instances(args, cfg, "tree", max(1, cfg.trials), values=True)
-    rows, failure = _trial_rows(jobs, check)
+    rows, failure = _trial_rows(maximal.maximal_checks(jobs, tol=cfg.tol), check)
     if failure:
         return failure
     report = {
@@ -392,11 +386,10 @@ def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
     return Outcome(report, counterexample=failure)
 
 
-def _certify_bitree_one(mu: bitree.BiMeasure, phi, tol: float) -> dict:
-    normalized, scale = bitree.normalized_to_unit_onebox(mu)
-    cert = bitree.bitree_bellman_certify(normalized, phi, tol=tol)
+def _certificate_row(check: bitree.UnitBoxCertificate) -> dict:
+    cert = check.certificate
     return {
-        "scale": scale,
+        "scale": check.scale,
         "martingale_deviation": cert.martingale_deviation,
         "gain_margin": cert.gain_margin,
         "min_slack": cert.min_slack,
@@ -409,18 +402,17 @@ def _certify_bitree_one(mu: bitree.BiMeasure, phi, tol: float) -> dict:
 
 
 def _cmd_bitree_certify(args, cfg: RunConfig) -> Outcome:
-    def check(job):
-        mu, phi = job
-        row = _certify_bitree_one(mu, phi, cfg.tol)
+    def check(trial):
+        row = _certificate_row(trial)
         return row, (None if row["passed"] else {
             "reason": "per-rectangle certificate failed",
-            "measure": measure_io.measure_to_dict(mu),
-            "phi": phi,
+            "measure": measure_io.measure_to_dict(trial.measure),
+            "phi": trial.phi,
             **row,
         })
 
     jobs = _instances(args, cfg, "bitree", max(1, cfg.trials), values=True)
-    rows, failure = _trial_rows(jobs, check)
+    rows, failure = _trial_rows(bitree.unit_box_certificates(jobs, cfg.tol), check)
     if failure:
         return failure
     report = {"seed": cfg.seed, "passed": True, "rows": rows}
@@ -472,8 +464,8 @@ def _cmd_certify(args, cfg: RunConfig) -> Outcome:
             "passed": cert.ok,
         }
     else:
-        phi = np.ones(mu.shape.cell_grid)
-        kind, result = "bitree", _certify_bitree_one(mu, phi, cfg.tol)
+        [check] = bitree.unit_box_certificates([(mu, np.ones(mu.shape.cell_grid))], cfg.tol)
+        kind, result = "bitree", _certificate_row(check)
     failure = None if result["passed"] else {
         "reason": f"{kind} certificate failed",
         "measure": measure_io.measure_to_dict(mu),

@@ -18,20 +18,31 @@ whenever the Carleson box constant of Lam is at most 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .carleson import AlphaSequence, _safe_ratio, alpha_test_constant, carleson_ratios
-from .errors import PreconditionError, ValidationError
+from .carleson import (
+    AlphaSequence,
+    _results,
+    _safe_ratio,
+    _shape_batches,
+    _test_ratios,
+)
+from .errors import CarlesonError, PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
 from .tree import _ancestor_sums_inplace
 
 __all__ = [
+    "MaximalCheck",
     "MaximalReport",
     "StoppingDecomposition",
     "StoppingInvariantReport",
     "average_ratios",
+    "maximal_checks",
     "maximal_ratios",
     "maximal_theorem_check",
     "stopping_decomposition",
@@ -39,12 +50,39 @@ __all__ = [
 ]
 
 
-def _ratios(lam: TreeMeasure, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Subtree ratios of ``phi`` against ``lam``, and the subtree masses."""
-    phi_a = as_node_array(lam.shape, phi)
-    num = subtree_sums(lam.shape.depth, phi_a * lam.masses)
-    den = subtree_sums(lam.shape.depth, lam.masses)
+def _ratios(depth: int, masses: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree ratios of ``phi`` against ``masses``, and the subtree masses.
+
+    Along the leading (node) axis; a trailing axis holds trials.
+    """
+    num = subtree_sums(depth, phi * masses)
+    den = subtree_sums(depth, masses)
     return _safe_ratio(num, den), den
+
+
+def _trials(values: np.ndarray) -> np.ndarray:
+    """``(trials, nodes)`` view of a ``(nodes,)`` or ``(nodes, trials)`` array."""
+    return values.reshape(len(values), -1).T
+
+
+def _per_node(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Node values shaped to broadcast against the trials of ``like``."""
+    return values.reshape(values.shape + (1,) * (like.ndim - 1))
+
+
+def _gathered(shape: TreeShape, phis: list, like: np.ndarray, results: list) -> np.ndarray:
+    """The phis as node arrays laid out like ``like``, one trial per column.
+
+    A phi that :func:`as_node_array` rejects reads zero, and its error
+    goes to ``results`` unless the trial already has one.
+    """
+    out = np.zeros(like.shape)
+    for k, phi in enumerate(phis):
+        try:
+            _trials(out)[k] = as_node_array(shape, phi)
+        except CarlesonError as exc:
+            results[k] = results[k] or exc
+    return out
 
 
 def _level(d: int) -> slice:
@@ -54,12 +92,14 @@ def _level(d: int) -> slice:
 
 def average_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Per-node ratio of the phi-integral to the mass of the subtree."""
-    return NodeVector(lam.shape, _ratios(lam, phi)[0])
+    phi_a = as_node_array(lam.shape, phi)
+    return NodeVector(lam.shape, _ratios(lam.shape.depth, lam.masses, phi_a)[0])
 
 
 def maximal_ratios(lam: TreeMeasure, phi) -> NodeVector:
     """Running maximum of the subtree ratios along root-to-node paths."""
-    m = _ratios(lam, phi)[0]
+    phi_a = as_node_array(lam.shape, phi)
+    m = _ratios(lam.shape.depth, lam.masses, phi_a)[0]
     _ancestor_sums_inplace(lam.shape.depth, m, np.maximum)
     return NodeVector(lam.shape, m)
 
@@ -115,42 +155,69 @@ def stopping_decomposition(
     against its parent's owner or inherits that owner.  ``beta`` and
     ``ratios`` list the vertices generation by generation, sorted.
     """
-    shape = lam.shape
-    phi_a = as_node_array(shape, phi)
+    phi_a = as_node_array(lam.shape, phi)
     if not allow_signed and np.any(phi_a < 0):
-        raise ValidationError(
-            "phi must be nonnegative (pass allow_signed=True to override)"
-        )
-    r, den = _ratios(lam, phi_a)
+        raise ValidationError(_SIGNED_PHI)
+    [dec] = _decompositions(lam.shape, *_ratios(lam.shape.depth, lam.masses, phi_a))
+    return dec
 
+
+_SIGNED_PHI = "phi must be nonnegative (pass allow_signed=True to override)"
+
+
+def _decompositions(shape: TreeShape, r: np.ndarray,
+                    den: np.ndarray) -> list[StoppingDecomposition]:
+    """The stopping decomposition of each trial of subtree ratios and masses.
+
+    ``r`` and ``den`` are ``(nodes,)`` for one trial or ``(nodes, trials)``;
+    the sweep runs over all trials at once.  The stopping vertices of all
+    trials are then sorted by trial, generation and node, so each trial's
+    ``escaped`` masses add up in the order a lone trial adds them.
+    """
     n = shape.node_count
     nodes = np.arange(1, n + 1, dtype=np.int64)
-    owner = np.ones(n, dtype=np.int64)
-    generation = np.zeros(n, dtype=np.int64)
+    owner = np.ones(r.shape, dtype=np.int64)
+    generation = np.zeros(r.shape, dtype=np.int64)
+    column = _per_node(nodes, r)
     for d in range(1, shape.depth + 1):
         here, up = _level(d), _level(d - 1)
-        po = np.repeat(owner[up], 2)
-        r_po, r_here = r[po - 1], r[here]
+        po = np.repeat(owner[up], 2, axis=0)
+        r_po, r_here = np.take_along_axis(r, po - 1, axis=0), r[here]
         # With a zero owner ratio the >= test would fire at every child;
         # require strict growth instead so the recursion cannot degenerate.
         stops = (den[here] > 0.0) & np.where(
             r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
         )
-        owner[here] = np.where(stops, nodes[here], po)
-        generation[here] = np.repeat(generation[up], 2) + stops
+        owner[here] = np.where(stops, column[here], po)
+        generation[here] = np.repeat(generation[up], 2, axis=0) + stops
 
-    stopping = np.flatnonzero(owner == nodes)
-    stopping = stopping[np.argsort(generation[stopping], kind="stable")]
-    children = stopping[1:]
-    escaped = np.bincount(
-        owner[(children + 1) // 2 - 1] - 1, weights=den[children], minlength=n
-    )
-    keys = (stopping + 1).tolist()
-    beta = dict(zip(keys, (den[stopping] - escaped[stopping]).tolist()))
-    ratios = dict(zip(keys, r[stopping].tolist()))
-    gens = generation[stopping]
-    generations = [(stopping[gens == g] + 1).tolist() for g in range(gens[-1] + 1)]
-    return StoppingDecomposition(shape, generations, owner, beta, ratios)
+    owners = np.ascontiguousarray(_trials(owner))
+    trial, pos = np.nonzero(owners == nodes)
+    gen = _trials(generation)[trial, pos]
+    order = np.argsort(trial * (shape.depth + 1) + gen, kind="stable")
+    trial, pos, gen = trial[order], pos[order], gen[order]
+    # every trial's first vertex is the root; the others are its children
+    child = pos > 0
+    up = owners[trial[child], (pos[child] + 1) // 2 - 1] - 1
+    den_t, r_t = _trials(den), _trials(r)
+    count = len(owners)
+    escaped = np.bincount(trial[child] * n + up, weights=den_t[trial[child], pos[child]],
+                          minlength=count * n)
+    beta = (den_t[trial, pos] - escaped[trial * n + pos]).tolist()
+    ratio = r_t[trial, pos].tolist()
+    keys, gen = (pos + 1).tolist(), gen.tolist()
+    bounds = np.searchsorted(trial, np.arange(count + 1)).tolist()
+    decs = []
+    for k in range(count):
+        lo, hi = bounds[k], bounds[k + 1]
+        generations = [[] for _ in range(gen[hi - 1] + 1)]
+        for g, key in zip(gen[lo:hi], keys[lo:hi]):
+            generations[g].append(key)
+        decs.append(StoppingDecomposition(
+            shape, generations, owners[k],
+            dict(zip(keys[lo:hi], beta[lo:hi])), dict(zip(keys[lo:hi], ratio[lo:hi])),
+        ))
+    return decs
 
 
 @dataclass(frozen=True)
@@ -176,6 +243,19 @@ class StoppingInvariantReport:
         return not self.failures
 
 
+# the flag of each invariant and the name a failure lists it by, in order
+_INVARIANTS = {
+    "partition_ok": "partition",
+    "owner_consistent": "owner-consistency",
+    "region_mass_ok": "region-mass",
+    "beta_sum_ok": "beta-sum",
+    "chain_ok": "chain-growth",
+    "ownership_ratio_ok": "ownership-ratio",
+    "maximal_ratio_ok": "maximal-ratio",
+    "alpha_test_ok": "alpha-test",
+}
+
+
 def _node_items(table: dict[int, float], n: int):
     """Keys in ``1..n`` of a per-vertex table, their values, and whether all were."""
     keys = np.fromiter(table, dtype=np.int64, count=len(table))
@@ -191,18 +271,22 @@ def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence
     most 1 because the beta masses of stopping descendants never exceed
     the subtree mass.
     """
-    return _derived_alpha(dec, lam.shape, subtree_sums(lam.shape.depth, lam.masses))
+    keys, beta, _ = _node_items(dec.beta, lam.shape.node_count)
+    den = subtree_sums(lam.shape.depth, lam.masses)
+    trial = np.zeros(len(keys), dtype=np.int64)
+    return AlphaSequence(lam.shape, _alpha_weights(lam.shape, trial, keys, beta, den))
 
 
-def _derived_alpha(
-    dec: StoppingDecomposition, shape: TreeShape, den: np.ndarray
-) -> AlphaSequence:
-    keys, beta, _ = _node_items(dec.beta, shape.node_count)
-    keep = den[keys - 1] > 0
-    pos, beta = keys[keep] - 1, beta[keep]
-    values = np.zeros(shape.node_count)
-    values[pos] = beta * (shape.lengths()[pos] / den[pos]) ** 2
-    return AlphaSequence(shape, values)
+def _alpha_weights(shape: TreeShape, trial: np.ndarray, keys: np.ndarray,
+                   beta: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """:func:`derived_alpha` weights of ``beta`` at vertices ``keys`` of
+    trials ``trial``, laid out like the subtree masses ``den``."""
+    den_t = _trials(den)
+    keep = den_t[trial, keys - 1] > 0
+    trial, pos = trial[keep], keys[keep] - 1
+    values = np.zeros(den.shape)
+    _trials(values)[trial, pos] = beta[keep] * (shape.lengths()[pos] / den_t[trial, pos]) ** 2
+    return values
 
 
 def verify_stopping_invariants(
@@ -215,107 +299,155 @@ def verify_stopping_invariants(
     masses are recomputed from ``lam`` and ``phi``.  Owners that are not
     nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
     """
-    shape = lam.shape
-    n = shape.node_count
-    r, den = _ratios(lam, phi)
-    m = r.copy()
-    _ancestor_sums_inplace(shape.depth, m, np.maximum)
+    [report] = _results(_invariant_reports(lam.shape, lam.masses, [phi], [dec], tol))
+    return report
 
-    # slot 0 of the owner-indexed arrays stands for "not a node"
-    owner = np.array(dec.owner, dtype=np.int64)
-    if owner.shape != (n,):
-        owner = np.zeros(n, dtype=np.int64)
-    owners_in_tree = bool(np.all((owner >= 1) & (owner <= n)))
-    owner[(owner < 1) | (owner > n)] = 0
-    stop, beta, keys_in_tree = _node_items(dec.beta, n)
-    is_stop = np.zeros(n + 1, dtype=bool)
-    is_stop[stop] = True
-    sizes = np.bincount(owner, minlength=n + 1)
-    listed = [h for g in dec.generations for h in g]
-    partition_ok = bool(
-        dec.beta
-        and keys_in_tree
-        and owners_in_tree
-        and dec.generations[:1] == [[1]]
-        and not sizes[~is_stop].any()
-        and sizes[stop].all()
-        and len(listed) == len(set(listed))
-        and set(listed) == set(dec.beta)
-    )
+
+def _invariant_reports(shape: TreeShape, masses: np.ndarray, phis: list,
+                       decs: list, tol: float) -> list:
+    """:func:`verify_stopping_invariants` of each trial, or the error it raises.
+
+    ``masses`` is ``(nodes,)`` for one trial or ``(nodes, trials)``; a
+    trial whose decomposition is None is skipped.  Ratios and masses are
+    recomputed here from the masses and phis.  Per-vertex values of all
+    trials sit in one flat array of ``nodes + 1`` slots per trial (slot 0
+    stands for "not a node"); the owner-grouped sums add each trial's
+    values in its own order, and the margins are maxima per trial.
+    """
+    n, count = shape.node_count, len(decs)
+    slots = n + 1
+    results = [None] * count
+    r, den = _ratios(shape.depth, masses, _gathered(shape, phis, masses, results))
+    r_t, den_t = _trials(r), _trials(den)
+
+    owners = np.zeros((count, n), dtype=np.int64)
+    listed_ok = np.zeros(count, dtype=bool)
+    stops, betas, laters, ratio_keys, ratio_values = [], [], [], [], []
+    for k, dec in enumerate(decs):
+        if dec is None:
+            dec = StoppingDecomposition(shape, [], owners[k], {}, {})
+        owner = np.array(dec.owner, dtype=np.int64)
+        if owner.shape == (n,):
+            owners[k] = owner
+        stop, beta, keys_in_tree = _node_items(dec.beta, n)
+        stops.append(stop)
+        betas.append(beta)
+        listed = [h for g in dec.generations for h in g]
+        listed_ok[k] = bool(
+            dec.beta
+            and keys_in_tree
+            and dec.generations[:1] == [[1]]
+            and len(listed) == len(set(listed))
+            and set(listed) == set(dec.beta)
+        )
+        later = np.array([h for g in dec.generations[1:] for h in g], dtype=np.int64)
+        laters.append(later[(later >= 2) & (later <= n)])  # the rest fail the partition
+        keys, values, _ = _node_items(dec.ratios, n)
+        ratio_keys.append(keys)
+        ratio_values.append(values)
+
+    def flat(parts: list) -> tuple[np.ndarray, np.ndarray]:
+        trial = np.repeat(np.arange(count), [len(p) for p in parts])
+        return trial, np.concatenate(parts).astype(np.int64)
+
+    def largest(trial: np.ndarray, values: np.ndarray) -> np.ndarray:
+        out = np.full(count, -np.inf)
+        np.maximum.at(out, trial, values)
+        return out
+
+    owners_in_tree = ((owners >= 1) & (owners <= n)).all(axis=1)
+    owners[(owners < 1) | (owners > n)] = 0
+    stop_trial, stop = flat(stops)
+    beta = np.concatenate(betas)
+    is_stop = np.zeros((count, slots), dtype=bool)
+    is_stop[stop_trial, stop] = True
+    sizes = np.bincount((owners + np.arange(count)[:, None] * slots).ravel(),
+                        minlength=count * slots).reshape(count, slots)
+    partition_ok = (listed_ok & owners_in_tree
+                    & ~(sizes.astype(bool) & ~is_stop).any(axis=1)
+                    & ~((sizes == 0) & is_stop).any(axis=1))
+    del sizes
 
     # the root has no parent's owner to inherit, so it must stop
     nodes = np.arange(1, n + 1)
-    parent_owner = np.concatenate(([0], owner[nodes[1:] // 2 - 1]))
-    owner_consistent = owners_in_tree and np.array_equal(
-        owner, np.where(is_stop[1:], nodes, parent_owner)
-    )
+    inherited = np.zeros((count, n), dtype=np.int64)
+    inherited[:, 1:] = owners[:, nodes[1:] // 2 - 1]
+    np.copyto(inherited, nodes, where=is_stop[:, 1:])
+    owner_consistent = owners_in_tree & (owners == inherited).all(axis=1)
+    del inherited, nodes
 
     # mass captured by the stopping children must stay below half
-    later = np.array([h for g in dec.generations[1:] for h in g], dtype=np.int64)
-    later = later[(later >= 2) & (later <= n)]  # the rest fail the partition
-    pred = owner[later // 2 - 1]
-    escaped = np.bincount(pred, weights=den[later - 1], minlength=n + 1)[stop]
-    region_margin = float(np.max(escaped - 0.5 * den[stop - 1], initial=-np.inf))
-    region_mass_ok = bool(region_margin <= tol)
+    later_trial, later = flat(laters)
+    pred = owners[later_trial, later // 2 - 1]
+    escaped = np.bincount(later_trial * slots + pred, weights=den_t[later_trial, later - 1],
+                          minlength=count * slots)[stop_trial * slots + stop]
+    den_stop = den_t[stop_trial, stop - 1]
+    region_margin = largest(stop_trial, escaped - 0.5 * den_stop)
 
-    beta_values = np.zeros(n)
-    beta_values[stop - 1] = beta
-    beta_sums = subtree_sums(shape.depth, beta_values)
-    beta_margin = np.abs(beta - (den[stop - 1] - escaped)).max(initial=-np.inf)
-    beta_sum_margin = float(max(beta_margin, (beta_sums - den).max()))
-    beta_sum_ok = bool(beta_sum_margin <= tol)
+    beta_values = np.zeros(den.shape)
+    _trials(beta_values)[stop_trial, stop - 1] = beta
+    beta_margin = largest(stop_trial, np.abs(beta - (den_stop - escaped)))
+    sums_margin = _trials(subtree_sums(shape.depth, beta_values) - den).max(axis=1)
+    del beta_values
+
+    # each node's owner's ratio, 0 for "not a node" and without stopping vertices
+    r0 = np.zeros((count, slots))
+    r0[:, 1:] = r_t
+    owner_ratio = np.take_along_axis(r0, owners, axis=1)
+    owner_ratio[[not (dec and dec.beta) for dec in decs]] = 0.0
 
     # the owner's ratio as the decomposition records it, else recomputed
-    r0 = np.concatenate(([0.0], r))
-    recorded = r0.copy()
-    ratio_keys, ratio_values, _ = _node_items(dec.ratios, n)
-    recorded[ratio_keys] = ratio_values
-    r_p, r_j = recorded[pred], r[later - 1]
+    ratio_trial, keys = flat(ratio_keys)
+    r0[ratio_trial, keys] = np.concatenate(ratio_values)
+    r_p, r_j = r0[later_trial, pred], r_t[later_trial, later - 1]
+    del r0
     zero = r_p == 0.0
-    chain_margin = float(np.max(2.0 * r_p[~zero] - r_j[~zero], initial=-np.inf))
-    chain_ok = bool(np.all(r_j[zero] > 0.0) and chain_margin <= tol)
+    chain_margin = largest(later_trial[~zero], 2.0 * r_p[~zero] - r_j[~zero])
+    chain_bad = np.bincount(later_trial[zero & ~(r_j > 0.0)], minlength=count)
 
-    owner_ratio = r0[owner] if dec.beta else np.zeros_like(r)
-    ratio_margin = float((r - 2.0 * owner_ratio).max())
-    ownership_ratio_ok = bool(ratio_margin <= tol)
-    maximal_margin = float((m - 2.0 * owner_ratio).max())
-    maximal_ratio_ok = bool(maximal_margin <= tol)
+    ratio_margin = (r_t - 2.0 * owner_ratio).max(axis=1)
+    m = r  # the running maximum takes r over, which is not read after this
+    _ancestor_sums_inplace(shape.depth, m, np.maximum)
+    maximal_margin = (_trials(m) - 2.0 * owner_ratio).max(axis=1)
+    del m, r, r_t, owner_ratio
 
-    alpha = _derived_alpha(dec, shape, den)
-    alpha_constant = float(alpha_test_constant(lam, alpha).constant)
-    alpha_test_ok = alpha_constant <= 1.0 + 1e-9
+    alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
+    alpha_t = _trials(alpha)
+    for k in np.flatnonzero(~(np.isfinite(alpha_t) & (alpha_t >= 0)).all(axis=1)):
+        try:
+            AlphaSequence(shape, alpha_t[k].copy())
+        except CarlesonError as exc:
+            results[k] = results[k] or exc
+        alpha_t[k] = 0.0
+    # the weighted test constant of carleson.alpha_test_constant
+    alpha *= (den * _per_node(np.exp2(shape.depths().astype(float)), den)) ** 2
+    weighted = _safe_ratio(subtree_sums(shape.depth, alpha), den)
+    alpha_constants = _trials(weighted).max(axis=1)
 
-    failures = [
-        name
-        for name, ok in (
-            ("partition", partition_ok),
-            ("owner-consistency", owner_consistent),
-            ("region-mass", region_mass_ok),
-            ("beta-sum", beta_sum_ok),
-            ("chain-growth", chain_ok),
-            ("ownership-ratio", ownership_ratio_ok),
-            ("maximal-ratio", maximal_ratio_ok),
-            ("alpha-test", alpha_test_ok),
+    for k, dec in enumerate(decs):
+        if dec is None or results[k]:
+            continue
+        beta_sum_margin = float(max(beta_margin[k], sums_margin[k]))
+        alpha_constant = float(alpha_constants[k])
+        fields = dict(
+            partition_ok=bool(partition_ok[k]),
+            owner_consistent=bool(owner_consistent[k]),
+            region_mass_ok=bool(region_margin[k] <= tol),
+            region_mass_margin=float(region_margin[k]),
+            beta_sum_ok=beta_sum_margin <= tol,
+            beta_sum_margin=beta_sum_margin,
+            chain_ok=bool(chain_bad[k] == 0 and chain_margin[k] <= tol),
+            chain_margin=float(chain_margin[k]),
+            ownership_ratio_ok=bool(ratio_margin[k] <= tol),
+            ownership_ratio_margin=float(ratio_margin[k]),
+            maximal_ratio_ok=bool(maximal_margin[k] <= tol),
+            maximal_ratio_margin=float(maximal_margin[k]),
+            alpha_test_ok=alpha_constant <= 1.0 + 1e-9,
+            alpha_test_constant=alpha_constant,
         )
-        if not ok
-    ]
-    return StoppingInvariantReport(
-        partition_ok=partition_ok,
-        owner_consistent=owner_consistent,
-        region_mass_ok=region_mass_ok,
-        region_mass_margin=region_margin,
-        beta_sum_ok=beta_sum_ok,
-        beta_sum_margin=beta_sum_margin,
-        chain_ok=chain_ok,
-        chain_margin=chain_margin,
-        ownership_ratio_ok=ownership_ratio_ok,
-        ownership_ratio_margin=ratio_margin,
-        maximal_ratio_ok=maximal_ratio_ok,
-        maximal_ratio_margin=maximal_margin,
-        alpha_test_ok=alpha_test_ok,
-        alpha_test_constant=alpha_constant,
-        failures=failures,
-    )
+        failures = [name for flag, name in _INVARIANTS.items() if not fields[flag]]
+        results[k] = StoppingInvariantReport(**fields, failures=failures)
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,28 +478,105 @@ def maximal_theorem_check(
     constant of Lam to be at most 1; rescale first (both sides are
     homogeneous, quadratic against linear, so this costs nothing).
     """
-    box = carleson_ratios(lam).test_constant
-    if box > 1.0 + 1e-9:
-        raise PreconditionError(
-            f"box constant {box:.12g} exceeds 1; scale the measure by "
-            f"1/{box:.12g} first"
+    [report] = _results(_theorem_checks(lam.shape, lam.masses, [phi], tol, allow_signed))
+    return report
+
+
+def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float,
+                    allow_signed: bool) -> list:
+    """:func:`maximal_theorem_check` of each trial, or the error it raises.
+
+    ``masses`` is ``(nodes,)`` for one trial or ``(nodes, trials)``.  The
+    tree passes and the stopping sweep run over all trials at once; the
+    sums of ``lhs`` and ``rhs`` run on each trial's own contiguous row.
+    """
+    depth = shape.depth
+    results = [None] * len(phis)
+    boxes = _box_constants(shape, masses, results)
+    for k, box in enumerate(boxes):
+        if box > 1.0 + 1e-9:
+            results[k] = results[k] or PreconditionError(
+                f"box constant {box:.12g} exceeds 1; scale the measure by "
+                f"1/{box:.12g} first"
+            )
+    phi = _gathered(shape, phis, masses, results)
+    if not allow_signed:
+        for k in np.flatnonzero((_trials(phi) < 0).any(axis=1)):
+            results[k] = results[k] or ValidationError(_SIGNED_PHI)
+    r, den = _ratios(depth, masses, phi)
+    m = r.copy()
+    _ancestor_sums_inplace(depth, m, np.maximum)
+    lhs = [float(row.sum()) for row in np.ascontiguousarray(_trials(den**2 * m**2))]
+    rhs = [float(row.sum()) for row in np.ascontiguousarray(_trials(phi**2 * masses))]
+    del m
+    for k, dec in enumerate(_decompositions(shape, r, den)):
+        if results[k]:
+            continue
+        bound = 8.0 * sum(dec.ratios[h] ** 2 * dec.beta[h] for h in dec.beta)
+        results[k] = MaximalReport(
+            lhs=lhs[k],
+            rhs=rhs[k],
+            ratio=lhs[k] / rhs[k] if rhs[k] > 0 else 0.0,
+            passed=lhs[k] <= 32.0 * rhs[k] + tol,
+            stopping_bound=float(bound),
+            stopping_bound_ok=lhs[k] <= bound + tol,
+            one_box_constant=boxes[k],
+            decomposition=dec,
         )
-    shape = lam.shape
-    phi_a = as_node_array(shape, phi)
-    m, den = _ratios(lam, phi_a)
-    _ancestor_sums_inplace(shape.depth, m, np.maximum)
-    lhs = float((den**2 * m**2).sum())
-    rhs = float((phi_a**2 * lam.masses).sum())
-    dec = stopping_decomposition(lam, phi_a, allow_signed=allow_signed)
-    bound = 8.0 * sum(dec.ratios[h] ** 2 * dec.beta[h] for h in dec.beta)
-    ratio = lhs / rhs if rhs > 0 else 0.0
-    return MaximalReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        passed=lhs <= 32.0 * rhs + tol,
-        stopping_bound=float(bound),
-        stopping_bound_ok=lhs <= bound + tol,
-        one_box_constant=float(box),
-        decomposition=dec,
-    )
+    return results
+
+
+class MaximalCheck(NamedTuple):
+    measure: TreeMeasure
+    phi: object
+    scale: float
+    report: MaximalReport
+    invariants: StoppingInvariantReport
+
+
+def maximal_checks(
+    jobs: Iterable[tuple[TreeMeasure, object]], tol: float = 1e-9
+) -> Iterator[MaximalCheck]:
+    """:func:`maximal_theorem_check` and :func:`verify_stopping_invariants`
+    of each ``(lam, phi)``, after scaling ``lam`` by the inverse of its box
+    constant when that exceeds 1 (else scale 1).
+
+    The jobs are drawn and solved lazily as stacks of about
+    ``carleson.BATCH_ENTRIES`` masses; all measures take the shape of the
+    first.  A lone job keeps one-dimensional arrays.  Each result equals
+    the one-measure computation, and an error is raised when the loop
+    over the jobs reaches its measure.
+    """
+    for shape, batch in _shape_batches(jobs, lambda shape: shape.node_count,
+                                       itemgetter(0)):
+        masses = np.stack([mu.masses for mu, _ in batch], axis=-1)
+        if len(batch) == 1:
+            masses = masses[:, 0]  # a lone trial: 1-D arrays, which the passes walk faster
+        errors = [None] * len(batch)
+        boxes = _box_constants(shape, masses, errors)
+        # a trial whose box constant failed is zeroed until its error is raised
+        scales = [0.0 if error else 1.0 / box if box > 1.0 else 1.0
+                  for box, error in zip(boxes, errors)]
+        masses *= np.array(scales)
+        phis = [phi for _, phi in batch]
+        reports = _theorem_checks(shape, masses, phis, tol, allow_signed=False)
+        decs = [None if isinstance(r, CarlesonError) else r.decomposition for r in reports]
+        invariants = _invariant_reports(shape, masses, phis, decs, 1e-12)
+        for k, (mu, phi) in enumerate(batch):
+            report, invariant = _results([errors[k] or reports[k], invariants[k]])
+            yield MaximalCheck(mu, phi, scales[k], report, invariant)
+
+
+def _box_constants(shape: TreeShape, masses: np.ndarray, results: list) -> list[float]:
+    """The test constant of each trial, as :func:`carleson.carleson_ratios` gives it.
+
+    A trial with a non-finite ratio gets the error ``carleson_ratios``
+    raises.
+    """
+    ratios = _trials(_test_ratios(shape.depth, masses))
+    for k in np.flatnonzero(~np.isfinite(ratios).all(axis=1)):
+        try:
+            NodeVector(shape, ratios[k])
+        except CarlesonError as exc:
+            results[k] = results[k] or exc
+    return ratios.max(axis=1).tolist()

@@ -15,9 +15,14 @@ solve with its one-row solve.  The Gram apply adds in another
 order and must agree to rounding, and also with a dense matvec of the
 common-ancestor kernel.  The common-ancestor counter of the dense oracles
 must equal, exactly, the LCA loop and the xor-shift count it replaced and
-a brute force over ancestor sets.
+a brute force over ancestor sets.  The stacked bi-tree certificates and
+maximal checks must equal, bit for bit, the one-trial certificate,
+theorem check, stopping decomposition and invariant check they replaced,
+kept here with the per-trial normalization the CLI did before them.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -30,6 +35,7 @@ from dyadic_carleson import (
     PreconditionError,
     ShapeMismatchError,
     TreeMeasure,
+    ValidationError,
     bi_embedding_constant,
     bi_embedding_constant_dense,
     bitree_bellman_certify,
@@ -42,33 +48,53 @@ from dyadic_carleson import (
     embedding_pair_check,
     embedding_pair_checks,
     leaf_point_mass,
+    maximal_checks,
+    maximal_theorem_check,
     one_box_constant,
     one_box_constants,
     random_bimeasure,
+    random_cell_values,
+    random_node_values,
     random_tree_measure,
     set_test_constant,
+    stopping_decomposition,
     uniform_bimeasure,
     uniform_boundary_measure,
+    unit_box_certificates,
+    verify_stopping_invariants,
 )
-from dyadic_carleson import carleson
+from dyadic_carleson import bitree, carleson, instances, maximal
+from dyadic_carleson.bellman import bellman_values
 from dyadic_carleson.bitree import (
+    BiTreeCertificate,
     _apply_bi_gram,
     _bi_embedding_values,
+    _box_sums,
+    _checked_grid,
     _child_pair_sums,
     _probe_values,
     _rect_cell_masks,
+    _require_one_box,
     _subset_sums,
     normalized_to_unit_onebox,
     rect_integrals,
     rect_masses,
 )
-from dyadic_carleson.carleson import _batches, _power_iteration
+from dyadic_carleson.carleson import (
+    AlphaSequence,
+    _batches,
+    _power_iteration,
+    _safe_ratio,
+    alpha_test_constant,
+)
+from dyadic_carleson.maximal import MaximalReport, StoppingDecomposition
 from dyadic_carleson.cli import run_command
 from dyadic_carleson.tree import (
     _ancestor_sums_inplace,
     _common_ancestors,
     _subtree_sums_inplace,
     ancestor_sums,
+    as_node_array,
     subtree_sums,
 )
 
@@ -688,15 +714,26 @@ def test_batches_of_none_and_of_one():
     assert (pair.report, pair.ok) == (embedding_pair_check(mu).report, True)
     bi = random_bimeasure(3, build_bitree(2, 3))
     assert list(one_box_constants([bi])) == [one_box_constant(bi)]
+    assert list(unit_box_certificates([])) == []
+    assert list(maximal_checks([])) == []
 
 
-def test_stacks_take_one_shape():
+@pytest.mark.parametrize("budget", [1, carleson.BATCH_ENTRIES])
+def test_stacks_take_one_shape(budget, monkeypatch):
+    # the shape of the first measure binds every stack, whatever their size
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+    trees = [random_tree_measure(1, build_tree(2)), random_tree_measure(1, build_tree(3))]
+    grids = [random_bimeasure(1, build_bitree(1, 2)), random_bimeasure(1, build_bitree(2, 1))]
     with pytest.raises(ShapeMismatchError):
-        embedding_constants([random_tree_measure(1, build_tree(2)),
-                             random_tree_measure(1, build_tree(3))])
+        embedding_constants(trees)
     with pytest.raises(ShapeMismatchError):
-        list(one_box_constants([random_bimeasure(1, build_bitree(1, 2)),
-                                random_bimeasure(1, build_bitree(2, 1))]))
+        list(embedding_pair_checks(trees))
+    with pytest.raises(ShapeMismatchError):
+        list(one_box_constants(grids))
+    with pytest.raises(ShapeMismatchError):
+        list(unit_box_certificates((mu, np.ones(mu.shape.cell_grid)) for mu in grids))
+    with pytest.raises(ShapeMismatchError):
+        list(maximal_checks((mu, np.ones(mu.shape.node_count)) for mu in trees))
 
 
 @pytest.mark.parametrize("depths", SET_TEST_DEPTHS + [(3, 3), (4, 2), (5, 5)])
@@ -780,6 +817,8 @@ def test_one_box_constants_draw_lazily(monkeypatch):
     "tree-test --depth 2 --trials 7 --seed 3 --support all-nodes --format csv",
     "bitree-onebox --depths 2,1 --trials 9 --seed 3",
     "gap-probe --depths 1,2 --trials 9 --seed 4 --optimizer random",
+    "maximal-verify --depth 2 --trials 9 --seed 5",
+    "bitree-certify --depths 1,2 --trials 9 --seed 6 --format csv",
 ])
 def test_reports_do_not_depend_on_batch_size(argv, monkeypatch, tmp_path):
     out = tmp_path / "report"
@@ -789,3 +828,432 @@ def test_reports_do_not_depend_on_batch_size(argv, monkeypatch, tmp_path):
         assert run_command(argv.split() + ["--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[1:] == reports[:1] * 3
+
+
+def test_maximal_checks_and_certificates_draw_lazily(monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 21)  # 7 nodes each: stacks of 3
+    shape = build_tree(2)
+    jobs = [(random_tree_measure(seed, shape), random_node_values(seed, shape, nonneg=True))
+            for seed in range(8)]
+    checks = _taken_lazily(maximal_checks, jobs, 3)
+    assert [check.report.lhs for check in checks] == [
+        _ref_maximal_trial(mu, phi)[1].lhs for mu, phi in jobs
+    ]
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 27)  # 9 rectangles each: stacks of 3
+    shape = build_bitree(1, 1)
+    jobs = [(random_bimeasure(seed, shape), random_cell_values(seed, shape))
+            for seed in range(8)]
+    certs = _taken_lazily(unit_box_certificates, jobs, 3)
+    assert [c.certificate.lhs_total for c in certs] == [
+        _ref_certify_trial(mu, phi)[1].lhs_total for mu, phi in jobs
+    ]
+
+
+# ---------------------------------------------------------------------------
+# stacked certificates and maximal checks against the per-trial loops
+# ---------------------------------------------------------------------------
+
+
+def _ref_bitree_certify(mu, phi, tol=1e-9):
+    """The one-measure bi-tree certificate before the stacked one."""
+    shape = mu.shape
+    M = rect_masses(mu)
+    SQ = _box_sums(shape, M)
+    _require_one_box(_safe_ratio(SQ, M))
+    phi_grid = _checked_grid(shape, phi, "phi")
+    G1 = rect_integrals(shape, phi_grid * mu.cells)
+    G2 = rect_integrals(shape, phi_grid**2 * mu.cells)
+    areas = shape.areas()
+
+    deviation = 0.0
+    for arr in (M, G1, G2):
+        for axis in (0, 1):
+            work = np.moveaxis(arr, axis, 0)
+            internal = (work.shape[0] - 1) // 2
+            if internal:
+                dev = np.abs(work[1::2] + work[2::2] - work[:internal]).max()
+                deviation = max(deviation, float(dev))
+    magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
+    gain = SQ - 0.5 * (_child_pair_sums(SQ, 0) + _child_pair_sums(SQ, 1)) - M**2
+    G1sq = G1**2
+    W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
+    childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
+    slacks = W - childW - 0.25 * areas * G1sq
+    net = float(W.sum() - childW.sum())
+    expected = float(W[0, 0] - W[1:, 1:].sum())
+    scale = max(1.0, float(np.abs(W).sum()))
+    lhs_total = float((areas * G1sq).sum())
+    rhs_total = float(G2[0, 0])
+    upper = 4.0 * rhs_total
+    return BiTreeCertificate(
+        shape=shape, masses=M, box_sums=SQ, integrals=G1, square_integrals=G2,
+        weighted_values=W, slacks=slacks,
+        martingale_deviation=deviation,
+        martingale_ok=deviation <= 1e-12 * magnitude,
+        gain_margin=float(gain.min()),
+        gain_ok=float(gain.min()) >= -1e-12,
+        min_slack=float(slacks.min()),
+        slack_ok=float(slacks.min()) >= -tol,
+        telescope_deviation=abs(net - expected),
+        telescope_ok=abs(net - expected) <= tol * scale,
+        lhs_total=lhs_total, rhs_total=rhs_total, upper_bound=upper,
+        global_ok=lhs_total <= upper + tol * max(1.0, upper),
+    )
+
+
+def _ref_certify_trial(mu, phi, tol=1e-9):
+    """The CLI's per-trial loop body: unit box normalization, then the certificate."""
+    constant = one_box_constant(mu).constant
+    if constant == 0.0:
+        return 1.0, _ref_bitree_certify(mu, phi, tol)
+    return 1.0 / constant, _ref_bitree_certify(mu.scaled(1.0 / constant), phi, tol)
+
+
+def _ref_ratios(lam, phi):
+    phi_a = as_node_array(lam.shape, phi)
+    num = subtree_sums(lam.shape.depth, phi_a * lam.masses)
+    den = subtree_sums(lam.shape.depth, lam.masses)
+    return _safe_ratio(num, den), den
+
+
+def _ref_stopping_decomposition(lam, phi):
+    """The one-measure stopping decomposition before the stacked one."""
+    shape = lam.shape
+    r, den = _ref_ratios(lam, phi)
+    n = shape.node_count
+    nodes = np.arange(1, n + 1, dtype=np.int64)
+    owner = np.ones(n, dtype=np.int64)
+    generation = np.zeros(n, dtype=np.int64)
+    for d in range(1, shape.depth + 1):
+        here, up = slice((1 << d) - 1, (1 << (d + 1)) - 1), slice((1 << (d - 1)) - 1, (1 << d) - 1)
+        po = np.repeat(owner[up], 2)
+        r_po, r_here = r[po - 1], r[here]
+        stops = (den[here] > 0.0) & np.where(
+            r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
+        )
+        owner[here] = np.where(stops, nodes[here], po)
+        generation[here] = np.repeat(generation[up], 2) + stops
+    stopping = np.flatnonzero(owner == nodes)
+    stopping = stopping[np.argsort(generation[stopping], kind="stable")]
+    children = stopping[1:]
+    escaped = np.bincount(
+        owner[(children + 1) // 2 - 1] - 1, weights=den[children], minlength=n
+    )
+    keys = (stopping + 1).tolist()
+    beta = dict(zip(keys, (den[stopping] - escaped[stopping]).tolist()))
+    ratios = dict(zip(keys, r[stopping].tolist()))
+    gens = generation[stopping]
+    generations = [(stopping[gens == g] + 1).tolist() for g in range(gens[-1] + 1)]
+    return StoppingDecomposition(shape, generations, owner, beta, ratios)
+
+
+def _ref_theorem_check(lam, phi, tol=1e-9):
+    """The one-measure maximal theorem check before the stacked one."""
+    box = carleson_ratios(lam).test_constant
+    assert box <= 1.0 + 1e-9
+    phi_a = as_node_array(lam.shape, phi)
+    m, den = _ref_ratios(lam, phi_a)
+    _ancestor_sums_inplace(lam.shape.depth, m, np.maximum)
+    lhs = float((den**2 * m**2).sum())
+    rhs = float((phi_a**2 * lam.masses).sum())
+    dec = _ref_stopping_decomposition(lam, phi_a)
+    bound = 8.0 * sum(dec.ratios[h] ** 2 * dec.beta[h] for h in dec.beta)
+    return MaximalReport(
+        lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0 else 0.0,
+        passed=lhs <= 32.0 * rhs + tol,
+        stopping_bound=float(bound), stopping_bound_ok=lhs <= bound + tol,
+        one_box_constant=float(box), decomposition=dec,
+    )
+
+
+def _ref_node_items(table, n):
+    keys = np.fromiter(table, dtype=np.int64, count=len(table))
+    values = np.fromiter(table.values(), dtype=float, count=len(table))
+    inside = (keys >= 1) & (keys <= n)
+    return keys[inside], values[inside], bool(inside.all())
+
+
+def _ref_invariants(dec, lam, phi, tol=1e-12):
+    """The one-measure invariant check before the stacked one, as a dict."""
+    shape = lam.shape
+    n = shape.node_count
+    r, den = _ref_ratios(lam, phi)
+    m = r.copy()
+    _ancestor_sums_inplace(shape.depth, m, np.maximum)
+    owner = np.array(dec.owner, dtype=np.int64)
+    if owner.shape != (n,):
+        owner = np.zeros(n, dtype=np.int64)
+    owners_in_tree = bool(np.all((owner >= 1) & (owner <= n)))
+    owner[(owner < 1) | (owner > n)] = 0
+    stop, beta, keys_in_tree = _ref_node_items(dec.beta, n)
+    is_stop = np.zeros(n + 1, dtype=bool)
+    is_stop[stop] = True
+    sizes = np.bincount(owner, minlength=n + 1)
+    listed = [h for g in dec.generations for h in g]
+    partition_ok = bool(
+        dec.beta and keys_in_tree and owners_in_tree
+        and dec.generations[:1] == [[1]]
+        and not sizes[~is_stop].any() and sizes[stop].all()
+        and len(listed) == len(set(listed)) and set(listed) == set(dec.beta)
+    )
+    nodes = np.arange(1, n + 1)
+    parent_owner = np.concatenate(([0], owner[nodes[1:] // 2 - 1]))
+    owner_consistent = owners_in_tree and np.array_equal(
+        owner, np.where(is_stop[1:], nodes, parent_owner)
+    )
+    later = np.array([h for g in dec.generations[1:] for h in g], dtype=np.int64)
+    later = later[(later >= 2) & (later <= n)]
+    pred = owner[later // 2 - 1]
+    escaped = np.bincount(pred, weights=den[later - 1], minlength=n + 1)[stop]
+    region_margin = float(np.max(escaped - 0.5 * den[stop - 1], initial=-np.inf))
+    beta_values = np.zeros(n)
+    beta_values[stop - 1] = beta
+    beta_sums = subtree_sums(shape.depth, beta_values)
+    beta_margin = np.abs(beta - (den[stop - 1] - escaped)).max(initial=-np.inf)
+    beta_sum_margin = float(max(beta_margin, (beta_sums - den).max()))
+    r0 = np.concatenate(([0.0], r))
+    recorded = r0.copy()
+    ratio_keys, ratio_values, _ = _ref_node_items(dec.ratios, n)
+    recorded[ratio_keys] = ratio_values
+    r_p, r_j = recorded[pred], r[later - 1]
+    zero = r_p == 0.0
+    chain_margin = float(np.max(2.0 * r_p[~zero] - r_j[~zero], initial=-np.inf))
+    owner_ratio = r0[owner] if dec.beta else np.zeros_like(r)
+    ratio_margin = float((r - 2.0 * owner_ratio).max())
+    maximal_margin = float((m - 2.0 * owner_ratio).max())
+    keep = den[stop - 1] > 0
+    pos = stop[keep] - 1
+    values = np.zeros(n)
+    values[pos] = beta[keep] * (shape.lengths()[pos] / den[pos]) ** 2
+    alpha_constant = float(alpha_test_constant(lam, AlphaSequence(shape, values)).constant)
+    return dict(
+        partition_ok=partition_ok,
+        owner_consistent=owner_consistent,
+        region_mass_ok=bool(region_margin <= tol),
+        region_mass_margin=region_margin,
+        beta_sum_ok=bool(beta_sum_margin <= tol),
+        beta_sum_margin=beta_sum_margin,
+        chain_ok=bool(np.all(r_j[zero] > 0.0) and chain_margin <= tol),
+        chain_margin=chain_margin,
+        ownership_ratio_ok=bool(ratio_margin <= tol),
+        ownership_ratio_margin=ratio_margin,
+        maximal_ratio_ok=bool(maximal_margin <= tol),
+        maximal_ratio_margin=maximal_margin,
+        alpha_test_ok=alpha_constant <= 1.0 + 1e-9,
+        alpha_test_constant=alpha_constant,
+    )
+
+
+def _ref_maximal_trial(mu, phi, tol=1e-9):
+    """The CLI's per-trial loop body: box rescaling, theorem check, invariants."""
+    box = carleson_ratios(mu).test_constant
+    if box > 1.0:
+        mu = mu.scaled(1.0 / box)
+    report = _ref_theorem_check(mu, phi, tol)
+    return mu, report, _ref_invariants(report.decomposition, mu, phi)
+
+
+def _same_value(got, want):
+    """Equal values, floats and arrays bit for bit."""
+    if isinstance(want, np.ndarray):
+        return _same_bits(np.asarray(got), want)
+    if isinstance(want, float):
+        return isinstance(got, float) and _same_bits(np.float64(got), np.float64(want))
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(
+            _same_value(got[k], want[k]) for k in want
+        )
+    return type(got) is type(want) and got == want
+
+
+def _same_fields(got, want):
+    return all(_same_value(getattr(got, f.name), getattr(want, f.name))
+               for f in dataclasses.fields(want))
+
+
+def _same_decomposition(got, want):
+    return (got.generations == want.generations
+            and _same_bits(np.ascontiguousarray(got.owner), want.owner)
+            and _same_value(got.beta, want.beta)
+            and _same_value(got.ratios, want.ratios))
+
+
+def _same_report(got, want):
+    return (all(_same_value(getattr(got, f.name), getattr(want, f.name))
+                for f in dataclasses.fields(want) if f.name != "decomposition")
+            and _same_decomposition(got.decomposition, want.decomposition))
+
+
+def _same_invariants(got, want):
+    failures = [name for flag, name in maximal._INVARIANTS.items() if not want[flag]]
+    return got.failures == failures and all(
+        _same_value(getattr(got, name), value) for name, value in want.items()
+    )
+
+
+BUDGETS = [1, 20, 2000, carleson.BATCH_ENTRIES]
+
+
+def _maximal_jobs(shape):
+    """Zero, point, uniform, random and sparse measures in both support
+    modes, each with random, zero and sparse nonnegative phi."""
+    rng = np.random.default_rng(shape.depth)
+    sparse = random_node_values(rng, shape, nonneg=True, density=0.2)
+    phis = [random_node_values(rng, shape, nonneg=True), np.zeros(shape.node_count), sparse]
+    measures = _tree_stack(shape, BOUNDARY_ONLY) + _tree_stack(shape, ALL_NODES)
+    return [(mu, phi) for mu in measures for phi in phis]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("depth", range(9))
+def test_stacked_maximal_checks_match_per_trial_loop(depth, budget, monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+    jobs = _maximal_jobs(build_tree(depth))
+    checks = list(maximal_checks(jobs))
+    assert len(checks) == len(jobs)
+    for (mu, phi), check in zip(jobs, checks):
+        scaled, report, invariants = _ref_maximal_trial(mu, phi)
+        assert check.measure is mu and check.phi is phi
+        assert _same_bits(check.measure.scaled(check.scale).masses, scaled.masses)
+        assert _same_report(check.report, report)
+        assert _same_invariants(check.invariants, invariants)
+        # the one-measure entry points are stacks of one
+        assert _same_report(maximal_theorem_check(scaled, phi), report)
+        assert _same_decomposition(stopping_decomposition(scaled, phi), report.decomposition)
+        assert _same_invariants(
+            verify_stopping_invariants(report.decomposition, scaled, phi), invariants
+        )
+
+
+def _certify_jobs(shape):
+    """Zero, point, uniform, random and sparse grids, each with signed,
+    constant and nonnegative phi."""
+    rng = np.random.default_rng(sum(shape.depths))
+    phis = [rng.normal(size=shape.cell_grid), np.ones(shape.cell_grid),
+            random_cell_values(rng, shape, nonneg=True)]
+    return [(BiMeasure(shape, cells), phi) for cells in _bitree_stack(shape) for phi in phis]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4)])
+def test_stacked_certificates_match_per_trial_loop(depths, budget, monkeypatch):
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+    jobs = _certify_jobs(build_bitree(*depths))
+    checks = list(unit_box_certificates(jobs))
+    assert len(checks) == len(jobs)
+    for (mu, phi), check in zip(jobs, checks):
+        scale, want = _ref_certify_trial(mu, phi)
+        assert check.measure is mu and check.phi is phi
+        assert _same_value(check.scale, scale)
+        assert _same_fields(check.certificate, want)
+        normalized, _ = normalized_to_unit_onebox(mu)
+        assert _same_fields(bitree_bellman_certify(normalized, phi), want)
+
+
+def _spoiled_kernel(real, spoil, trial):
+    """``real`` stack kernel with the result of the ``trial``-th job spoiled."""
+    seen = []
+
+    def kernel(*args, **kwargs):
+        results = real(*args, **kwargs)
+        start = len(seen)
+        seen.extend(results)
+        if start <= trial < len(seen):
+            results[trial - start] = spoil(results[trial - start])
+        return results
+
+    return kernel
+
+
+@pytest.mark.parametrize("argv, kernel, spoil, draw, per_trial", [
+    ("maximal-verify --depth 3 --trials 9 --seed 5", (maximal, "_theorem_checks"),
+     lambda r: dataclasses.replace(r, passed=False), "random_tree_measure", 15),
+    ("bitree-certify --depths 1,1 --trials 9 --seed 5", (bitree, "_certificates"),
+     lambda c: dataclasses.replace(c, global_ok=False), "random_bimeasure", 9),
+])
+def test_failure_inside_a_stack_stops_the_rows_there(argv, kernel, spoil, draw, per_trial,
+                                                     monkeypatch, tmp_path):
+    out = tmp_path / "report.json"
+    argv = argv.split() + ["--out", str(out)]
+    assert run_command(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    real = getattr(*kernel)
+    outcomes = []
+    # stacks of one, then of 3 trials: trial 4 sits in the middle of the second
+    for budget, draws in ((1, 5), (3 * per_trial, 6)):
+        monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+        monkeypatch.setattr(*kernel, _spoiled_kernel(real, spoil, 4))
+        drawn = []
+        real_draw = getattr(instances, draw)
+        monkeypatch.setattr(instances, draw,
+                            lambda *a, **k: drawn.append(1) or real_draw(*a, **k))
+        assert run_command(argv) == 2
+        monkeypatch.setattr(instances, draw, real_draw)
+        report = json.loads(out.read_text())
+        counterexample = json.loads((tmp_path / "report.json.counterexample.json").read_text())
+        assert [row["trial"] for row in report["rows"]] == list(range(5))
+        assert report["rows"][:4] == rows[:4] and counterexample["trial"] == 4
+        assert not report["passed"] and not counterexample["passed"]
+        # the stack after the failing trial is never drawn
+        assert len(drawn) == draws
+        outcomes.append((out.read_bytes(), counterexample))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_corrupted_owner_fails_only_its_trial():
+    shape = build_tree(5)
+    jobs = [(random_tree_measure(seed, shape), random_node_values(seed, shape, nonneg=True))
+            for seed in range(6)]
+    checks = list(maximal_checks(jobs))
+    masses = np.stack([c.measure.scaled(c.scale).masses for c in checks], axis=-1)
+    phis = [phi for _, phi in jobs]
+    decs = [c.report.decomposition for c in checks]
+    owner = np.array(decs[3].owner)
+    owner[-1] = 0  # not a node
+    decs[3] = StoppingDecomposition(shape, decs[3].generations, owner,
+                                    decs[3].beta, decs[3].ratios)
+    reports = maximal._invariant_reports(shape, masses, phis, decs, 1e-12)
+    for k, (report, check) in enumerate(zip(reports, checks)):
+        if k == 3:
+            assert {"partition", "owner-consistency"} <= set(report.failures)
+            scaled = check.measure.scaled(check.scale)
+            assert _same_invariants(report, _ref_invariants(decs[3], scaled, phis[3]))
+        else:
+            assert report.ok and report == check.invariants
+
+
+def test_errors_surface_at_their_trial():
+    # a stack computes all its trials, but raises a trial's error only when
+    # the loop over the jobs reaches it, as the per-trial loop did
+    tree = build_tree(3)
+    lam, phi = random_tree_measure(1, tree), random_node_values(1, tree, nonneg=True)
+    for bad, error in ((-phi, ValidationError), (phi[:3], ValidationError)):
+        results = maximal_checks([(lam, phi), (lam, bad), (lam, phi)])
+        assert _same_report(next(results).report, _ref_maximal_trial(lam, phi)[1])
+        with pytest.raises(error):
+            next(results)
+    shape = build_bitree(1, 1)
+    mu, ones = random_bimeasure(3, shape), np.ones(shape.cell_grid)
+    huge = BiMeasure(shape, np.full(shape.cell_grid, 1e308))  # box constant NaN
+    for job, error in (((mu, np.ones((3, 3))), ShapeMismatchError),
+                       ((mu, np.full(shape.cell_grid, np.nan)), ValidationError),
+                       ((huge, ones), ValidationError)):
+        results = unit_box_certificates([(mu, ones), job, (mu, ones)])
+        with np.errstate(all="ignore"):
+            assert _same_fields(next(results).certificate, _ref_certify_trial(mu, ones)[1])
+            with pytest.raises(error):
+                next(results)
+
+
+def test_box_constants_fail_as_the_per_trial_ratios_did():
+    # a non-finite test ratio raised where the per-trial loop built its ratios
+    tree = build_tree(2)
+    lam, phi = random_tree_measure(1, tree), np.ones(tree.node_count)
+    huge = TreeMeasure(tree, np.full(tree.node_count, 1e200))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValidationError, match="non-finite value inf"):
+            maximal_theorem_check(huge, phi)
+        results = maximal_checks([(lam, phi), (huge, phi)])
+        next(results)
+        with pytest.raises(ValidationError, match="non-finite value inf"):
+            next(results)

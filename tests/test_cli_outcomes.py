@@ -72,14 +72,19 @@ def _spoil_pair(result):
 # a batched function yields one result per trial and is spoiled from the
 # given trial on, counted over all its calls; any other function is spoiled
 # from the given call on.  tree-embed checks its one measure with
-# embedding_pair_check, tree-test its trials with embedding_pair_checks.
+# embedding_pair_check, tree-test its trials with embedding_pair_checks;
+# maximal-verify, bitree-certify and the bi-tree certify solve theirs, one
+# or many, with maximal_checks and unit_box_certificates.
 SPOILERS = {
     "pair": [(carleson, "embedding_pair_check", _spoil_pair, False),
              (carleson, "embedding_pair_checks", _spoil_pair, True)],
-    "maximal": [(maximal, "maximal_theorem_check",
-                 lambda r: dataclasses.replace(r, passed=False), False)],
-    "bitree-cert": [(bitree, "bitree_bellman_certify",
-                     lambda r: dataclasses.replace(r, global_ok=False), False)],
+    "maximal": [(maximal, "maximal_checks",
+                 lambda c: c._replace(report=dataclasses.replace(c.report, passed=False)),
+                 True)],
+    "bitree-cert": [(bitree, "unit_box_certificates",
+                     lambda c: c._replace(certificate=dataclasses.replace(
+                         c.certificate, global_ok=False)),
+                     True)],
     "tree-cert": [(bellman, "certify_tree_embedding",
                    lambda r: dataclasses.replace(r, ok=False), False)],
     "embedding": [(bitree, "bi_embedding_constant",

@@ -297,9 +297,10 @@ def test_check_and_invariants_share_tree_passes(monkeypatch):
         monkeypatch.setattr(module, "subtree_sums", counted)
     report = maximal_theorem_check(lam, phi)
     assert verify_stopping_invariants(report.decomposition, lam, phi).ok
-    # the check: box constant 2, ratios 2, decomposition 2; the invariants:
-    # ratios 2, beta sums 1, weighted test constant 2
-    assert len(calls) == 11
+    # the check: box constant 2, ratios 2 (which the decomposition shares);
+    # the invariants: ratios 2, beta sums 1, weighted test constant 1 (its
+    # box masses are the subtree masses of the ratios)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("seed", range(10))
