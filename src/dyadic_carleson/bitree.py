@@ -490,20 +490,25 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
                 deviations.append(np.abs(work[1::2] + work[2::2] - work[:internal])
                                   .max(axis=(0, 2)).tolist())
 
+    # each array is reduced per trial once complete, and freed when done
+    trials = range(len(cells))
     gain = SQ - 0.5 * (_child_pair_sums(SQ, 1) + _child_pair_sums(SQ, 2)) - M**2
+    gain_margins = [float(gain[k].min()) for k in trials]
+    del gain
     G1sq = G1**2
+    weighted = areas * G1sq
+    lhs = [float(weighted[k].sum()) for k in trials]
+    del weighted
     W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
     childW = _child_pair_sums(W, 1) + _child_pair_sums(W, 2)
     slacks = W - childW - 0.25 * areas * G1sq
+    del G1sq
+    min_slacks = [float(slacks[k].min()) for k in trials]
+    nets = [float(W[k].sum() - childW[k].sum()) for k in trials]
+    del childW
     absW = np.abs(W)
-    telescope = [
-        (float(W[k].sum() - childW[k].sum()),
-         float(W[k, 0, 0] - W[k, 1:, 1:].sum()),
-         max(1.0, float(absW[k].sum())))
-        for k in range(len(cells))
-    ]
+    scales = [max(1.0, float(absW[k].sum())) for k in trials]
     del absW
-    weighted = areas * G1sq
 
     for k, error in enumerate(results):
         if error:
@@ -513,11 +518,7 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
             deviation = max(deviation, dev[k])
         # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
         magnitude = max(1.0, float(M[k, 0, 0]), float(G2[k, 0, 0]))
-        gain_margin = float(gain[k].min())
-        min_slack = float(slacks[k].min())
-        net, expected, scale = telescope[k]
-        telescope_deviation = abs(net - expected)
-        lhs_total = float(weighted[k].sum())
+        telescope_deviation = abs(nets[k] - float(W[k, 0, 0] - W[k, 1:, 1:].sum()))
         rhs_total = float(G2[k, 0, 0])
         upper = 4.0 * rhs_total
         results[k] = BiTreeCertificate(
@@ -530,16 +531,16 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
             slacks=slacks[k],
             martingale_deviation=deviation,
             martingale_ok=deviation <= 1e-12 * magnitude,
-            gain_margin=gain_margin,
-            gain_ok=gain_margin >= -1e-12,
-            min_slack=min_slack,
-            slack_ok=min_slack >= -tol,
+            gain_margin=gain_margins[k],
+            gain_ok=gain_margins[k] >= -1e-12,
+            min_slack=min_slacks[k],
+            slack_ok=min_slacks[k] >= -tol,
             telescope_deviation=telescope_deviation,
-            telescope_ok=telescope_deviation <= tol * scale,
-            lhs_total=lhs_total,
+            telescope_ok=telescope_deviation <= tol * scales[k],
+            lhs_total=lhs[k],
             rhs_total=rhs_total,
             upper_bound=upper,
-            global_ok=lhs_total <= upper + tol * max(1.0, upper),
+            global_ok=lhs[k] <= upper + tol * max(1.0, upper),
         )
     return results
 

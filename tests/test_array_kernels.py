@@ -817,17 +817,18 @@ def test_one_box_constants_draw_lazily(monkeypatch):
     "tree-test --depth 2 --trials 7 --seed 3 --support all-nodes --format csv",
     "bitree-onebox --depths 2,1 --trials 9 --seed 3",
     "gap-probe --depths 1,2 --trials 9 --seed 4 --optimizer random",
-    "maximal-verify --depth 2 --trials 9 --seed 5",
-    "bitree-certify --depths 1,2 --trials 9 --seed 6 --format csv",
+    # two golden cases that fit in one stack at the default budget
+    "maximal-verify --depth 3 --trials 40 --seed 20",
+    "bitree-certify --depths 2,3 --trials 5 --seed 18 --format csv",
 ])
 def test_reports_do_not_depend_on_batch_size(argv, monkeypatch, tmp_path):
     out = tmp_path / "report"
     reports = []
-    for budget in (carleson.BATCH_ENTRIES, 1, 20, 40):
+    for budget in (carleson.BATCH_ENTRIES, 1, 20, 40, 300):
         monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
         assert run_command(argv.split() + ["--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert reports[1:] == reports[:1] * 3
+    assert reports[1:] == reports[:1] * 4
 
 
 def test_maximal_checks_and_certificates_draw_lazily(monkeypatch):
