@@ -460,10 +460,11 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
     stack with its phi, or the error it raises.
 
-    The arrays of the whole stack are computed at once, and exact min/max
-    reductions run over the stack.  Every sum runs on one trial's own
-    slice, so each certificate equals the one-trial computation bit for
-    bit.  A trial's box-constant error comes before its phi error.
+    The arrays of the whole stack are computed at once, and the deviation
+    maxima run over the stack.  Every min and sum of a certificate runs on
+    one trial's own slice, so each certificate equals the one-trial
+    computation bit for bit.  A trial's box-constant error comes before
+    its phi error.
     """
     M = _rect_integrals(shape, cells)
     SQ = _box_sums(shape, M)

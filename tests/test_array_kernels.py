@@ -718,22 +718,22 @@ def test_batches_of_none_and_of_one():
     assert list(maximal_checks([])) == []
 
 
-@pytest.mark.parametrize("budget", [1, carleson.BATCH_ENTRIES])
-def test_stacks_take_one_shape(budget, monkeypatch):
-    # the shape of the first measure binds every stack, whatever their size
-    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+def test_stacks_take_one_shape(monkeypatch):
     trees = [random_tree_measure(1, build_tree(2)), random_tree_measure(1, build_tree(3))]
     grids = [random_bimeasure(1, build_bitree(1, 2)), random_bimeasure(1, build_bitree(2, 1))]
     with pytest.raises(ShapeMismatchError):
         embedding_constants(trees)
-    with pytest.raises(ShapeMismatchError):
-        list(embedding_pair_checks(trees))
-    with pytest.raises(ShapeMismatchError):
-        list(one_box_constants(grids))
-    with pytest.raises(ShapeMismatchError):
-        list(unit_box_certificates((mu, np.ones(mu.shape.cell_grid)) for mu in grids))
-    with pytest.raises(ShapeMismatchError):
-        list(maximal_checks((mu, np.ones(mu.shape.node_count)) for mu in trees))
+    # the shape of the first measure binds every stack, whatever their size
+    for budget in (carleson.BATCH_ENTRIES, 1):
+        monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+        with pytest.raises(ShapeMismatchError):
+            list(embedding_pair_checks(trees))
+        with pytest.raises(ShapeMismatchError):
+            list(one_box_constants(grids))
+        with pytest.raises(ShapeMismatchError):
+            list(unit_box_certificates((mu, np.ones(mu.shape.cell_grid)) for mu in grids))
+        with pytest.raises(ShapeMismatchError):
+            list(maximal_checks((mu, np.ones(mu.shape.node_count)) for mu in trees))
 
 
 @pytest.mark.parametrize("depths", SET_TEST_DEPTHS + [(3, 3), (4, 2), (5, 5)])
