@@ -266,27 +266,36 @@ class OneBoxResult(NamedTuple):
     argmax_rect: tuple[int, int]
 
 
-def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
+def _largest_ratios(ratios: np.ndarray) -> list:
     """Largest ratio of each rectangle array along the leading axes.
 
-    The first largest in row-major order wins, as in ``np.argmax``.
+    The first largest in row-major order wins, as in ``np.argmax``.  This
+    is the bi-tree family's one check for non-finite ratios: an array
+    with one gives, in place of its result, a ``ValidationError`` that
+    names its first such rectangle.
     """
     cols = ratios.shape[-1]
     flat = ratios.reshape(-1, ratios.shape[-2] * cols)
-    return [
+    results: list = [
         OneBoxResult(float(flat[k, b]), (b // cols + 1, b % cols + 1))
         for k, b in enumerate(flat.argmax(axis=1).tolist())
     ]
+    for k in np.flatnonzero(~np.isfinite(flat).all(axis=1)):
+        b = int(np.flatnonzero(~np.isfinite(flat[k]))[0])
+        results[k] = ValidationError(
+            f"rectangle {(b // cols + 1, b % cols + 1)}: non-finite box ratio {flat[k, b]}"
+        )
+    return results
 
 
 def one_box_constant(mu: BiMeasure) -> OneBoxResult:
     """Largest rectangle-wise Carleson ratio and where it is attained."""
-    [result] = _largest_ratios(one_box_ratios(mu))
+    [result] = _results(_one_box_results(mu.shape, mu.cells[None]))
     return result
 
 
-def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult]:
-    """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack."""
+def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list:
+    """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack, or its error."""
     return _largest_ratios(_one_box_ratios(shape, _rect_integrals(shape, cells)))
 
 
@@ -295,21 +304,20 @@ def one_box_constants(measures: Iterable[BiMeasure]) -> Iterator[OneBoxResult]:
     stacks of about ``carleson.BATCH_ENTRIES`` cells; all measures take the
     shape of the first."""
     for shape, batch in _shape_batches(measures, lambda shape: shape.cell_count):
-        yield from _one_box_results(shape, np.stack([mu.cells for mu in batch]))
+        yield from _results(_one_box_results(shape, np.stack([mu.cells for mu in batch])))
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
     """Scale so the box constant becomes exactly 1; zero measure passes through."""
-    [scale] = _unit_box_scales(mu.shape, mu.cells[None])
+    constant = one_box_constant(mu).constant
+    scale = 1.0 / constant if constant else 1.0
     return (mu, 1.0) if scale == 1.0 else (mu.scaled(scale), scale)
 
 
-def _unit_box_scales(shape: BiTreeShape, cells: np.ndarray) -> list[float]:
-    """The factor that scales each grid of a stack to box constant 1, else 1.0."""
-    return [1.0 / c if c else 1.0 for c, _ in _one_box_results(shape, cells)]
-
-
-def _box_error(result: OneBoxResult, tol: float = 1e-9) -> PreconditionError | None:
+def _box_error(result, tol: float = 1e-9) -> CarlesonError | None:
+    """The error of a :func:`_largest_ratios` result, or None when it is at most 1."""
+    if isinstance(result, CarlesonError):
+        return result
     if not result.constant > 1.0 + tol:
         return None
     return PreconditionError(
@@ -437,20 +445,16 @@ def unit_box_certificates(
     the first.  Each certificate equals the one-measure computation, and an
     error is raised when the loop over the jobs reaches its measure.
     """
-    batches = _shape_batches(jobs, lambda shape: shape.rect_count, itemgetter(0))
-    for shape, batch in batches:
+    for shape, batch in _shape_batches(jobs, lambda shape: shape.rect_count, itemgetter(0)):
         cells = np.stack([mu.cells for mu, _ in batch])
-        scales = _unit_box_scales(shape, cells)
+        boxes = _one_box_results(shape, cells)
+        # a trial whose box constant failed is zeroed until its error is raised
+        scales = [0.0 if isinstance(box, CarlesonError) else 1.0 / box.constant
+                  if box.constant else 1.0 for box in boxes]
         cells *= np.array(scales)[:, None, None]
-        # a NaN box constant makes the scaled measure invalid
-        invalid = [k for k, scale in enumerate(scales) if math.isnan(scale)]
-        cells[invalid] = 0.0
         certs = _certificates(shape, cells, [phi for _, phi in batch], tol)
-        for k in invalid:
-            try:
-                batch[k][0].scaled(scales[k])
-            except CarlesonError as exc:
-                certs[k] = exc
+        certs = [box if isinstance(box, CarlesonError) else cert
+                 for box, cert in zip(boxes, certs)]
         for (mu, phi), scale, cert in zip(batch, scales, _results(certs)):
             yield UnitBoxCertificate(mu, phi, scale, cert)
 
@@ -881,7 +885,7 @@ def _random_cells(rng: np.random.Generator, shape: BiTreeShape) -> np.ndarray:
 
 def _probe_values(shape: BiTreeShape, cells: np.ndarray) -> list[tuple]:
     """``(gap, one-box, embedding)`` of each grid of a ``(trials, rows, cols)`` stack."""
-    boxes = [result.constant for result in _one_box_results(shape, cells)]
+    boxes = [result.constant for result in _results(_one_box_results(shape, cells))]
     positive = [k for k, box in enumerate(boxes) if box != 0.0]
     values = [(0.0, 0.0, 0.0)] * len(boxes)
     solutions = _bi_embedding_values(shape.depths, cells[positive])

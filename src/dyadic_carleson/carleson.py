@@ -124,11 +124,35 @@ def _test_ratios(depth: int, masses: np.ndarray) -> np.ndarray:
 
 def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
     """Test ratios at every node, the test constant and its argmax node."""
-    ratios = _test_ratios(mu.shape.depth, mu.masses)
-    arg = int(np.argmax(ratios))
-    return CarlesonRatios(
-        NodeVector(mu.shape, ratios), float(ratios[arg]), arg + 1
-    )
+    ratios = _test_ratios(mu.shape.depth, mu.masses[:, None])
+    [test] = _results(_test_constants(mu.shape, ratios))
+    return CarlesonRatios(NodeVector(mu.shape, ratios[:, 0]), *test)
+
+
+def _weighted_ratios(shape: TreeShape, box: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Weighted test ratios of ``(nodes, trials)`` box masses and weights."""
+    averages = box * np.exp2(shape.depths().astype(float))[:, None]
+    averages **= 2
+    averages *= alpha
+    return _safe_ratio(subtree_sums(shape.depth, averages), box)
+
+
+def _test_constants(shape: TreeShape, ratios: np.ndarray) -> list:
+    """Largest ratio of each trial of ``(nodes, trials)`` ratios, and its node.
+
+    This is the tree family's one check for non-finite ratios: a trial
+    with one gets, in place of its result, the error that a
+    :class:`NodeVector` of its ratios raises.
+    """
+    arg = ratios.argmax(axis=0)
+    values = ratios[arg, np.arange(ratios.shape[1])].tolist()
+    results: list = [AlphaTestResult(v, a + 1) for v, a in zip(values, arg.tolist())]
+    for k in np.flatnonzero(~np.isfinite(ratios).all(axis=0)):
+        try:
+            NodeVector(shape, ratios[:, k])
+        except CarlesonError as exc:
+            results[k] = exc
+    return results
 
 
 def alpha_test_constant(lam: TreeMeasure, alpha: AlphaSequence) -> AlphaTestResult:
@@ -143,13 +167,10 @@ def alpha_test_constant(lam: TreeMeasure, alpha: AlphaSequence) -> AlphaTestResu
             f"alpha built for depth {alpha.shape.depth}, "
             f"measure for depth {lam.shape.depth}"
         )
-    depth = lam.shape.depth
-    box = subtree_sums(depth, lam.masses)
-    averages = box * np.exp2(lam.shape.depths().astype(float))
-    num = subtree_sums(depth, alpha.values * averages**2)
-    values = _safe_ratio(num, box)
-    arg = int(np.argmax(values))
-    return AlphaTestResult(float(values[arg]), arg + 1)
+    box = subtree_sums(lam.shape.depth, lam.masses[:, None])
+    ratios = _weighted_ratios(lam.shape, box, alpha.values[:, None])
+    [result] = _results(_test_constants(lam.shape, ratios))
+    return result
 
 
 def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
@@ -253,6 +274,9 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
             image = y[lo:hi]
             current = float(x[lo:hi].dot(image))
             norm = math.sqrt(image.dot(image))
+            if norm == math.inf:  # the squares overflow, not the entries
+                peak = float(np.abs(image).max())
+                norm = peak * float(np.linalg.norm(image / peak))
             if norm == 0.0:
                 results[k] = (0.0, iteration, True)
                 stopped.append(pos)
@@ -284,21 +308,27 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
     return results
 
 
-def _embedding_values(depth: int, masses: np.ndarray, tol: float,
-                      max_iter: int) -> list[tuple[float, int, bool]]:
-    """Power iteration of the Gram operator of each row of ``masses``.
+def _embedding_reports(shape: TreeShape, measures: Sequence[TreeMeasure],
+                       tol: float = 1e-12, max_iter: int = 100_000) -> list:
+    """:func:`embedding_constant` of each measure of one shape, or its error.
 
-    ``masses`` holds one measure per row.  The active trials share one
-    ``(nodes, trials)`` array: their stacked ``sqrt(mu) * g`` is
-    scattered into it, both tree passes run along its leading axis, and
-    the result is gathered back.  A measure without support gets
-    ``(0.0, 0, True)``.
+    The test ratios come from one pass pair over the ``(nodes, trials)``
+    stack of masses; a trial whose ratios fail the check is zeroed.  The
+    active trials with support share one ``(nodes, active)`` array: their
+    stacked ``sqrt(mu) * g`` is scattered into it, both tree passes run
+    along its leading axis, and the result is gathered back.  A measure
+    without support gets ``(0.0, 0, True)``.
     """
-    trials, nodes = masses.shape
-    node = np.flatnonzero(masses)  # trial * nodes + node, trial by trial
+    depth = shape.depth
+    masses = np.stack([mu.masses for mu in measures], axis=-1)
+    tests = _test_constants(shape, _test_ratios(depth, masses))
+    masses[:, [isinstance(test, CarlesonError) for test in tests]] = 0.0
+    nodes, trials = masses.shape
+    by_trial = np.ravel(masses, order="F")
+    node = np.flatnonzero(by_trial)  # trial * nodes + node, trial by trial
     bounds = np.searchsorted(node, np.arange(trials + 1) * nodes)
     sizes = np.diff(bounds)
-    sqrt_m = np.sqrt(masses.reshape(-1)[node])
+    sqrt_m = np.sqrt(by_trial[node])
     bounds = bounds.tolist()
     for k in range(1, trials):  # down to the node numbers of each trial
         node[bounds[k] : bounds[k + 1]] -= k * nodes
@@ -306,20 +336,15 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
 
     def operator(rows: list[int]):
         picked = [solved[r] for r in rows]
-        if len(picked) == 1:
-            # a lone trial takes a 1-D array, which the passes walk faster
-            [k] = picked
-            weights = sqrt_m[bounds[k] : bounds[k + 1]]
-            index = node[bounds[k] : bounds[k + 1]]
-            full = np.empty(nodes)
-        else:
+        weights, at = sqrt_m, node
+        if len(picked) < len(solved):  # some rows stopped: keep the others' entries
             member = np.zeros(trials, dtype=bool)
             member[picked] = True
             keep = np.repeat(member, sizes)
-            weights = sqrt_m[keep]
-            slots = np.repeat(np.arange(len(picked)), sizes[picked])
-            index = node[keep] * len(picked) + slots
-            full = np.empty((nodes, len(picked)))
+            weights, at = sqrt_m[keep], node[keep]
+        index = at * len(picked)
+        index += np.repeat(np.arange(len(picked)), sizes[picked])
+        full = np.empty((nodes, len(picked)))
         flat = full.reshape(-1)
 
         def apply(g: np.ndarray) -> np.ndarray:
@@ -331,12 +356,15 @@ def _embedding_values(depth: int, masses: np.ndarray, tol: float,
 
         return apply
 
-    results = [(0.0, 0, True)] * trials
     offsets = [bounds[k] for k in solved] + [node.size]
-    solutions = _power_iteration(operator, np.ones(node.size), offsets, tol, max_iter)
-    for k, solution in zip(solved, solutions):
-        results[k] = solution
-    return results
+    solutions = dict(zip(solved, _power_iteration(operator, np.ones(node.size), offsets,
+                                                  tol, max_iter)))
+    reports = []
+    for k, test in enumerate(tests):
+        value, iterations, converged = solutions.get(k, (0.0, 0, True))
+        reports.append(test if isinstance(test, CarlesonError) else EmbeddingReport(
+            test.constant, value, test.argmax_node, iterations, converged))
+    return reports
 
 
 def embedding_constant(
@@ -349,15 +377,11 @@ def embedding_constant(
     the support; its kernel is ``sqrt(mu_p mu_q)`` times the number of
     common ancestors of p and q.  Iteration starts from the all-ones
     vector and stops once successive Rayleigh quotients agree to ``tol``
-    relatively (twice in a row, to dodge spurious plateaus).
+    relatively (twice in a row, to dodge spurious plateaus).  A stack of
+    one of :func:`embedding_constants`.
     """
-    ratios = carleson_ratios(mu)
-    [(value, iterations, converged)] = _embedding_values(
-        mu.shape.depth, mu.masses[None], tol, max_iter
-    )
-    return EmbeddingReport(
-        ratios.test_constant, value, ratios.argmax_node, iterations, converged
-    )
+    [report] = embedding_constants([mu], tol, max_iter)
+    return report
 
 
 def embedding_constants(
@@ -377,15 +401,7 @@ def embedding_constants(
             raise ShapeMismatchError(
                 f"measures built for depths {shape.depth} and {mu.shape.depth}"
             )
-    masses = np.stack([mu.masses for mu in measures])
-    ratios = _test_ratios(shape.depth, masses.T)
-    argmax = ratios.argmax(axis=0)
-    tests = ratios[argmax, np.arange(len(measures))]
-    solutions = _embedding_values(shape.depth, masses, tol, max_iter)
-    return [
-        EmbeddingReport(float(test), value, int(arg) + 1, iterations, converged)
-        for test, arg, (value, iterations, converged) in zip(tests, argmax, solutions)
-    ]
+    return list(_results(_embedding_reports(shape, measures, tol, max_iter)))
 
 
 def embedding_constant_dense(mu: TreeMeasure) -> float:
@@ -449,8 +465,8 @@ def embedding_pair_checks(
     """:func:`embedding_pair_check` of each measure, drawn and solved lazily
     as :func:`embedding_constants` stacks of about ``BATCH_ENTRIES`` masses.
     All measures take the shape of the first."""
-    for _, batch in _shape_batches(measures, lambda shape: shape.node_count):
-        for report, mu in zip(embedding_constants(batch), batch):
+    for shape, batch in _shape_batches(measures, lambda shape: shape.node_count):
+        for report, mu in zip(_results(_embedding_reports(shape, batch)), batch):
             yield _pair_check(report, mu, rel_tol)
 
 

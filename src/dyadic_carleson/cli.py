@@ -362,6 +362,7 @@ def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
 
 def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
     [(mu, _)] = _instances(args, cfg, "bitree")
+    one_box = bitree.one_box_constant(mu).constant  # rejects an overflowing measure first
     result = bitree.set_test_constant(
         mu, args.strategy, k=args.k, trials=cfg.trials, seed=cfg.seed
     )
@@ -373,7 +374,7 @@ def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
         "witness": result.witness,
         "embedding_constant": embedding.value,
         "embedding_converged": embedding.converged,
-        "one_box_constant": bitree.one_box_constant(mu).constant,
+        "one_box_constant": one_box,
         "passed": passed,
     }
     failure = None if passed else {

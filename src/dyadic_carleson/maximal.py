@@ -30,7 +30,9 @@ from .carleson import (
     _results,
     _safe_ratio,
     _shape_batches,
+    _test_constants,
     _test_ratios,
+    _weighted_ratios,
 )
 from .errors import CarlesonError, PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
@@ -60,26 +62,16 @@ def _ratios(depth: int, masses: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray
     return _safe_ratio(num, den), den
 
 
-def _trials(values: np.ndarray) -> np.ndarray:
-    """``(trials, nodes)`` view of a ``(nodes,)`` or ``(nodes, trials)`` array."""
-    return values.reshape(len(values), -1).T
-
-
-def _per_node(values: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Node values shaped to broadcast against the trials of ``like``."""
-    return values.reshape(values.shape + (1,) * (like.ndim - 1))
-
-
-def _gathered(shape: TreeShape, phis: list, like: np.ndarray, results: list) -> np.ndarray:
-    """The phis as node arrays laid out like ``like``, one trial per column.
+def _gathered(shape: TreeShape, phis: list, results: list) -> np.ndarray:
+    """The phis as one ``(nodes, trials)`` array.
 
     A phi that :func:`as_node_array` rejects reads zero, and its error
     goes to ``results`` unless the trial already has one.
     """
-    out = np.zeros(like.shape)
+    out = np.zeros((shape.node_count, len(phis)))
     for k, phi in enumerate(phis):
         try:
-            _trials(out)[k] = as_node_array(shape, phi)
+            out[:, k] = as_node_array(shape, phi)
         except CarlesonError as exc:
             results[k] = results[k] or exc
     return out
@@ -155,10 +147,10 @@ def stopping_decomposition(
     against its parent's owner or inherits that owner.  ``beta`` and
     ``ratios`` list the vertices generation by generation, sorted.
     """
-    phi_a = as_node_array(lam.shape, phi)
+    phi_a = as_node_array(lam.shape, phi)[:, None]
     if not allow_signed and np.any(phi_a < 0):
         raise ValidationError(_SIGNED_PHI)
-    [dec] = _decompositions(lam.shape, *_ratios(lam.shape.depth, lam.masses, phi_a))
+    [dec] = _decompositions(lam.shape, *_ratios(lam.shape.depth, lam.masses[:, None], phi_a))
     return dec
 
 
@@ -169,16 +161,16 @@ def _decompositions(shape: TreeShape, r: np.ndarray,
                     den: np.ndarray) -> list[StoppingDecomposition]:
     """The stopping decomposition of each trial of subtree ratios and masses.
 
-    ``r`` and ``den`` are ``(nodes,)`` for one trial or ``(nodes, trials)``;
-    the sweep runs over all trials at once.  The stopping vertices of all
-    trials are then sorted by trial, generation and node, so each trial's
-    ``escaped`` masses add up in the order a lone trial adds them.
+    ``r`` and ``den`` are ``(nodes, trials)``; the sweep runs over all
+    trials at once.  The stopping vertices of all trials are then sorted
+    by trial, generation and node, so each trial's ``escaped`` masses add
+    up in the order a lone trial adds them.
     """
     n = shape.node_count
     nodes = np.arange(1, n + 1, dtype=np.int64)
     owner = np.ones(r.shape, dtype=np.int64)
     generation = np.zeros(r.shape, dtype=np.int64)
-    column = _per_node(nodes, r)
+    column = nodes[:, None]
     for d in range(1, shape.depth + 1):
         here, up = _level(d), _level(d - 1)
         po = np.repeat(owner[up], 2, axis=0)
@@ -191,15 +183,15 @@ def _decompositions(shape: TreeShape, r: np.ndarray,
         owner[here] = np.where(stops, column[here], po)
         generation[here] = np.repeat(generation[up], 2, axis=0) + stops
 
-    owners = np.ascontiguousarray(_trials(owner))
+    owners = np.ascontiguousarray(owner.T)
     trial, pos = np.nonzero(owners == nodes)
-    gen = _trials(generation)[trial, pos]
+    gen = generation.T[trial, pos]
     order = np.argsort(trial * (shape.depth + 1) + gen, kind="stable")
     trial, pos, gen = trial[order], pos[order], gen[order]
     # every trial's first vertex is the root; the others are its children
     child = pos > 0
     up = owners[trial[child], (pos[child] + 1) // 2 - 1] - 1
-    den_t, r_t = _trials(den), _trials(r)
+    den_t, r_t = den.T, r.T
     count = len(owners)
     escaped = np.bincount(trial[child] * n + up, weights=den_t[trial[child], pos[child]],
                           minlength=count * n)
@@ -272,20 +264,19 @@ def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence
     the subtree mass.
     """
     keys, beta, _ = _node_items(dec.beta, lam.shape.node_count)
-    den = subtree_sums(lam.shape.depth, lam.masses)
+    den = subtree_sums(lam.shape.depth, lam.masses[:, None])
     trial = np.zeros(len(keys), dtype=np.int64)
-    return AlphaSequence(lam.shape, _alpha_weights(lam.shape, trial, keys, beta, den))
+    return AlphaSequence(lam.shape, _alpha_weights(lam.shape, trial, keys, beta, den)[:, 0])
 
 
 def _alpha_weights(shape: TreeShape, trial: np.ndarray, keys: np.ndarray,
                    beta: np.ndarray, den: np.ndarray) -> np.ndarray:
     """:func:`derived_alpha` weights of ``beta`` at vertices ``keys`` of
-    trials ``trial``, laid out like the subtree masses ``den``."""
-    den_t = _trials(den)
-    keep = den_t[trial, keys - 1] > 0
+    trials ``trial``, laid out like the ``(nodes, trials)`` subtree masses ``den``."""
+    keep = den[keys - 1, trial] > 0
     trial, pos = trial[keep], keys[keep] - 1
     values = np.zeros(den.shape)
-    _trials(values)[trial, pos] = beta[keep] * (shape.lengths()[pos] / den_t[trial, pos]) ** 2
+    values[pos, trial] = beta[keep] * (shape.lengths()[pos] / den[pos, trial]) ** 2
     return values
 
 
@@ -299,26 +290,27 @@ def verify_stopping_invariants(
     masses are recomputed from ``lam`` and ``phi``.  Owners that are not
     nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
     """
-    [report] = _results(_invariant_reports(lam.shape, lam.masses, [phi], [dec], tol))
+    phi_a = as_node_array(lam.shape, phi)[:, None]
+    [report] = _results(_invariant_reports(lam.shape, lam.masses[:, None], phi_a, [dec], tol))
     return report
 
 
-def _invariant_reports(shape: TreeShape, masses: np.ndarray, phis: list,
+def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
                        decs: list, tol: float) -> list:
     """:func:`verify_stopping_invariants` of each trial, or the error it raises.
 
-    ``masses`` is ``(nodes,)`` for one trial or ``(nodes, trials)``; a
-    trial whose decomposition is None is skipped.  Ratios and masses are
-    recomputed here from the masses and phis.  Per-vertex values of all
-    trials sit in one flat array of ``nodes + 1`` slots per trial (slot 0
-    stands for "not a node"); the owner-grouped sums add each trial's
-    values in its own order, and the margins are maxima per trial.
+    ``masses`` and ``phi`` are ``(nodes, trials)``; a trial whose
+    decomposition is None is skipped.  Ratios and masses are recomputed
+    here from the masses and phi.  Per-vertex values of all trials sit in
+    one flat array of ``nodes + 1`` slots per trial (slot 0 stands for
+    "not a node"); the owner-grouped sums add each trial's values in its
+    own order, and the margins are maxima per trial.
     """
     n, count = shape.node_count, len(decs)
     slots = n + 1
     results = [None] * count
-    r, den = _ratios(shape.depth, masses, _gathered(shape, phis, masses, results))
-    r_t, den_t = _trials(r), _trials(den)
+    r, den = _ratios(shape.depth, masses, phi)
+    r_t, den_t = r.T, den.T
 
     owners = np.zeros((count, n), dtype=np.int64)
     listed_ok = np.zeros(count, dtype=bool)
@@ -385,9 +377,9 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phis: list,
     region_margin = largest(stop_trial, escaped - 0.5 * den_stop)
 
     beta_values = np.zeros(den.shape)
-    _trials(beta_values)[stop_trial, stop - 1] = beta
+    beta_values[stop - 1, stop_trial] = beta
     beta_margin = largest(stop_trial, np.abs(beta - (den_stop - escaped)))
-    sums_margin = _trials(subtree_sums(shape.depth, beta_values) - den).max(axis=1)
+    sums_margin = (subtree_sums(shape.depth, beta_values) - den).max(axis=0)
     del beta_values
 
     # each node's owner's ratio, 0 for "not a node" and without stopping vertices
@@ -408,21 +400,18 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phis: list,
     ratio_margin = (r_t - 2.0 * owner_ratio).max(axis=1)
     m = r  # the running maximum takes r over, which is not read after this
     _ancestor_sums_inplace(shape.depth, m, np.maximum)
-    maximal_margin = (_trials(m) - 2.0 * owner_ratio).max(axis=1)
+    maximal_margin = (m.T - 2.0 * owner_ratio).max(axis=1)
     del m, r, r_t, owner_ratio
 
     alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
-    alpha_t = _trials(alpha)
-    for k in np.flatnonzero(~(np.isfinite(alpha_t) & (alpha_t >= 0)).all(axis=1)):
+    for k in np.flatnonzero(~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)):
         try:
-            AlphaSequence(shape, alpha_t[k].copy())
+            AlphaSequence(shape, alpha[:, k].copy())
         except CarlesonError as exc:
             results[k] = results[k] or exc
-        alpha_t[k] = 0.0
+        alpha[:, k] = 0.0
     # the weighted test constant of carleson.alpha_test_constant
-    alpha *= (den * _per_node(np.exp2(shape.depths().astype(float)), den)) ** 2
-    weighted = _safe_ratio(subtree_sums(shape.depth, alpha), den)
-    alpha_constants = _trials(weighted).max(axis=1)
+    alpha_constants = _weighted_ratios(shape, den, alpha).max(axis=0)
 
     for k, dec in enumerate(decs):
         if dec is None or results[k]:
@@ -478,36 +467,40 @@ def maximal_theorem_check(
     constant of Lam to be at most 1; rescale first (both sides are
     homogeneous, quadratic against linear, so this costs nothing).
     """
-    [report] = _results(_theorem_checks(lam.shape, lam.masses, [phi], tol, allow_signed))
+    phi_errors = [None]
+    phi_a = _gathered(lam.shape, [phi], phi_errors)
+    [report] = _results(_theorem_checks(lam.shape, lam.masses[:, None], phi_a, phi_errors,
+                                        tol, allow_signed))
     return report
 
 
-def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float,
-                    allow_signed: bool) -> list:
+def _theorem_checks(shape: TreeShape, masses: np.ndarray, phi: np.ndarray, phi_errors: list,
+                    tol: float, allow_signed: bool) -> list:
     """:func:`maximal_theorem_check` of each trial, or the error it raises.
 
-    ``masses`` is ``(nodes,)`` for one trial or ``(nodes, trials)``.  The
-    tree passes and the stopping sweep run over all trials at once; the
-    sums of ``lhs`` and ``rhs`` run on each trial's own contiguous row.
+    ``masses`` and ``phi`` are ``(nodes, trials)``; a trial's box-constant
+    errors come before its error in ``phi_errors``, if its phi failed to
+    gather.  The tree passes and the stopping sweep run over all trials at
+    once; the sums of ``lhs`` and ``rhs`` run on each trial's own contiguous row.
     """
     depth = shape.depth
-    results = [None] * len(phis)
-    boxes = _box_constants(shape, masses, results)
+    boxes = _test_constants(shape, _test_ratios(depth, masses))
+    results = [box if isinstance(box, CarlesonError) else None for box in boxes]
     for k, box in enumerate(boxes):
-        if box > 1.0 + 1e-9:
-            results[k] = results[k] or PreconditionError(
-                f"box constant {box:.12g} exceeds 1; scale the measure by "
-                f"1/{box:.12g} first"
+        if not results[k] and box.constant > 1.0 + 1e-9:
+            results[k] = PreconditionError(
+                f"box constant {box.constant:.12g} exceeds 1; scale the measure by "
+                f"1/{box.constant:.12g} first"
             )
-    phi = _gathered(shape, phis, masses, results)
+        results[k] = results[k] or phi_errors[k]
     if not allow_signed:
-        for k in np.flatnonzero((_trials(phi) < 0).any(axis=1)):
+        for k in np.flatnonzero((phi < 0).any(axis=0)):
             results[k] = results[k] or ValidationError(_SIGNED_PHI)
     r, den = _ratios(depth, masses, phi)
     m = r.copy()
     _ancestor_sums_inplace(depth, m, np.maximum)
-    lhs = [float(row.sum()) for row in np.ascontiguousarray(_trials(den**2 * m**2))]
-    rhs = [float(row.sum()) for row in np.ascontiguousarray(_trials(phi**2 * masses))]
+    lhs = [float(row.sum()) for row in np.ascontiguousarray((den**2 * m**2).T)]
+    rhs = [float(row.sum()) for row in np.ascontiguousarray((phi**2 * masses).T)]
     del m
     for k, dec in enumerate(_decompositions(shape, r, den)):
         if results[k]:
@@ -520,7 +513,7 @@ def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float
             passed=lhs[k] <= 32.0 * rhs[k] + tol,
             stopping_bound=float(bound),
             stopping_bound_ok=lhs[k] <= bound + tol,
-            one_box_constant=boxes[k],
+            one_box_constant=boxes[k].constant,
             decomposition=dec,
         )
     return results
@@ -543,40 +536,23 @@ def maximal_checks(
 
     The jobs are drawn and solved lazily as stacks of about
     ``carleson.BATCH_ENTRIES`` masses; all measures take the shape of the
-    first.  A lone job keeps one-dimensional arrays.  Each result equals
-    the one-measure computation, and an error is raised when the loop
-    over the jobs reaches its measure.
+    first.  Each phi is gathered once per stack for both checks.  Each
+    result equals the one-measure computation, and an error is raised
+    when the loop over the jobs reaches its measure.
     """
     for shape, batch in _shape_batches(jobs, lambda shape: shape.node_count,
                                        itemgetter(0)):
         masses = np.stack([mu.masses for mu, _ in batch], axis=-1)
-        if len(batch) == 1:
-            masses = masses[:, 0]  # a lone trial: 1-D arrays, which the passes walk faster
-        errors = [None] * len(batch)
-        boxes = _box_constants(shape, masses, errors)
+        boxes = _test_constants(shape, _test_ratios(shape.depth, masses))
+        errors = [box if isinstance(box, CarlesonError) else None for box in boxes]
         # a trial whose box constant failed is zeroed until its error is raised
-        scales = [0.0 if error else 1.0 / box if box > 1.0 else 1.0
+        scales = [0.0 if error else 1.0 / box.constant if box.constant > 1.0 else 1.0
                   for box, error in zip(boxes, errors)]
         masses *= np.array(scales)
-        phis = [phi for _, phi in batch]
-        reports = _theorem_checks(shape, masses, phis, tol, allow_signed=False)
+        phi = _gathered(shape, [phi for _, phi in batch], errors)
+        reports = _theorem_checks(shape, masses, phi, errors, tol, allow_signed=False)
         decs = [None if isinstance(r, CarlesonError) else r.decomposition for r in reports]
-        invariants = _invariant_reports(shape, masses, phis, decs, 1e-12)
-        for k, (mu, phi) in enumerate(batch):
-            report, invariant = _results([errors[k] or reports[k], invariants[k]])
-            yield MaximalCheck(mu, phi, scales[k], report, invariant)
-
-
-def _box_constants(shape: TreeShape, masses: np.ndarray, results: list) -> list[float]:
-    """The test constant of each trial, as :func:`carleson.carleson_ratios` gives it.
-
-    A trial with a non-finite ratio gets the error ``carleson_ratios``
-    raises.
-    """
-    ratios = _trials(_test_ratios(shape.depth, masses))
-    for k in np.flatnonzero(~np.isfinite(ratios).all(axis=1)):
-        try:
-            NodeVector(shape, ratios[k])
-        except CarlesonError as exc:
-            results[k] = results[k] or exc
-    return ratios.max(axis=1).tolist()
+        invariants = _invariant_reports(shape, masses, phi, decs, 1e-12)
+        for k, (mu, phi_k) in enumerate(batch):
+            report, invariant = _results([reports[k], invariants[k]])
+            yield MaximalCheck(mu, phi_k, scales[k], report, invariant)

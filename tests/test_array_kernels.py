@@ -32,6 +32,7 @@ from dyadic_carleson import (
     ALL_NODES,
     BOUNDARY_ONLY,
     BiMeasure,
+    CarlesonError,
     PreconditionError,
     ShapeMismatchError,
     TreeMeasure,
@@ -44,6 +45,7 @@ from dyadic_carleson import (
     carleson_ratios,
     cell_point_mass,
     embedding_constant,
+    embedding_constant_dense,
     embedding_constants,
     embedding_pair_check,
     embedding_pair_checks,
@@ -1213,7 +1215,7 @@ def test_corrupted_owner_fails_only_its_trial():
     owner[-1] = 0  # not a node
     decs[3] = StoppingDecomposition(shape, decs[3].generations, owner,
                                     decs[3].beta, decs[3].ratios)
-    reports = maximal._invariant_reports(shape, masses, phis, decs, 1e-12)
+    reports = maximal._invariant_reports(shape, masses, np.stack(phis, axis=-1), decs, 1e-12)
     for k, (report, check) in enumerate(zip(reports, checks)):
         if k == 3:
             assert {"partition", "owner-consistency"} <= set(report.failures)
@@ -1258,3 +1260,68 @@ def test_box_constants_fail_as_the_per_trial_ratios_did():
         next(results)
         with pytest.raises(ValidationError, match="non-finite value inf"):
             next(results)
+
+
+# ---------------------------------------------------------------------------
+# overflow: a lone call and its stack fail alike
+# ---------------------------------------------------------------------------
+
+
+def _raised(call):
+    """The class and message of the library error that ``call()`` raises."""
+    with pytest.raises(CarlesonError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("budget", [1, carleson.BATCH_ENTRIES])
+def test_overflowing_trial_fails_in_a_stack_as_alone(budget, monkeypatch):
+    # trial 1 of 3 overflows its squared box masses; trial 0 still gives its
+    # normal result, and trial 1 raises the lone call's error
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+    tree = build_tree(2)
+    lam, phi = random_tree_measure(1, tree), random_node_values(1, tree, nonneg=True)
+    huge = TreeMeasure(tree, np.full(tree.node_count, 1e200))
+    shape = build_bitree(1, 1)
+    mu, ones = random_bimeasure(3, shape), np.ones(shape.cell_grid)
+    bi_huge = BiMeasure(shape, np.full(shape.cell_grid, 1e200))
+    with np.errstate(all="ignore"):
+        pairs = embedding_pair_checks([lam, huge, lam])
+        assert next(pairs).report == embedding_constant(lam)
+        assert _raised(lambda: next(pairs)) == _raised(lambda: embedding_constant(huge))
+
+        boxes = one_box_constants([mu, bi_huge, mu])
+        assert next(boxes) == one_box_constant(mu)
+        assert _raised(lambda: next(boxes)) == _raised(lambda: one_box_constant(bi_huge))
+
+        checks = maximal_checks([(lam, phi), (huge, phi), (lam, phi)])
+        first = next(checks)
+        assert _same_report(first.report, maximal_theorem_check(lam.scaled(first.scale), phi))
+        assert (_raised(lambda: next(checks))
+                == _raised(lambda: maximal_theorem_check(huge, phi)))
+
+        certs = unit_box_certificates([(mu, ones), (bi_huge, ones), (mu, ones)])
+        first = next(certs)
+        assert _same_fields(first.certificate,
+                            bitree_bellman_certify(mu.scaled(first.scale), ones))
+        assert (_raised(lambda: next(certs))
+                == _raised(lambda: bitree_bellman_certify(bi_huge, ones)))
+        assert "node" in _raised(lambda: embedding_constant(huge))[1]
+        assert "rectangle" in _raised(lambda: one_box_constant(bi_huge))[1]
+
+
+def test_power_iteration_rescales_an_overflowing_norm():
+    # finite entries whose squares overflow: the norm is large, not infinite
+    tree = build_tree(3)
+    lam = leaf_point_mass(tree, tree.first_leaf, 5e153)
+    with np.errstate(over="ignore"):
+        report = embedding_constant(lam)
+    assert report.test_constant == pytest.approx(2e154, rel=1e-12)
+    assert report.converged and report.iterations > 2
+    assert report.embedding_constant == pytest.approx(embedding_constant_dense(lam),
+                                                      rel=1e-9)
+    mu = BiMeasure(build_bitree(1, 1), np.full((2, 2), 1e200))
+    with np.errstate(over="ignore"):
+        bi = bi_embedding_constant(mu)
+    assert bi.converged and bi.iterations > 2
+    assert bi.value == pytest.approx(bi_embedding_constant_dense(mu), rel=1e-9)

@@ -231,6 +231,47 @@ def test_integer_overflow_is_an_input_error(capsys, tmp_path):
     assert "masses[7]: integer outside the double range" in err
 
 
+_OVERFLOWING = {
+    "tree": TreeMeasure(build_tree(2), np.full(7, 1e200)),
+    "bitree": BiMeasure(build_bitree(1, 1), np.full((2, 2), 1e200)),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("tree-embed", "tree"),
+    ("maximal-verify", "tree"),
+    ("certify", "tree"),
+    ("bitree-onebox", "bitree"),
+    ("bitree-settest", "bitree"),
+    ("bitree-certify", "bitree"),
+    ("certify", "bitree"),
+])
+def test_overflowing_measure_is_an_input_error(command, kind, capsys, tmp_path):
+    # finite masses whose squared box masses overflow: no report, no counterexample
+    path, out = tmp_path / "huge.json", tmp_path / "report.json"
+    save_measure(_OVERFLOWING[kind], path)
+    with np.errstate(all="ignore"):
+        code, stdout, err = _run(capsys, command, "--in", str(path), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ")
+    assert ("node values[0]" if kind == "tree" else "rectangle (1, 1)") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+def test_overflowing_norm_is_no_counterexample(capsys, tmp_path):
+    # one leaf of 5e153: c_test is 2e154 and the sandwich holds
+    tree = build_tree(3)
+    masses = np.zeros(tree.node_count)
+    masses[tree.first_leaf - 1] = 5e153
+    path = tmp_path / "leaf.json"
+    save_measure(TreeMeasure(tree, masses, "boundary-only"), path)
+    with np.errstate(over="ignore"):
+        code, out, _ = _run(capsys, "tree-embed", "--in", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["converged"]
+    assert report["c_emb"] == pytest.approx(report["c_test"], rel=1e-9)
+
+
 @pytest.mark.parametrize("data", [
     b'{"kind": "tree", "depth": 0, "masses": [1' + b"0" * 5000 + b"]}",
     b'{"kind": "tree\xff", "depth": 0, "masses": [1]}',

@@ -1,11 +1,13 @@
-"""Every module-level import of a package module is used by that module.
+"""Every module-level import and private helper of the package is used.
 
 pyflakes and ruff are not dependencies, so this walks each module of
 ``src/dyadic_carleson`` (not ``__init__.py``, whose imports are the
 public surface) with ``ast``.  A name bound by a top-level import counts
 as used when the module reads it as a name, names it in ``__all__``, or
 names it in a string annotation.  ``from __future__`` imports are
-compiler directives and are skipped.
+compiler directives and are skipped.  A module-level function or class
+whose name starts with one underscore must be read, as a name or as an
+attribute, somewhere in the package outside its own definition.
 """
 
 import ast
@@ -83,3 +85,56 @@ def test_finds_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 2: system"]
+
+
+def _private_definitions(module: ast.Module):
+    """Module-level functions and classes whose names start with one underscore."""
+    for node in module.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read or attributes taken in ``tree``, outside the subtree ``skip``."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level helpers that no module references outside their own body."""
+    modules = {name: ast.parse(source) for name, source in sources.items()}
+    unused = []
+    for name, module in modules.items():
+        for node in _private_definitions(module):
+            if not any(node.name in _references(other, skip=node)
+                       for other in modules.values()):
+                unused.append(f"{name}: {node.name}")
+    return unused
+
+
+def test_private_helpers_are_referenced():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_helpers(sources) == []
+
+
+def test_finds_an_unreferenced_helper():
+    sources = {
+        "a.py": (
+            "def _used(n):\n    return _used(n - 1) if n else 0\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+            "class _Unused:\n    pass\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+        ),
+        "b.py": "from . import a\nvalue = a._used(3)\n",
+    }
+    assert unreferenced_helpers(sources) == ["a.py: _recursive", "a.py: _Unused"]
