@@ -125,18 +125,14 @@ def bellman_value(p: BellmanPoint, tol: float = DOMAIN_TOL) -> float:
     return 4.0 * (p.F - min(p.f * p.f / s, p.F * (max(p.v, 0.0) / s)))
 
 
-def bellman_values(F, f, A, v, scale: float = 4.0) -> np.ndarray:
-    """Vectorized B over coordinate arrays; no domain validation.
-
-    ``scale = 1`` gives the unscaled variant used by the bi-tree
-    certificate.
-    """
+def bellman_values(F, f, A, v) -> np.ndarray:
+    """Vectorized B over coordinate arrays; no domain validation."""
     F = np.asarray(F, dtype=float)
     f = np.asarray(f, dtype=float)
     s = np.asarray(v, dtype=float) + np.asarray(A, dtype=float)
     ratio = np.zeros(np.broadcast(F, f, s).shape)
     np.divide(f * f, s, out=ratio, where=s > 0)
-    return scale * (F - ratio)
+    return 4.0 * (F - ratio)
 
 
 def bellman_gradient(p: BellmanPoint) -> tuple[float, float, float, float]:

@@ -24,15 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import bellman_values
-from .carleson import _batches, _power_iteration, _results, _safe_ratio, _shape_batches
-from .errors import (
-    CarlesonError,
-    PreconditionError,
-    ShapeMismatchError,
-    SizeError,
-    ValidationError,
-)
+from .carleson import _batches, _power_iteration, _safe_ratio, _stacks, _trial
+from .errors import PreconditionError, ShapeMismatchError, SizeError, ValidationError
 from .tree import MAX_NODES_ENV, TreeShape, _common_ancestors, _size_limit, subtree_sums
 
 __all__ = [
@@ -266,36 +259,46 @@ class OneBoxResult(NamedTuple):
     argmax_rect: tuple[int, int]
 
 
-def _largest_ratios(ratios: np.ndarray) -> list:
+def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
     """Largest ratio of each rectangle array along the leading axes.
 
     The first largest in row-major order wins, as in ``np.argmax``.  This
-    is the bi-tree family's one check for non-finite ratios: an array
-    with one gives, in place of its result, a ``ValidationError`` that
-    names its first such rectangle.
+    is the bi-tree family's one check for non-finite ratios: the first
+    array with one raises, at its trial, a ``ValidationError`` that names
+    its first such rectangle.
     """
     cols = ratios.shape[-1]
     flat = ratios.reshape(-1, ratios.shape[-2] * cols)
-    results: list = [
-        OneBoxResult(float(flat[k, b]), (b // cols + 1, b % cols + 1))
-        for k, b in enumerate(flat.argmax(axis=1).tolist())
-    ]
-    for k in np.flatnonzero(~np.isfinite(flat).all(axis=1)):
+    for k in np.flatnonzero(~np.isfinite(flat).all(axis=1)).tolist():
         b = int(np.flatnonzero(~np.isfinite(flat[k]))[0])
-        results[k] = ValidationError(
-            f"rectangle {(b // cols + 1, b % cols + 1)}: non-finite box ratio {flat[k, b]}"
-        )
-    return results
+        with _trial(k):
+            raise ValidationError(
+                f"rectangle {(b // cols + 1, b % cols + 1)}: non-finite box ratio {flat[k, b]}"
+            )
+    return [OneBoxResult(float(flat[k, b]), (b // cols + 1, b % cols + 1))
+            for k, b in enumerate(flat.argmax(axis=1).tolist())]
+
+
+def _require_unit_box(ratios: np.ndarray) -> None:
+    """:func:`_largest_ratios` of ``ratios``; the first array whose largest
+    ratio exceeds 1 (to 1e-9) raises, at its trial."""
+    for k, box in enumerate(_largest_ratios(ratios)):
+        if box.constant > 1.0 + 1e-9:
+            with _trial(k):
+                raise PreconditionError(
+                    f"box constant {box.constant:.12g} at rectangle {box.argmax_rect} "
+                    f"exceeds 1; scale the measure by 1/{box.constant:.12g} first"
+                )
 
 
 def one_box_constant(mu: BiMeasure) -> OneBoxResult:
     """Largest rectangle-wise Carleson ratio and where it is attained."""
-    [result] = _results(_one_box_results(mu.shape, mu.cells[None]))
+    [result] = _one_box_results(mu.shape, mu.cells[None])
     return result
 
 
-def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list:
-    """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack, or its error."""
+def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult]:
+    """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack."""
     return _largest_ratios(_one_box_ratios(shape, _rect_integrals(shape, cells)))
 
 
@@ -303,8 +306,8 @@ def one_box_constants(measures: Iterable[BiMeasure]) -> Iterator[OneBoxResult]:
     """:func:`one_box_constant` of each measure, drawn and solved lazily as
     stacks of about ``carleson.BATCH_ENTRIES`` cells; all measures take the
     shape of the first."""
-    for shape, batch in _shape_batches(measures, lambda shape: shape.cell_count):
-        yield from _results(_one_box_results(shape, np.stack([mu.cells for mu in batch])))
+    return _stacks(measures, lambda shape, batch: _one_box_results(
+        shape, np.stack([mu.cells for mu in batch])), lambda shape: shape.cell_count)
 
 
 def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
@@ -312,26 +315,6 @@ def normalized_to_unit_onebox(mu: BiMeasure) -> tuple[BiMeasure, float]:
     constant = one_box_constant(mu).constant
     scale = 1.0 / constant if constant else 1.0
     return (mu, 1.0) if scale == 1.0 else (mu.scaled(scale), scale)
-
-
-def _box_error(result, tol: float = 1e-9) -> CarlesonError | None:
-    """The error of a :func:`_largest_ratios` result, or None when it is at most 1."""
-    if isinstance(result, CarlesonError):
-        return result
-    if not result.constant > 1.0 + tol:
-        return None
-    return PreconditionError(
-        f"box constant {result.constant:.12g} at rectangle "
-        f"{result.argmax_rect} exceeds 1; scale the measure by "
-        f"1/{result.constant:.12g} first"
-    )
-
-
-def _require_one_box(ratios: np.ndarray, tol: float = 1e-9) -> None:
-    [result] = _largest_ratios(ratios)
-    error = _box_error(result, tol)
-    if error:
-        raise error
 
 
 @dataclass(frozen=True)
@@ -350,7 +333,7 @@ def cube_embedding_check(
     lhs sums |R| (integral of phi over R)^2 over all rectangles, rhs is
     the integral of phi^2; requires the box constant to be at most 1.
     """
-    _require_one_box(one_box_ratios(mu))
+    _require_unit_box(one_box_ratios(mu))
     phi_grid = _checked_grid(mu.shape, phi, "phi")
     g1 = rect_integrals(mu.shape, phi_grid * mu.cells)
     lhs = float((mu.shape.areas() * g1**2).sum())
@@ -423,7 +406,7 @@ def bitree_bellman_certify(
 
     Raises when the box constant exceeds 1, naming the worst rectangle.
     """
-    [cert] = _results(_certificates(mu.shape, mu.cells[None], [phi], tol))
+    [cert] = _certificates(mu.shape, mu.cells[None], [phi], tol)
     return cert
 
 
@@ -445,40 +428,35 @@ def unit_box_certificates(
     the first.  Each certificate equals the one-measure computation, and an
     error is raised when the loop over the jobs reaches its measure.
     """
-    for shape, batch in _shape_batches(jobs, lambda shape: shape.rect_count, itemgetter(0)):
+    def certificates(shape: BiTreeShape, batch: list) -> list[UnitBoxCertificate]:
         cells = np.stack([mu.cells for mu, _ in batch])
-        boxes = _one_box_results(shape, cells)
-        # a trial whose box constant failed is zeroed until its error is raised
-        scales = [0.0 if isinstance(box, CarlesonError) else 1.0 / box.constant
-                  if box.constant else 1.0 for box in boxes]
+        scales = [1.0 / box.constant if box.constant else 1.0
+                  for box in _one_box_results(shape, cells)]
         cells *= np.array(scales)[:, None, None]
         certs = _certificates(shape, cells, [phi for _, phi in batch], tol)
-        certs = [box if isinstance(box, CarlesonError) else cert
-                 for box, cert in zip(boxes, certs)]
-        for (mu, phi), scale, cert in zip(batch, scales, _results(certs)):
-            yield UnitBoxCertificate(mu, phi, scale, cert)
+        return [UnitBoxCertificate(mu, phi, scale, cert)
+                for (mu, phi), scale, cert in zip(batch, scales, certs)]
+
+    return _stacks(jobs, certificates, lambda shape: shape.rect_count, itemgetter(0))
 
 
 def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
-                  tol: float) -> list:
+                  tol: float) -> list[BiTreeCertificate]:
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
-    stack with its phi, or the error it raises.
+    stack with its phi.
 
     The arrays of the whole stack are computed at once, and the deviation
     maxima run over the stack.  Every min and sum of a certificate runs on
     one trial's own slice, so each certificate equals the one-trial
-    computation bit for bit.  A trial's box-constant error comes before
-    its phi error.
+    computation bit for bit.  The box constants are checked before the phis.
     """
     M = _rect_integrals(shape, cells)
     SQ = _box_sums(shape, M)
-    results = [_box_error(box) for box in _largest_ratios(_safe_ratio(SQ, M))]
-    phi = np.zeros(cells.shape)
+    _require_unit_box(_safe_ratio(SQ, M))
+    phi = np.empty(cells.shape)
     for k, values in enumerate(phis):
-        try:
+        with _trial(k):
             phi[k] = _checked_grid(shape, values, "phi")
-        except CarlesonError as exc:
-            results[k] = results[k] or exc
     G1 = _rect_integrals(shape, phi * cells)
     G2 = _rect_integrals(shape, phi**2 * cells)
     del phi
@@ -504,7 +482,11 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     weighted = areas * G1sq
     lhs = [float(weighted[k].sum()) for k in trials]
     del weighted
-    W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
+    # bellman.bellman_values without its factor 4: G2 - G1^2 / (SQ + M), 0/0 = 0
+    W = M + SQ
+    np.divide(G1sq, W, out=W, where=W > 0)
+    np.subtract(G2, W, out=W)
+    W *= areas
     childW = _child_pair_sums(W, 1) + _child_pair_sums(W, 2)
     slacks = W - childW - 0.25 * areas * G1sq
     del G1sq
@@ -515,9 +497,8 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     scales = [max(1.0, float(absW[k].sum())) for k in trials]
     del absW
 
-    for k, error in enumerate(results):
-        if error:
-            continue
+    results = []
+    for k in trials:
         deviation = 0.0
         for dev in deviations:
             deviation = max(deviation, dev[k])
@@ -526,7 +507,7 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
         telescope_deviation = abs(nets[k] - float(W[k, 0, 0] - W[k, 1:, 1:].sum()))
         rhs_total = float(G2[k, 0, 0])
         upper = 4.0 * rhs_total
-        results[k] = BiTreeCertificate(
+        results.append(BiTreeCertificate(
             shape=shape,
             masses=M[k],
             box_sums=SQ[k],
@@ -546,7 +527,7 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
             rhs_total=rhs_total,
             upper_bound=upper,
             global_ok=lhs[k] <= upper + tol * max(1.0, upper),
-        )
+        ))
     return results
 
 
@@ -604,7 +585,15 @@ def boundary_set_ratio(mu: BiMeasure, member) -> float:
         raise ShapeMismatchError(
             f"expected grid {mu.shape.cell_grid}, got {grid.shape}"
         )
-    return _set_ratio(mu, rect_masses(mu), grid)
+    return _set_ratio(mu, _box_checked_masses(mu), grid)
+
+
+def _box_checked_masses(mu: BiMeasure) -> np.ndarray:
+    """Rectangle masses of ``mu``, which fails as :func:`one_box_constant`
+    fails when its box ratios are not finite."""
+    masses = rect_masses(mu)
+    _largest_ratios(_one_box_ratios(mu.shape, masses))
+    return masses
 
 
 def _row_subset_sums(table: np.ndarray) -> None:
@@ -634,7 +623,7 @@ def _subset_sums(values: np.ndarray) -> None:
     _row_subset_sums(grid)
 
 
-def _exhaustive_set_test(mu: BiMeasure) -> tuple[float, int]:
+def _exhaustive_set_test(mu: BiMeasure, masses: np.ndarray) -> tuple[float, int]:
     shape = mu.shape
     cells = shape.cell_count
     if cells > EXHAUSTIVE_CELL_LIMIT:
@@ -643,9 +632,8 @@ def _exhaustive_set_test(mu: BiMeasure) -> tuple[float, int]:
             f"cells, got {cells}; use {STRATEGY_K_RECT} or {STRATEGY_RANDOM}"
         )
     size = 1 << cells
-    masses = rect_masses(mu).ravel()
     num = np.zeros(size)
-    for mask, m in zip(_rect_cell_masks(shape), masses):
+    for mask, m in zip(_rect_cell_masks(shape), masses.ravel()):
         num[mask] += m * m
     den = np.zeros(size)
     den[1 << np.arange(cells)] = mu.cells.ravel()
@@ -672,14 +660,15 @@ def set_test_constant(
     counted rectangles by the mass of E.  ``exhaustive`` enumerates all
     subsets (at most 16 cells), ``k-rect-unions`` takes unions of up to
     ``k`` rectangle shadows, ``random-downsets`` samples ``trials``
-    random subsets with a seeded generator.
+    random subsets with a seeded generator.  A measure whose box ratios
+    are not finite raises as in :func:`one_box_constant`.
     """
+    masses = _box_checked_masses(mu)
     if strategy == STRATEGY_EXHAUSTIVE:
-        constant, mask = _exhaustive_set_test(mu)
+        constant, mask = _exhaustive_set_test(mu, masses)
         return SetTestResult(constant, _cells_of_mask(mu.shape, mask), strategy)
 
     shape = mu.shape
-    masses = rect_masses(mu)
     best = 0.0
     best_member = np.zeros(shape.cell_grid, dtype=bool)
     if strategy == STRATEGY_K_RECT:
@@ -885,7 +874,7 @@ def _random_cells(rng: np.random.Generator, shape: BiTreeShape) -> np.ndarray:
 
 def _probe_values(shape: BiTreeShape, cells: np.ndarray) -> list[tuple]:
     """``(gap, one-box, embedding)`` of each grid of a ``(trials, rows, cols)`` stack."""
-    boxes = [result.constant for result in _results(_one_box_results(shape, cells))]
+    boxes = [result.constant for result in _one_box_results(shape, cells)]
     positive = [k for k, box in enumerate(boxes) if box != 0.0]
     values = [(0.0, 0.0, 0.0)] * len(boxes)
     solutions = _bi_embedding_values(shape.depths, cells[positive])

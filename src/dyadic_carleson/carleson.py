@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,7 +126,7 @@ def _test_ratios(depth: int, masses: np.ndarray) -> np.ndarray:
 def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
     """Test ratios at every node, the test constant and its argmax node."""
     ratios = _test_ratios(mu.shape.depth, mu.masses[:, None])
-    [test] = _results(_test_constants(mu.shape, ratios))
+    [test] = _test_constants(mu.shape, ratios)
     return CarlesonRatios(NodeVector(mu.shape, ratios[:, 0]), *test)
 
 
@@ -137,22 +138,19 @@ def _weighted_ratios(shape: TreeShape, box: np.ndarray, alpha: np.ndarray) -> np
     return _safe_ratio(subtree_sums(shape.depth, averages), box)
 
 
-def _test_constants(shape: TreeShape, ratios: np.ndarray) -> list:
+def _test_constants(shape: TreeShape, ratios: np.ndarray) -> list[AlphaTestResult]:
     """Largest ratio of each trial of ``(nodes, trials)`` ratios, and its node.
 
-    This is the tree family's one check for non-finite ratios: a trial
-    with one gets, in place of its result, the error that a
+    This is the tree family's one check for non-finite ratios: the first
+    trial with one raises, at its trial, the error that a
     :class:`NodeVector` of its ratios raises.
     """
     arg = ratios.argmax(axis=0)
     values = ratios[arg, np.arange(ratios.shape[1])].tolist()
-    results: list = [AlphaTestResult(v, a + 1) for v, a in zip(values, arg.tolist())]
-    for k in np.flatnonzero(~np.isfinite(ratios).all(axis=0)):
-        try:
+    for k in np.flatnonzero(~np.isfinite(ratios).all(axis=0)).tolist():
+        with _trial(k):
             NodeVector(shape, ratios[:, k])
-        except CarlesonError as exc:
-            results[k] = exc
-    return results
+    return [AlphaTestResult(v, a + 1) for v, a in zip(values, arg.tolist())]
 
 
 def alpha_test_constant(lam: TreeMeasure, alpha: AlphaSequence) -> AlphaTestResult:
@@ -169,7 +167,7 @@ def alpha_test_constant(lam: TreeMeasure, alpha: AlphaSequence) -> AlphaTestResu
         )
     box = subtree_sums(lam.shape.depth, lam.masses[:, None])
     ratios = _weighted_ratios(lam.shape, box, alpha.values[:, None])
-    [result] = _results(_test_constants(lam.shape, ratios))
+    [result] = _test_constants(lam.shape, ratios)
     return result
 
 
@@ -206,14 +204,30 @@ def _batches(items: Iterable, entries: Callable) -> Iterator[list]:
         yield [first, *itertools.islice(items, more)]
 
 
-def _shape_batches(items: Iterable, entries: Callable,
-                   measure: Callable = lambda item: item) -> Iterator[tuple]:
-    """``(shape, batch)`` over :func:`_batches` of items that carry measures.
+@contextmanager
+def _trial(k: int) -> Iterator[None]:
+    """Tag a library error raised in the block as the error of trial ``k``
+    of its stack, for :func:`_stacks`."""
+    try:
+        yield
+    except CarlesonError as exc:
+        exc.trial = k
+        raise
+
+
+def _stacks(items: Iterable, kernel: Callable, entries: Callable,
+            measure: Callable = lambda item: item) -> Iterator:
+    """The results of ``kernel(shape, batch)`` over :func:`_batches` of items
+    that carry measures, one result per item.
 
     ``measure(item)`` is the measure of an item and ``entries(shape)`` its
     size.  Every measure must have the shape of the first one, across all
     stacks: another shape raises ``ShapeMismatchError`` when its stack is
-    drawn, whatever the stack size.
+    drawn, whatever the stack size.  A kernel raises the error of a failing
+    trial under :func:`_trial`; the kernel then runs again on the items
+    before that trial until a run succeeds, its results are yielded, and
+    the last error is raised.  So each error surfaces when the loop over the
+    items reaches its trial, and only the error path pays for the re-runs.
     """
     shape = None
     for batch in _batches(items, lambda item: entries(measure(item).shape)):
@@ -223,15 +237,17 @@ def _shape_batches(items: Iterable, entries: Callable,
                 raise ShapeMismatchError(
                     f"measures built for shapes {shape} and {measure(item).shape}"
                 )
-        yield shape, batch
-
-
-def _results(outcomes: Iterable) -> Iterator:
-    """Each outcome in turn; an outcome that is an error is raised instead."""
-    for outcome in outcomes:
-        if isinstance(outcome, CarlesonError):
-            raise outcome
-        yield outcome
+        results, error = None, None
+        while results is None:
+            try:
+                results = kernel(shape, batch) if batch else []
+            except CarlesonError as exc:
+                if not hasattr(exc, "trial"):
+                    raise
+                batch, error = batch[: exc.trial], exc
+        yield from results
+        if error:
+            raise error
 
 
 def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
@@ -248,10 +264,11 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
 
     Each row stops once successive Rayleigh quotients agree to ``tol``
     relatively twice in a row (to dodge spurious plateaus), or with value
-    0 when its image is the zero vector, or unconverged after
-    ``max_iter`` iterations.  Its quotient and norm are ``ndarray.dot``
-    of its own contiguous slice, so a row's outcome does not depend on
-    the rest of the stack.  Returns ``(value, iterations, converged)``
+    0 when its image is the zero vector, or unconverged with value NaN
+    when its image is not finite, or unconverged after ``max_iter``
+    iterations.  Its quotient and norm are ``ndarray.dot`` of its own
+    contiguous slice, so a row's outcome does not depend on the rest of
+    the stack.  Returns ``(value, iterations, converged)``
     per row.
     """
     count = len(offsets) - 1
@@ -277,8 +294,9 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
             if norm == math.inf:  # the squares overflow, not the entries
                 peak = float(np.abs(image).max())
                 norm = peak * float(np.linalg.norm(image / peak))
-            if norm == 0.0:
-                results[k] = (0.0, iteration, True)
+            if not 0.0 < norm < math.inf:  # a zero image, or one that overflowed
+                converged = norm == 0.0
+                results[k] = (0.0 if converged else math.nan, iteration, converged)
                 stopped.append(pos)
                 continue
             image /= norm
@@ -309,20 +327,18 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
 
 
 def _embedding_reports(shape: TreeShape, measures: Sequence[TreeMeasure],
-                       tol: float = 1e-12, max_iter: int = 100_000) -> list:
-    """:func:`embedding_constant` of each measure of one shape, or its error.
+                       tol: float = 1e-12, max_iter: int = 100_000) -> list[EmbeddingReport]:
+    """:func:`embedding_constant` of each measure of one shape.
 
     The test ratios come from one pass pair over the ``(nodes, trials)``
-    stack of masses; a trial whose ratios fail the check is zeroed.  The
-    active trials with support share one ``(nodes, active)`` array: their
-    stacked ``sqrt(mu) * g`` is scattered into it, both tree passes run
-    along its leading axis, and the result is gathered back.  A measure
-    without support gets ``(0.0, 0, True)``.
+    stack of masses.  The trials with support share one ``(nodes, active)``
+    array: their stacked ``sqrt(mu) * g`` is scattered into it, both tree
+    passes run along its leading axis, and the result is gathered back.  A
+    measure without support gets ``(0.0, 0, True)``.
     """
     depth = shape.depth
     masses = np.stack([mu.masses for mu in measures], axis=-1)
     tests = _test_constants(shape, _test_ratios(depth, masses))
-    masses[:, [isinstance(test, CarlesonError) for test in tests]] = 0.0
     nodes, trials = masses.shape
     by_trial = np.ravel(masses, order="F")
     node = np.flatnonzero(by_trial)  # trial * nodes + node, trial by trial
@@ -362,8 +378,8 @@ def _embedding_reports(shape: TreeShape, measures: Sequence[TreeMeasure],
     reports = []
     for k, test in enumerate(tests):
         value, iterations, converged = solutions.get(k, (0.0, 0, True))
-        reports.append(test if isinstance(test, CarlesonError) else EmbeddingReport(
-            test.constant, value, test.argmax_node, iterations, converged))
+        reports.append(EmbeddingReport(test.constant, value, test.argmax_node, iterations,
+                                       converged))
     return reports
 
 
@@ -377,31 +393,25 @@ def embedding_constant(
     the support; its kernel is ``sqrt(mu_p mu_q)`` times the number of
     common ancestors of p and q.  Iteration starts from the all-ones
     vector and stops once successive Rayleigh quotients agree to ``tol``
-    relatively (twice in a row, to dodge spurious plateaus).  A stack of
-    one of :func:`embedding_constants`.
+    relatively (twice in a row, to dodge spurious plateaus).  The stack
+    kernel of :func:`embedding_constants`, on a stack of one.
     """
-    [report] = embedding_constants([mu], tol, max_iter)
+    [report] = _embedding_reports(mu.shape, [mu], tol, max_iter)
     return report
 
 
 def embedding_constants(
-    measures: Sequence[TreeMeasure], tol: float = 1e-12, max_iter: int = 100_000
+    measures: Iterable[TreeMeasure], tol: float = 1e-12, max_iter: int = 100_000
 ) -> list[EmbeddingReport]:
-    """:func:`embedding_constant` of each measure, solved as one stack.
+    """:func:`embedding_constant` of each measure, solved as stacks of about
+    ``BATCH_ENTRIES`` masses.
 
-    The measures share one shape.  Their test ratios come from one pass
-    pair over the stacked masses, and their power iterations run in one
+    The measures share one shape.  The test ratios of a stack come from one
+    pass pair over its stacked masses, and its power iterations run in one
     loop; each report equals the one :func:`embedding_constant` gives.
     """
-    if not measures:
-        return []
-    shape = measures[0].shape
-    for mu in measures:
-        if mu.shape != shape:
-            raise ShapeMismatchError(
-                f"measures built for depths {shape.depth} and {mu.shape.depth}"
-            )
-    return list(_results(_embedding_reports(shape, measures, tol, max_iter)))
+    return list(_stacks(measures, lambda shape, batch: _embedding_reports(
+        shape, batch, tol, max_iter), lambda shape: shape.node_count))
 
 
 def embedding_constant_dense(mu: TreeMeasure) -> float:
@@ -465,9 +475,11 @@ def embedding_pair_checks(
     """:func:`embedding_pair_check` of each measure, drawn and solved lazily
     as :func:`embedding_constants` stacks of about ``BATCH_ENTRIES`` masses.
     All measures take the shape of the first."""
-    for shape, batch in _shape_batches(measures, lambda shape: shape.node_count):
-        for report, mu in zip(_results(_embedding_reports(shape, batch)), batch):
-            yield _pair_check(report, mu, rel_tol)
+    def pair_checks(shape: TreeShape, batch: list) -> list[PairCheckResult]:
+        return [_pair_check(report, mu, rel_tol)
+                for report, mu in zip(_embedding_reports(shape, batch), batch)]
+
+    return _stacks(measures, pair_checks, lambda shape: shape.node_count)
 
 
 def embedding_lhs(phi, lam: TreeMeasure, alpha: AlphaSequence) -> EmbeddingSides:

@@ -27,14 +27,14 @@ import numpy as np
 
 from .carleson import (
     AlphaSequence,
-    _results,
     _safe_ratio,
-    _shape_batches,
+    _stacks,
     _test_constants,
     _test_ratios,
+    _trial,
     _weighted_ratios,
 )
-from .errors import CarlesonError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
 from .tree import _ancestor_sums_inplace
 
@@ -62,18 +62,13 @@ def _ratios(depth: int, masses: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray
     return _safe_ratio(num, den), den
 
 
-def _gathered(shape: TreeShape, phis: list, results: list) -> np.ndarray:
-    """The phis as one ``(nodes, trials)`` array.
-
-    A phi that :func:`as_node_array` rejects reads zero, and its error
-    goes to ``results`` unless the trial already has one.
-    """
-    out = np.zeros((shape.node_count, len(phis)))
+def _gathered(shape: TreeShape, phis: list) -> np.ndarray:
+    """The phis as one ``(nodes, trials)`` array; the first phi that
+    :func:`as_node_array` rejects raises, at its trial."""
+    out = np.empty((shape.node_count, len(phis)))
     for k, phi in enumerate(phis):
-        try:
+        with _trial(k):
             out[:, k] = as_node_array(shape, phi)
-        except CarlesonError as exc:
-            results[k] = results[k] or exc
     return out
 
 
@@ -291,24 +286,22 @@ def verify_stopping_invariants(
     nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
     """
     phi_a = as_node_array(lam.shape, phi)[:, None]
-    [report] = _results(_invariant_reports(lam.shape, lam.masses[:, None], phi_a, [dec], tol))
+    [report] = _invariant_reports(lam.shape, lam.masses[:, None], phi_a, [dec], tol)
     return report
 
 
 def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
-                       decs: list, tol: float) -> list:
-    """:func:`verify_stopping_invariants` of each trial, or the error it raises.
+                       decs: list, tol: float) -> list[StoppingInvariantReport]:
+    """:func:`verify_stopping_invariants` of each trial.
 
-    ``masses`` and ``phi`` are ``(nodes, trials)``; a trial whose
-    decomposition is None is skipped.  Ratios and masses are recomputed
-    here from the masses and phi.  Per-vertex values of all trials sit in
-    one flat array of ``nodes + 1`` slots per trial (slot 0 stands for
-    "not a node"); the owner-grouped sums add each trial's values in its
-    own order, and the margins are maxima per trial.
+    ``masses`` and ``phi`` are ``(nodes, trials)``.  Ratios and masses are
+    recomputed here from the masses and phi.  Per-vertex values of all
+    trials sit in one flat array of ``nodes + 1`` slots per trial (slot 0
+    stands for "not a node"); the owner-grouped sums add each trial's
+    values in its own order, and the margins are maxima per trial.
     """
     n, count = shape.node_count, len(decs)
     slots = n + 1
-    results = [None] * count
     r, den = _ratios(shape.depth, masses, phi)
     r_t, den_t = r.T, den.T
 
@@ -316,8 +309,6 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     listed_ok = np.zeros(count, dtype=bool)
     stops, betas, laters, ratio_keys, ratio_values = [], [], [], [], []
     for k, dec in enumerate(decs):
-        if dec is None:
-            dec = StoppingDecomposition(shape, [], owners[k], {}, {})
         owner = np.array(dec.owner, dtype=np.int64)
         if owner.shape == (n,):
             owners[k] = owner
@@ -386,7 +377,7 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     r0 = np.zeros((count, slots))
     r0[:, 1:] = r_t
     owner_ratio = np.take_along_axis(r0, owners, axis=1)
-    owner_ratio[[not (dec and dec.beta) for dec in decs]] = 0.0
+    owner_ratio[[not dec.beta for dec in decs]] = 0.0
 
     # the owner's ratio as the decomposition records it, else recomputed
     ratio_trial, keys = flat(ratio_keys)
@@ -404,18 +395,14 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     del m, r, r_t, owner_ratio
 
     alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
-    for k in np.flatnonzero(~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)):
-        try:
-            AlphaSequence(shape, alpha[:, k].copy())
-        except CarlesonError as exc:
-            results[k] = results[k] or exc
-        alpha[:, k] = 0.0
+    for k in np.flatnonzero(~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)).tolist():
+        with _trial(k):
+            AlphaSequence(shape, alpha[:, k])
     # the weighted test constant of carleson.alpha_test_constant
     alpha_constants = _weighted_ratios(shape, den, alpha).max(axis=0)
 
-    for k, dec in enumerate(decs):
-        if dec is None or results[k]:
-            continue
+    results = []
+    for k in range(count):
         beta_sum_margin = float(max(beta_margin[k], sums_margin[k]))
         alpha_constant = float(alpha_constants[k])
         fields = dict(
@@ -435,7 +422,7 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
             alpha_test_constant=alpha_constant,
         )
         failures = [name for flag, name in _INVARIANTS.items() if not fields[flag]]
-        results[k] = StoppingInvariantReport(**fields, failures=failures)
+        results.append(StoppingInvariantReport(**fields, failures=failures))
     return results
 
 
@@ -467,46 +454,44 @@ def maximal_theorem_check(
     constant of Lam to be at most 1; rescale first (both sides are
     homogeneous, quadratic against linear, so this costs nothing).
     """
-    phi_errors = [None]
-    phi_a = _gathered(lam.shape, [phi], phi_errors)
-    [report] = _results(_theorem_checks(lam.shape, lam.masses[:, None], phi_a, phi_errors,
-                                        tol, allow_signed))
+    [report] = _theorem_checks(lam.shape, lam.masses[:, None], [phi], tol, allow_signed)
     return report
 
 
-def _theorem_checks(shape: TreeShape, masses: np.ndarray, phi: np.ndarray, phi_errors: list,
-                    tol: float, allow_signed: bool) -> list:
-    """:func:`maximal_theorem_check` of each trial, or the error it raises.
+def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float,
+                    allow_signed: bool) -> list[MaximalReport]:
+    """:func:`maximal_theorem_check` of each trial of ``(nodes, trials)``
+    masses with its phi.
 
-    ``masses`` and ``phi`` are ``(nodes, trials)``; a trial's box-constant
-    errors come before its error in ``phi_errors``, if its phi failed to
-    gather.  The tree passes and the stopping sweep run over all trials at
-    once; the sums of ``lhs`` and ``rhs`` run on each trial's own contiguous row.
+    The box constants are checked before the phis are gathered, and the
+    phis before their signs.  The tree passes and the stopping sweep run
+    over all trials at once; the sums of ``lhs`` and ``rhs`` run on each
+    trial's own contiguous row.
     """
     depth = shape.depth
     boxes = _test_constants(shape, _test_ratios(depth, masses))
-    results = [box if isinstance(box, CarlesonError) else None for box in boxes]
     for k, box in enumerate(boxes):
-        if not results[k] and box.constant > 1.0 + 1e-9:
-            results[k] = PreconditionError(
-                f"box constant {box.constant:.12g} exceeds 1; scale the measure by "
-                f"1/{box.constant:.12g} first"
-            )
-        results[k] = results[k] or phi_errors[k]
+        if box.constant > 1.0 + 1e-9:
+            with _trial(k):
+                raise PreconditionError(
+                    f"box constant {box.constant:.12g} exceeds 1; scale the measure by "
+                    f"1/{box.constant:.12g} first"
+                )
+    phi = _gathered(shape, phis)
     if not allow_signed:
-        for k in np.flatnonzero((phi < 0).any(axis=0)):
-            results[k] = results[k] or ValidationError(_SIGNED_PHI)
+        for k in np.flatnonzero((phi < 0).any(axis=0)).tolist():
+            with _trial(k):
+                raise ValidationError(_SIGNED_PHI)
     r, den = _ratios(depth, masses, phi)
     m = r.copy()
     _ancestor_sums_inplace(depth, m, np.maximum)
     lhs = [float(row.sum()) for row in np.ascontiguousarray((den**2 * m**2).T)]
     rhs = [float(row.sum()) for row in np.ascontiguousarray((phi**2 * masses).T)]
     del m
+    results = []
     for k, dec in enumerate(_decompositions(shape, r, den)):
-        if results[k]:
-            continue
         bound = 8.0 * sum(dec.ratios[h] ** 2 * dec.beta[h] for h in dec.beta)
-        results[k] = MaximalReport(
+        results.append(MaximalReport(
             lhs=lhs[k],
             rhs=rhs[k],
             ratio=lhs[k] / rhs[k] if rhs[k] > 0 else 0.0,
@@ -515,7 +500,7 @@ def _theorem_checks(shape: TreeShape, masses: np.ndarray, phi: np.ndarray, phi_e
             stopping_bound_ok=lhs[k] <= bound + tol,
             one_box_constant=boxes[k].constant,
             decomposition=dec,
-        )
+        ))
     return results
 
 
@@ -536,23 +521,20 @@ def maximal_checks(
 
     The jobs are drawn and solved lazily as stacks of about
     ``carleson.BATCH_ENTRIES`` masses; all measures take the shape of the
-    first.  Each phi is gathered once per stack for both checks.  Each
-    result equals the one-measure computation, and an error is raised
-    when the loop over the jobs reaches its measure.
+    first.  Each result equals the one-measure computation, and an error is
+    raised when the loop over the jobs reaches its measure.
     """
-    for shape, batch in _shape_batches(jobs, lambda shape: shape.node_count,
-                                       itemgetter(0)):
+    def checks(shape: TreeShape, batch: list) -> list[MaximalCheck]:
         masses = np.stack([mu.masses for mu, _ in batch], axis=-1)
-        boxes = _test_constants(shape, _test_ratios(shape.depth, masses))
-        errors = [box if isinstance(box, CarlesonError) else None for box in boxes]
-        # a trial whose box constant failed is zeroed until its error is raised
-        scales = [0.0 if error else 1.0 / box.constant if box.constant > 1.0 else 1.0
-                  for box, error in zip(boxes, errors)]
+        scales = [1.0 / box.constant if box.constant > 1.0 else 1.0
+                  for box in _test_constants(shape, _test_ratios(shape.depth, masses))]
         masses *= np.array(scales)
-        phi = _gathered(shape, [phi for _, phi in batch], errors)
-        reports = _theorem_checks(shape, masses, phi, errors, tol, allow_signed=False)
-        decs = [None if isinstance(r, CarlesonError) else r.decomposition for r in reports]
-        invariants = _invariant_reports(shape, masses, phi, decs, 1e-12)
-        for k, (mu, phi_k) in enumerate(batch):
-            report, invariant = _results([reports[k], invariants[k]])
-            yield MaximalCheck(mu, phi_k, scales[k], report, invariant)
+        phis = [phi for _, phi in batch]
+        reports = _theorem_checks(shape, masses, phis, tol, allow_signed=False)
+        invariants = _invariant_reports(shape, masses, _gathered(shape, phis),
+                                        [report.decomposition for report in reports], 1e-12)
+        results = zip(batch, scales, reports, invariants)
+        return [MaximalCheck(mu, phi, scale, report, invariant)
+                for (mu, phi), scale, report, invariant in results]
+
+    return _stacks(jobs, checks, lambda shape: shape.node_count, itemgetter(0))

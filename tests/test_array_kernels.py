@@ -66,7 +66,6 @@ from dyadic_carleson import (
     verify_stopping_invariants,
 )
 from dyadic_carleson import bitree, carleson, instances, maximal
-from dyadic_carleson.bellman import bellman_values
 from dyadic_carleson.bitree import (
     BiTreeCertificate,
     _apply_bi_gram,
@@ -76,7 +75,6 @@ from dyadic_carleson.bitree import (
     _child_pair_sums,
     _probe_values,
     _rect_cell_masks,
-    _require_one_box,
     _subset_sums,
     normalized_to_unit_onebox,
     rect_integrals,
@@ -862,7 +860,18 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
     shape = mu.shape
     M = rect_masses(mu)
     SQ = _box_sums(shape, M)
-    _require_one_box(_safe_ratio(SQ, M))
+    ratios = _safe_ratio(SQ, M)
+    bad = np.argwhere(~np.isfinite(ratios))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValidationError(f"rectangle {(i + 1, j + 1)}: non-finite box ratio {ratios[i, j]}")
+    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    box = float(ratios[i, j])
+    if box > 1.0 + 1e-9:
+        raise PreconditionError(
+            f"box constant {box:.12g} at rectangle {(int(i) + 1, int(j) + 1)} exceeds 1; "
+            f"scale the measure by 1/{box:.12g} first"
+        )
     phi_grid = _checked_grid(shape, phi, "phi")
     G1 = rect_integrals(shape, phi_grid * mu.cells)
     G2 = rect_integrals(shape, phi_grid**2 * mu.cells)
@@ -879,7 +888,10 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
     magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
     gain = SQ - 0.5 * (_child_pair_sums(SQ, 0) + _child_pair_sums(SQ, 1)) - M**2
     G1sq = G1**2
-    W = areas * bellman_values(G2, G1, SQ, M, scale=1.0)
+    # the bi-tree Bellman function F - f^2 / (v + A), with 0/0 read as 0
+    ratio = np.zeros_like(G1sq)
+    np.divide(G1sq, M + SQ, out=ratio, where=M + SQ > 0)
+    W = areas * (G2 - ratio)
     childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
     slacks = W - childW - 0.25 * areas * G1sq
     net = float(W.sum() - childW.sum())
@@ -1248,6 +1260,55 @@ def test_errors_surface_at_their_trial():
                 next(results)
 
 
+@pytest.mark.parametrize("budget", [1, carleson.BATCH_ENTRIES])
+def test_errors_inside_a_stack_surface_in_trial_order(budget, monkeypatch):
+    # trial 1 has a bad phi and trial 2 a non-finite box: trial 0 is yielded,
+    # then trial 1 raises its phi error, as the per-trial loop did
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
+    tree = build_tree(2)
+    lam, phi = random_tree_measure(1, tree), random_node_values(1, tree, nonneg=True)
+    huge = TreeMeasure(tree, np.full(tree.node_count, 1e200))
+    shape = build_bitree(1, 1)
+    mu, ones = random_bimeasure(3, shape), np.ones(shape.cell_grid)
+    bi_huge = BiMeasure(shape, np.full(shape.cell_grid, 1e200))
+    bad_phi, bad_grid = phi[:3], np.ones((3, 3))
+    with np.errstate(all="ignore"):
+        checks = maximal_checks([(lam, phi), (lam, bad_phi), (huge, phi)])
+        first = next(checks)
+        assert _same_report(first.report, _ref_maximal_trial(lam, phi)[1])
+        scaled = lam.scaled(first.scale)
+        assert (_raised(lambda: next(checks))
+                == _raised(lambda: maximal_theorem_check(scaled, bad_phi)))
+        certs = unit_box_certificates([(mu, ones), (mu, bad_grid), (bi_huge, ones)])
+        first = next(certs)
+        assert _same_fields(first.certificate, _ref_certify_trial(mu, ones)[1])
+        scaled = mu.scaled(first.scale)
+        assert (_raised(lambda: next(certs))
+                == _raised(lambda: bitree_bellman_certify(scaled, bad_grid)))
+
+        # a trial with both a non-finite box and a bad phi raises its box error
+        box_error = _raised(lambda: maximal_theorem_check(huge, phi))
+        assert _raised(lambda: maximal_theorem_check(huge, bad_phi)) == box_error
+        checks = maximal_checks([(lam, phi), (huge, bad_phi)])
+        next(checks)
+        assert _raised(lambda: next(checks)) == box_error
+        box_error = _raised(lambda: bitree_bellman_certify(bi_huge, ones))
+        assert _raised(lambda: bitree_bellman_certify(bi_huge, bad_grid)) == box_error
+        certs = unit_box_certificates([(mu, ones), (bi_huge, bad_grid)])
+        next(certs)
+        assert _raised(lambda: next(certs)) == box_error
+
+
+def test_embedding_constants_do_not_depend_on_the_stack_size(monkeypatch):
+    tree = build_tree(4)
+    measures = [random_tree_measure(seed, tree) for seed in range(5)]
+    measures.append(TreeMeasure(tree, np.zeros(tree.node_count)))
+    lone = [embedding_constant(mu) for mu in measures]
+    assert embedding_constants(measures) == lone
+    monkeypatch.setattr(carleson, "BATCH_ENTRIES", 1)
+    assert embedding_constants(measures) == lone
+
+
 def test_box_constants_fail_as_the_per_trial_ratios_did():
     # a non-finite test ratio raised where the per-trial loop built its ratios
     tree = build_tree(2)
@@ -1308,6 +1369,24 @@ def test_overflowing_trial_fails_in_a_stack_as_alone(budget, monkeypatch):
                 == _raised(lambda: bitree_bellman_certify(bi_huge, ones)))
         assert "node" in _raised(lambda: embedding_constant(huge))[1]
         assert "rectangle" in _raised(lambda: one_box_constant(bi_huge))[1]
+
+
+def test_power_iteration_stops_on_a_non_finite_image():
+    # the Gram apply of 1e308 cells overflows to inf: the row stops at once
+    shape = build_bitree(1, 1)
+    huge = np.full(shape.cell_grid, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = bi_embedding_constant(BiMeasure(shape, huge), max_iter=2000)
+    assert math.isnan(report.value) and not report.converged
+    assert report.iterations <= 2
+    # the other rows of a stack keep their lone solves, bit for bit
+    good = random_bimeasure(5, shape).cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = _bi_embedding_values(shape.depths, np.stack([good, huge, good]))
+    lone = bi_embedding_constant(BiMeasure(shape, good))
+    assert _same_outcome(stack[0], (lone.value, lone.iterations, lone.converged))
+    assert _same_outcome(stack[2], (lone.value, lone.iterations, lone.converged))
+    assert math.isnan(stack[1][0]) and stack[1][1:] == (report.iterations, False)
 
 
 def test_power_iteration_rescales_an_overflowing_norm():

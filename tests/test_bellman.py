@@ -67,8 +67,6 @@ def test_vectorized_matches_scalar():
     vec = bellman_values(*arrays)
     for i, p in enumerate(pts):
         assert vec[i] == pytest.approx(bellman_value(p), rel=1e-15)
-    # scale=1 drops the factor 4
-    assert bellman_values(*arrays, scale=1.0)[0] == 1.0
 
 
 @pytest.mark.parametrize("point,fragment", [

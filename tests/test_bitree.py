@@ -24,6 +24,7 @@ from dyadic_carleson import (
     uniform_bimeasure,
 )
 from dyadic_carleson.bitree import (
+    SET_TEST_STRATEGIES,
     normalized_to_unit_onebox,
     one_box_ratios,
     rect_integrals,
@@ -297,6 +298,21 @@ def test_set_test_size_guards():
     with pytest.raises(ValidationError):
         set_test_constant(uniform_bimeasure(build_bitree(1, 1)),
                           "k-rect-unions", k=0)
+
+
+@pytest.mark.parametrize("strategy", SET_TEST_STRATEGIES)
+def test_set_test_rejects_an_overflowing_measure(strategy):
+    # squared rectangle masses overflow: the set test fails as the box test does
+    shape = build_bitree(1, 1)
+    mu = BiMeasure(shape, np.full(shape.cell_grid, 1e200))
+    message = r"^rectangle \(1, 1\): non-finite box ratio inf$"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError, match=message):
+            one_box_constant(mu)
+        with pytest.raises(ValidationError, match=message):
+            set_test_constant(mu, strategy)
+        with pytest.raises(ValidationError, match=message):
+            boundary_set_ratio(mu, np.ones(shape.cell_grid, dtype=bool))
 
 
 def test_random_downsets_deterministic():

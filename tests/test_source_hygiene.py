@@ -7,7 +7,9 @@ as used when the module reads it as a name, names it in ``__all__``, or
 names it in a string annotation.  ``from __future__`` imports are
 compiler directives and are skipped.  A module-level function or class
 whose name starts with one underscore must be read, as a name or as an
-attribute, somewhere in the package outside its own definition.
+attribute, somewhere in the package outside its own definition.  No
+module tests ``isinstance(..., CarlesonError)``: a stack kernel raises a
+failing trial's error, and never returns it among its results.
 """
 
 import ast
@@ -138,3 +140,28 @@ def test_finds_an_unreferenced_helper():
         "b.py": "from . import a\nvalue = a._used(3)\n",
     }
     assert unreferenced_helpers(sources) == ["a.py: _recursive", "a.py: _Unused"]
+
+
+def error_type_tests(source: str) -> list[int]:
+    """Lines that call ``isinstance`` with ``CarlesonError`` among its types."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and "CarlesonError" in _references(node.args[1])]
+
+
+def test_no_module_tests_for_library_errors():
+    found = {p.name: error_type_tests(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_finds_a_test_for_library_errors():
+    source = (
+        "from . import errors\n"
+        "from .errors import CarlesonError\n"
+        "def f(x):\n"
+        "    if isinstance(x, CarlesonError):\n"
+        "        raise x\n"
+        "    return isinstance(x, (int, errors.CarlesonError)) or isinstance(x, ValueError)\n"
+    )
+    assert error_type_tests(source) == [4, 6]
