@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carleson import _batches, _power_iteration, _safe_ratio, _stacks, _trial
+from .carleson import _batches, _power_iteration, _row_blocks, _safe_ratio, _stacks, _trial
 from .errors import PreconditionError, ShapeMismatchError, SizeError, ValidationError
-from .tree import MAX_NODES_ENV, TreeShape, _common_ancestors, _size_limit, subtree_sums
+from .tree import MAX_NODES_ENV, TreeShape, _common_ancestors, _size_limit, _subtree_sums_inplace
 
 __all__ = [
     "BiEmbeddingReport",
@@ -242,8 +242,10 @@ def rect_masses(mu: BiMeasure) -> np.ndarray:
 
 def _box_sums(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
     """Sum of mu(Q)^2 over rectangles Q below each R, over the last two axes."""
-    out = subtree_sums(shape.depths[1], masses**2, axis=-1)
-    return subtree_sums(shape.depths[0], out, axis=-2)
+    out = masses**2
+    _subtree_sums_inplace(shape.depths[1], out.swapaxes(0, -1))
+    _subtree_sums_inplace(shape.depths[0], out.swapaxes(0, -2))
+    return out
 
 
 def _one_box_ratios(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
@@ -342,14 +344,24 @@ def cube_embedding_check(
     return CubeEmbeddingReport(lhs, rhs, ratio, lhs <= 4.0 * rhs + tol)
 
 
-def _child_pair_sums(values: np.ndarray, axis: int) -> np.ndarray:
-    """Per-parent child sums along one heap axis, zero at childless slots."""
-    work = np.moveaxis(values, axis, 0)
-    internal = (work.shape[0] - 1) // 2
-    out = np.empty_like(work)
-    np.add(work[1::2], work[2::2], out=out[:internal])
-    out[internal:] = 0.0
-    return np.moveaxis(out, 0, axis)
+def _child_pairs(values: np.ndarray, rows: slice):
+    """Per axis of a ``(trials, rows, cols)`` rectangle stack: the parents
+    in ``rows`` that have children on that axis, and those two children."""
+    lo, hi = rows.start, max(rows.start, min(rows.stop, (values.shape[1] - 1) // 2))
+    yield (values[:, lo:hi], values[:, 2 * lo + 1 : 2 * hi : 2],
+           values[:, 2 * lo + 2 : 2 * hi + 1 : 2])
+    block = values[:, rows]
+    yield block[..., : (values.shape[2] - 1) // 2], block[..., 1::2], block[..., 2::2]
+
+
+def _child_sums(values: np.ndarray, rows: slice) -> np.ndarray:
+    """Row-axis plus column-axis child-pair sums at ``rows``, each 0 if childless."""
+    out, cols = np.zeros_like(values[:, rows]), np.zeros_like(values[:, rows])
+    (up, *below), (left, *right) = _child_pairs(values, rows)
+    np.add(*below, out=out[:, : up.shape[1]])
+    np.add(*right, out=cols[..., : left.shape[2]])
+    out += cols
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,13 +390,8 @@ class BiTreeCertificate:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.martingale_ok
-            and self.gain_ok
-            and self.slack_ok
-            and self.telescope_ok
-            and self.global_ok
-        )
+        return (self.martingale_ok and self.gain_ok and self.slack_ok
+                and self.telescope_ok and self.global_ok)
 
 
 def bitree_bellman_certify(
@@ -445,10 +452,13 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
     stack with its phi.
 
-    The arrays of the whole stack are computed at once, and the deviation
-    maxima run over the stack.  Every min and sum of a certificate runs on
-    one trial's own slice, so each certificate equals the one-trial
-    computation bit for bit.  The box constants are checked before the phis.
+    ``M``, ``SQ``, ``G1`` and ``G2`` are built whole, the rest in row blocks
+    of about ``carleson.BLOCK_ENTRIES`` entries; min and max run per block,
+    but each sum on a trial's whole array, in numpy's pairwise order, so each
+    certificate equals the one-trial computation bit for bit.  One scratch
+    array holds in turn |R| G1^2 (for ``lhs``), |W| (for the scales), the
+    children's W (for the telescope) and the slacks, so a stack holds just
+    the six arrays it returns.  The box constants are checked before the phis.
     """
     M = _rect_integrals(shape, cells)
     SQ = _box_sums(shape, M)
@@ -460,72 +470,53 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     G1 = _rect_integrals(shape, phi * cells)
     G2 = _rect_integrals(shape, phi**2 * cells)
     del phi
-    # a leading axis lets numpy reuse the temporaries of a stack of one
-    areas = shape.areas()[None]
-
-    # per trial: the largest deviation of each (array, axis) pair
-    deviations = []
-    for arr in (M, G1, G2):
-        for axis in (1, 2):
-            work = np.moveaxis(arr, axis, 0)
-            internal = (work.shape[0] - 1) // 2
-            if internal:
-                deviations.append(np.abs(work[1::2] + work[2::2] - work[:internal])
-                                  .max(axis=(0, 2)).tolist())
-
-    # each array is reduced per trial once complete, and freed when done
-    trials = range(len(cells))
-    gain = SQ - 0.5 * (_child_pair_sums(SQ, 1) + _child_pair_sums(SQ, 2)) - M**2
-    gain_margins = [float(gain[k].min()) for k in trials]
-    del gain
-    G1sq = G1**2
-    weighted = areas * G1sq
-    lhs = [float(weighted[k].sum()) for k in trials]
-    del weighted
-    # bellman.bellman_values without its factor 4: G2 - G1^2 / (SQ + M), 0/0 = 0
-    W = M + SQ
-    np.divide(G1sq, W, out=W, where=W > 0)
-    np.subtract(G2, W, out=W)
-    W *= areas
-    childW = _child_pair_sums(W, 1) + _child_pair_sums(W, 2)
-    slacks = W - childW - 0.25 * areas * G1sq
-    del G1sq
+    trials, blocks = range(len(cells)), _row_blocks(M.shape[1], M.size // M.shape[1])
+    row_lengths, col_lengths = shape.row_tree.lengths(), shape.col_tree.lengths()
+    W, scratch = np.empty_like(M), np.empty_like(M)
+    # per trial: the largest deviation of each (array, axis) pair, the least gain
+    deviations, gain_margins = np.full((6, len(cells)), -np.inf), np.full(len(cells), np.inf)
+    for rows in blocks:
+        pairs = (pair for arr in (M, G1, G2) for pair in _child_pairs(arr, rows))
+        for dev, (up, left, right) in zip(deviations, pairs):
+            np.maximum(dev, np.abs(left + right - up).max((1, 2), initial=-np.inf), out=dev)
+        gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
+        np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
+        areas, G1sq = np.outer(row_lengths[rows], col_lengths), G1[:, rows] ** 2
+        np.multiply(areas, G1sq, out=scratch[:, rows])
+        # bellman.bellman_values without its factor 4: G2 - G1^2 / (SQ + M), 0/0 = 0
+        w = np.add(M[:, rows], SQ[:, rows], out=W[:, rows])
+        np.divide(G1sq, w, out=w, where=w > 0)
+        np.subtract(G2[:, rows], w, out=w)
+        w *= areas
+    lhs = [float(scratch[k].sum()) for k in trials]
+    scales = [max(1.0, float(np.abs(W[k], out=scratch[k]).sum())) for k in trials]
+    for rows in blocks:
+        scratch[:, rows] = _child_sums(W, rows)
+    nets = [float(W[k].sum() - scratch[k].sum()) for k in trials]
+    slacks = scratch
+    for rows in blocks:
+        areas = np.outer(row_lengths[rows], col_lengths)
+        slacks[:, rows] = W[:, rows] - slacks[:, rows] - 0.25 * areas * G1[:, rows] ** 2
     min_slacks = [float(slacks[k].min()) for k in trials]
-    nets = [float(W[k].sum() - childW[k].sum()) for k in trials]
-    del childW
-    absW = np.abs(W)
-    scales = [max(1.0, float(absW[k].sum())) for k in trials]
-    del absW
+    deviations, gain_margins = deviations.tolist(), gain_margins.tolist()
 
     results = []
     for k in trials:
-        deviation = 0.0
-        for dev in deviations:
-            deviation = max(deviation, dev[k])
+        deviation = max(0.0, *(dev[k] for dev in deviations))
         # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
         magnitude = max(1.0, float(M[k, 0, 0]), float(G2[k, 0, 0]))
         telescope_deviation = abs(nets[k] - float(W[k, 0, 0] - W[k, 1:, 1:].sum()))
         rhs_total = float(G2[k, 0, 0])
         upper = 4.0 * rhs_total
         results.append(BiTreeCertificate(
-            shape=shape,
-            masses=M[k],
-            box_sums=SQ[k],
-            integrals=G1[k],
-            square_integrals=G2[k],
-            weighted_values=W[k],
-            slacks=slacks[k],
-            martingale_deviation=deviation,
-            martingale_ok=deviation <= 1e-12 * magnitude,
-            gain_margin=gain_margins[k],
-            gain_ok=gain_margins[k] >= -1e-12,
-            min_slack=min_slacks[k],
-            slack_ok=min_slacks[k] >= -tol,
+            shape=shape, masses=M[k], box_sums=SQ[k], integrals=G1[k],
+            square_integrals=G2[k], weighted_values=W[k], slacks=slacks[k],
+            martingale_deviation=deviation, martingale_ok=deviation <= 1e-12 * magnitude,
+            gain_margin=gain_margins[k], gain_ok=gain_margins[k] >= -1e-12,
+            min_slack=min_slacks[k], slack_ok=min_slacks[k] >= -tol,
             telescope_deviation=telescope_deviation,
             telescope_ok=telescope_deviation <= tol * scales[k],
-            lhs_total=lhs[k],
-            rhs_total=rhs_total,
-            upper_bound=upper,
+            lhs_total=lhs[k], rhs_total=rhs_total, upper_bound=upper,
             global_ok=lhs[k] <= upper + tol * max(1.0, upper),
         ))
     return results
@@ -639,8 +630,7 @@ def _exhaustive_set_test(mu: BiMeasure, masses: np.ndarray) -> tuple[float, int]
     den[1 << np.arange(cells)] = mu.cells.ravel()
     _subset_sums(num)
     _subset_sums(den)
-    ratios = np.zeros(size)
-    np.divide(num, den, out=ratios, where=den > 0)
+    ratios = _safe_ratio(num, den)
     best = int(np.argmax(ratios))
     return float(ratios[best]), best
 

@@ -188,7 +188,17 @@ def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
 # ---------------------------------------------------------------------------
 
 
-BATCH_ENTRIES = 1 << 17  # measure entries solved as one stack, which bounds its memory
+# A stack holds about BATCH_ENTRIES measure entries in a few whole arrays (the bi-tree
+# certificate: the six it returns).  Sums run on whole per-trial arrays, whose bits numpy's
+# pairwise order sets; elementwise passes, min and max run in cache-sized row blocks.
+BATCH_ENTRIES = 1 << 17
+BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` entries, about ``BLOCK_ENTRIES`` each."""
+    step = max(1, BLOCK_ENTRIES // width)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def _batches(items: Iterable, entries: Callable) -> Iterator[list]:

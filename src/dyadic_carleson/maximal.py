@@ -284,6 +284,7 @@ def verify_stopping_invariants(
     its worst margin and failures are collected by name.  Ratios and
     masses are recomputed from ``lam`` and ``phi``.  Owners that are not
     nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
+    Betas that give a negative or non-finite weight fail ``alpha-test`` at NaN.
     """
     phi_a = as_node_array(lam.shape, phi)[:, None]
     [report] = _invariant_reports(lam.shape, lam.masses[:, None], phi_a, [dec], tol)
@@ -335,7 +336,8 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
 
     def largest(trial: np.ndarray, values: np.ndarray) -> np.ndarray:
         out = np.full(count, -np.inf)
-        np.maximum.at(out, trial, values)
+        with np.errstate(invalid="ignore"):  # a NaN margin stays NaN, silently
+            np.maximum.at(out, trial, values)
         return out
 
     owners_in_tree = ((owners >= 1) & (owners <= n)).all(axis=1)
@@ -394,12 +396,10 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     maximal_margin = (m.T - 2.0 * owner_ratio).max(axis=1)
     del m, r, r_t, owner_ratio
 
+    # the weighted test constant of carleson.alpha_test_constant, NaN without valid weights
     alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
-    for k in np.flatnonzero(~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)).tolist():
-        with _trial(k):
-            AlphaSequence(shape, alpha[:, k])
-    # the weighted test constant of carleson.alpha_test_constant
     alpha_constants = _weighted_ratios(shape, den, alpha).max(axis=0)
+    alpha_constants[~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)] = np.nan
 
     results = []
     for k in range(count):

@@ -24,6 +24,7 @@ kept here with the per-trial normalization the CLI did before them.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,8 @@ from dyadic_carleson.bitree import (
     BiTreeCertificate,
     _apply_bi_gram,
     _bi_embedding_values,
-    _box_sums,
     _checked_grid,
-    _child_pair_sums,
+    _child_sums,
     _probe_values,
     _rect_cell_masks,
     _subset_sums,
@@ -130,12 +130,17 @@ def _ref_rect_integrals(shape, grid):
 
 
 def _ref_child_pair_sums(values, axis):
+    """Whole-array child-pair sums along one heap axis, 0 at childless slots."""
     work = np.moveaxis(values, axis, 0)
-    internal = (work.shape[0] - 1) // 2
     out = np.zeros_like(work)
-    if internal:
-        out[:internal] = work[1:].reshape(internal, 2, *work.shape[1:]).sum(axis=1)
+    out[: (work.shape[0] - 1) // 2] = work[1::2] + work[2::2]
     return np.moveaxis(out, 0, axis)
+
+
+def _ref_box_sums(shape, masses):
+    """Sum of mu(Q)^2 over the rectangles Q below each R, by public passes."""
+    n, m = shape.depths
+    return subtree_sums(n, subtree_sums(m, masses**2, axis=1), axis=0)
 
 
 def _ref_gram_apply(shape, weights, g):
@@ -264,14 +269,17 @@ def test_rect_integrals_match_zero_padded_reference(depths):
 
 @pytest.mark.parametrize("depths", RECT_DEPTHS)
 def test_child_pair_sums_match_reference(depths):
+    # the row-block child sums of the certificate, over blocks of 1, 3 and
+    # all rows, against the whole-array sums along each axis
     shape = build_bitree(*depths)
-    plain, signed = _inputs(np.random.default_rng(7), shape.node_counts)
-    for axis in (0, 1):
-        for values in plain:
-            assert _same_bits(_child_pair_sums(values, axis),
-                              _ref_child_pair_sums(values, axis))
-        assert np.array_equal(_child_pair_sums(signed, axis),
-                              _ref_child_pair_sums(signed, axis))
+    stack = np.stack([*_inputs(np.random.default_rng(7), shape.node_counts)[0],
+                      _signed_values(np.random.default_rng(8), shape.node_counts)])
+    want = _ref_child_pair_sums(stack, 1) + _ref_child_pair_sums(stack, 2)
+    rows = shape.node_counts[0]
+    for step in (1, 3, rows):
+        got = np.concatenate([_child_sums(stack, slice(r, min(r + step, rows)))
+                              for r in range(0, rows, step)], axis=1)
+        assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +867,7 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
     """The one-measure bi-tree certificate before the stacked one."""
     shape = mu.shape
     M = rect_masses(mu)
-    SQ = _box_sums(shape, M)
+    SQ = _ref_box_sums(shape, M)
     ratios = _safe_ratio(SQ, M)
     bad = np.argwhere(~np.isfinite(ratios))
     if bad.size:
@@ -886,13 +894,13 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
                 dev = np.abs(work[1::2] + work[2::2] - work[:internal]).max()
                 deviation = max(deviation, float(dev))
     magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
-    gain = SQ - 0.5 * (_child_pair_sums(SQ, 0) + _child_pair_sums(SQ, 1)) - M**2
+    gain = SQ - 0.5 * (_ref_child_pair_sums(SQ, 0) + _ref_child_pair_sums(SQ, 1)) - M**2
     G1sq = G1**2
     # the bi-tree Bellman function F - f^2 / (v + A), with 0/0 read as 0
     ratio = np.zeros_like(G1sq)
     np.divide(G1sq, M + SQ, out=ratio, where=M + SQ > 0)
     W = areas * (G2 - ratio)
-    childW = _child_pair_sums(W, 0) + _child_pair_sums(W, 1)
+    childW = _ref_child_pair_sums(W, 0) + _ref_child_pair_sums(W, 1)
     slacks = W - childW - 0.25 * areas * G1sq
     net = float(W.sum() - childW.sum())
     expected = float(W[0, 0] - W[1:, 1:].sum())
@@ -1149,20 +1157,71 @@ def _certify_jobs(shape):
     return [(BiMeasure(shape, cells), phi) for cells in _bitree_stack(shape) for phi in phis]
 
 
+def _rows_of(step):
+    return lambda rows, width: [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4)])
+@pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4),
+                                    (5, 3), (1, 6), (6, 0)])
 def test_stacked_certificates_match_per_trial_loop(depths, budget, monkeypatch):
     monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
     jobs = _certify_jobs(build_bitree(*depths))
-    checks = list(unit_box_certificates(jobs))
-    assert len(checks) == len(jobs)
-    for (mu, phi), check in zip(jobs, checks):
-        scale, want = _ref_certify_trial(mu, phi)
-        assert check.measure is mu and check.phi is phi
-        assert _same_value(check.scale, scale)
-        assert _same_fields(check.certificate, want)
-        normalized, _ = normalized_to_unit_onebox(mu)
-        assert _same_fields(bitree_bellman_certify(normalized, phi), want)
+    wants = [_ref_certify_trial(mu, phi) for mu, phi in jobs]
+    # row blocks of the default size, of one row and of three rows (edges
+    # inside a heap level and on the leaf rows)
+    for blocks in (None, 1, 3):
+        if blocks == 1:
+            monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1)
+        elif blocks == 3:
+            monkeypatch.setattr(bitree, "_row_blocks", _rows_of(3))
+        checks = list(unit_box_certificates(jobs))
+        assert len(checks) == len(jobs)
+        for (mu, phi), check, (scale, want) in zip(jobs, checks, wants):
+            assert check.measure is mu and check.phi is phi
+            assert _same_value(check.scale, scale)
+            assert _same_fields(check.certificate, want)
+            normalized, _ = normalized_to_unit_onebox(mu)
+            assert _same_fields(bitree_bellman_certify(normalized, phi), want)
+
+
+def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
+    # the least gain is 0 at the leaf rows, in the last block; box sums
+    # halved on the first row put a negative one in the first block, which
+    # blocks of one and of three rows must find as one whole block does
+    real = bitree._box_sums
+
+    def lowered(shape, masses):
+        out = real(shape, masses)
+        out[..., 0, :] *= 0.5
+        return out
+
+    monkeypatch.setattr(bitree, "_box_sums", lowered)
+    jobs = _certify_jobs(build_bitree(5, 3))
+    want = list(unit_box_certificates(jobs))
+    assert min(check.certificate.gain_margin for check in want) < 0.0
+    for blocks in (_rows_of(1), _rows_of(3)):
+        monkeypatch.setattr(bitree, "_row_blocks", blocks)
+        for got, check in zip(unit_box_certificates(jobs), want):
+            assert _same_fields(got.certificate, check.certificate)
+
+
+def test_rect_arrays_at_the_peak_of_a_certificate():
+    # the arrays a certificate returns and little else: at (9,9), six
+    # rectangle arrays plus grid- and block-sized temporaries
+    shape = build_bitree(9, 9)
+    mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
+    normalized, _ = normalized_to_unit_onebox(mu)
+    rect_bytes = shape.rect_count * 8
+    for certify in (lambda: bitree_bellman_certify(normalized, phi),
+                    lambda: list(unit_box_certificates([(mu, phi)]))):
+        tracemalloc.start()
+        try:
+            certify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * rect_bytes
 
 
 def _spoiled_kernel(real, spoil, trial):

@@ -364,6 +364,23 @@ def test_corrupted_beta_is_caught():
     assert "beta-sum" in report.failures
 
 
+@pytest.mark.parametrize("spoil", [lambda b: -b - 1.0, lambda b: np.nan],
+                         ids=["negative", "nan"])
+def test_betas_without_an_alpha_sequence_fail_the_checks(spoil):
+    # negative or NaN betas give no weight sequence: the check reports it
+    # as failed beta-sum and alpha-test instead of raising
+    shape = build_tree(2)
+    lam = carleson_normalized(random_tree_measure(1, shape))
+    phi = np.abs(random_node_values(2, shape))
+    dec = stopping_decomposition(lam, phi)
+    bad = StoppingDecomposition(shape, dec.generations, dec.owner,
+                                {h: spoil(b) for h, b in dec.beta.items()}, dec.ratios)
+    report = verify_stopping_invariants(bad, lam, phi)
+    assert {"beta-sum", "alpha-test"} <= set(report.failures)
+    assert not report.beta_sum_ok and not report.alpha_test_ok
+    assert np.isnan(report.alpha_test_constant)
+
+
 def test_theorem_uniform_constant_phi():
     shape = build_tree(2)
     lam = carleson_normalized(uniform_boundary_measure(shape))
