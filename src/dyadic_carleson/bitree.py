@@ -753,31 +753,19 @@ def _bi_embedding_values(
 ) -> list[tuple[float, int, bool]]:
     """Power iteration of the Gram operator of each grid of a cell stack.
 
-    ``cells`` is ``(trials, rows, cols)``; the active trials run as one
-    ``_apply_bi_gram`` on their stacked grids.  A grid without positive
-    cells gets ``(0.0, 0, True)``.
+    ``cells`` is ``(trials, rows, cols)``; one ``_apply_bi_gram`` runs on
+    every grid of the stack, from the indicator of its positive cells.  A
+    grid without positive cells starts from zero, so the loop stops it with
+    ``(0.0, 0, True)``.
     """
-    positive = cells > 0
-    solved = np.flatnonzero(positive.any(axis=(1, 2)))
-    weights, starts = np.sqrt(cells), positive.astype(float)
-    if solved.size < len(cells):
-        weights, starts = weights[solved], starts[solved]
-
-    def operator(rows: list[int]):
-        active = weights if len(rows) == len(weights) else weights[rows]
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            return _apply_bi_gram(depths, active, x.reshape(active.shape)).ravel()
-
-        return apply
-
+    weights = np.sqrt(cells)
     size = cells.shape[1] * cells.shape[2]
-    results = [(0.0, 0, True)] * len(cells)
-    offsets = range(0, (len(solved) + 1) * size, size)
-    for k, solution in zip(solved, _power_iteration(operator, starts.ravel(), offsets,
-                                                    tol, max_iter)):
-        results[k] = solution
-    return results
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return _apply_bi_gram(depths, weights, x.reshape(weights.shape)).ravel()
+
+    return _power_iteration(apply, (cells > 0).astype(float).ravel(),
+                            range(0, (len(cells) + 1) * size, size), tol, max_iter)
 
 
 def bi_embedding_constant(
@@ -865,12 +853,9 @@ def _random_cells(rng: np.random.Generator, shape: BiTreeShape) -> np.ndarray:
 def _probe_values(shape: BiTreeShape, cells: np.ndarray) -> list[tuple]:
     """``(gap, one-box, embedding)`` of each grid of a ``(trials, rows, cols)`` stack."""
     boxes = [result.constant for result in _one_box_results(shape, cells)]
-    positive = [k for k, box in enumerate(boxes) if box != 0.0]
-    values = [(0.0, 0.0, 0.0)] * len(boxes)
-    solutions = _bi_embedding_values(shape.depths, cells[positive])
-    for k, (emb, _, _) in zip(positive, solutions):
-        values[k] = (emb / boxes[k], boxes[k], emb)
-    return values
+    solutions = _bi_embedding_values(shape.depths, cells)
+    return [(emb / box, box, emb) if box else (0.0, 0.0, 0.0)
+            for box, (emb, _, _) in zip(boxes, solutions)]
 
 
 def gap_probe(config: GapProbeConfig) -> GapProbeReport:

@@ -260,44 +260,44 @@ def _stacks(items: Iterable, kernel: Callable, entries: Callable,
             raise error
 
 
-def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
+def _power_iteration(apply: Callable, x: np.ndarray, offsets: Sequence[int],
                      tol: float, max_iter: int) -> list[tuple[float, int, bool]]:
     """Largest eigenvalues of a stack of positive semidefinite operators.
 
-    Row ``k`` of the stack starts from the non-zero vector
-    ``x[offsets[k]:offsets[k + 1]]``; the loop takes over ``x``.
-    ``operator(rows)`` returns the apply of the active rows, a list of
-    ascending row numbers: it maps their vectors, concatenated in that
-    order, to a new buffer of the same layout, which the loop then
-    normalizes row by row in place.  ``operator`` is called once and
-    again each time rows stop, never per iteration.
+    Row ``k`` of the stack starts from ``x[offsets[k]:offsets[k + 1]]``; the
+    loop takes over ``x``.  ``apply`` maps the whole stack to a new buffer of
+    the same layout, each row's slice by its own operator, which the loop
+    then normalizes row by row in place.  The layout never changes: a row
+    that stops has its slice of the image zeroed in place and leaves the
+    Python loop, and its operator must map that zero slice to zero.
 
-    Each row stops once successive Rayleigh quotients agree to ``tol``
-    relatively twice in a row (to dodge spurious plateaus), or with value
-    0 when its image is the zero vector, or unconverged with value NaN
-    when its image is not finite, or unconverged after ``max_iter``
-    iterations.  Its quotient and norm are ``ndarray.dot`` of its own
-    contiguous slice, so a row's outcome does not depend on the rest of
-    the stack.  Returns ``(value, iterations, converged)``
-    per row.
+    A row whose start vector is zero (a measure without support) stops
+    before the first apply with ``(0.0, 0, True)``.  Any other row stops once
+    successive Rayleigh quotients agree to ``tol`` relatively twice in a row
+    (to dodge spurious plateaus), or with value 0 when its image is the zero
+    vector, or unconverged with value NaN when its image is not finite, or
+    unconverged after ``max_iter`` iterations.  Its quotient and norm are
+    ``ndarray.dot`` of its own contiguous slice, so a row's outcome does not
+    depend on the rest of the stack.  Returns ``(value, iterations,
+    converged)`` per row.
     """
     count = len(offsets) - 1
-    results: list = [None] * count
+    results = [(0.0, 0, True)] * count
     value, hits = [0.0] * count, [0] * count
-    rows, bounds = list(range(count)), list(offsets)
-    for lo, hi in zip(bounds, bounds[1:]):
-        row = x[lo:hi]
-        row /= math.sqrt(row.dot(row))
-    apply = None
+    rows = []
+    for k in range(count):
+        row = x[offsets[k] : offsets[k + 1]]
+        norm = math.sqrt(row.dot(row))
+        if norm:
+            row /= norm
+            rows.append(k)
     for iteration in range(1, max_iter + 1):
         if not rows:
             break
-        if apply is None:
-            apply = operator(rows)
         y = apply(x)
-        stopped = []
-        for pos, k in enumerate(rows):
-            lo, hi = bounds[pos], bounds[pos + 1]
+        running = []
+        for k in rows:
+            lo, hi = offsets[k], offsets[k + 1]
             image = y[lo:hi]
             current = float(x[lo:hi].dot(image))
             norm = math.sqrt(image.dot(image))
@@ -307,30 +307,20 @@ def _power_iteration(operator: Callable, x: np.ndarray, offsets: Sequence[int],
             if not 0.0 < norm < math.inf:  # a zero image, or one that overflowed
                 converged = norm == 0.0
                 results[k] = (0.0 if converged else math.nan, iteration, converged)
-                stopped.append(pos)
+                image.fill(0.0)
                 continue
             image /= norm
             if abs(current - value[k]) <= tol * max(abs(current), 1e-300):
                 hits[k] += 1
                 if hits[k] >= 2:
                     results[k] = (current, iteration, True)
-                    stopped.append(pos)
+                    image.fill(0.0)
                     continue
             else:
                 hits[k] = 0
             value[k] = current
-        x = y
-        if stopped:
-            gone = set(stopped)
-            left = [pos for pos in range(len(rows)) if pos not in gone]
-            if left:
-                keep = np.ones(x.size, dtype=bool)
-                for pos in stopped:
-                    keep[bounds[pos] : bounds[pos + 1]] = False
-                x = x[keep]
-            rows = [rows[pos] for pos in left]
-            bounds = [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in left)]
-            apply = None
+            running.append(k)
+        x, rows = y, running
     for k in rows:
         results[k] = (value[k], max_iter, False)
     return results
@@ -341,56 +331,35 @@ def _embedding_reports(shape: TreeShape, measures: Sequence[TreeMeasure],
     """:func:`embedding_constant` of each measure of one shape.
 
     The test ratios come from one pass pair over the ``(nodes, trials)``
-    stack of masses.  The trials with support share one ``(nodes, active)``
-    array: their stacked ``sqrt(mu) * g`` is scattered into it, both tree
-    passes run along its leading axis, and the result is gathered back.  A
-    measure without support gets ``(0.0, 0, True)``.
+    stack of masses.  The power loop's stack holds the support of each
+    trial in turn; its apply scatters the stacked ``sqrt(mu) * g`` into one
+    ``(nodes, trials)`` array, runs both tree passes along its leading
+    axis, and gathers the result back.  A measure without support is an
+    empty row, which the loop stops with ``(0.0, 0, True)``.
     """
     depth = shape.depth
     masses = np.stack([mu.masses for mu in measures], axis=-1)
     tests = _test_constants(shape, _test_ratios(depth, masses))
     nodes, trials = masses.shape
-    by_trial = np.ravel(masses, order="F")
-    node = np.flatnonzero(by_trial)  # trial * nodes + node, trial by trial
-    bounds = np.searchsorted(node, np.arange(trials + 1) * nodes)
-    sizes = np.diff(bounds)
-    sqrt_m = np.sqrt(by_trial[node])
-    bounds = bounds.tolist()
-    for k in range(1, trials):  # down to the node numbers of each trial
-        node[bounds[k] : bounds[k + 1]] -= k * nodes
-    solved = [k for k in range(trials) if sizes[k]]
+    pos = np.flatnonzero(masses.T)  # trial * nodes + node, trial by trial
+    index = pos % nodes
+    index *= trials
+    index += pos // nodes
+    weights = np.sqrt(masses.ravel()[index])
+    offsets = np.searchsorted(pos, np.arange(trials + 1) * nodes).tolist()
+    full = np.empty((nodes, trials))
+    flat = full.reshape(-1)
 
-    def operator(rows: list[int]):
-        picked = [solved[r] for r in rows]
-        weights, at = sqrt_m, node
-        if len(picked) < len(solved):  # some rows stopped: keep the others' entries
-            member = np.zeros(trials, dtype=bool)
-            member[picked] = True
-            keep = np.repeat(member, sizes)
-            weights, at = sqrt_m[keep], node[keep]
-        index = at * len(picked)
-        index += np.repeat(np.arange(len(picked)), sizes[picked])
-        full = np.empty((nodes, len(picked)))
-        flat = full.reshape(-1)
+    def apply(g: np.ndarray) -> np.ndarray:
+        full.fill(0.0)
+        flat[index] = weights * g
+        _subtree_sums_inplace(depth, full)
+        _ancestor_sums_inplace(depth, full)
+        return weights * flat[index]
 
-        def apply(g: np.ndarray) -> np.ndarray:
-            full.fill(0.0)
-            flat[index] = weights * g
-            _subtree_sums_inplace(depth, full)
-            _ancestor_sums_inplace(depth, full)
-            return weights * flat[index]
-
-        return apply
-
-    offsets = [bounds[k] for k in solved] + [node.size]
-    solutions = dict(zip(solved, _power_iteration(operator, np.ones(node.size), offsets,
-                                                  tol, max_iter)))
-    reports = []
-    for k, test in enumerate(tests):
-        value, iterations, converged = solutions.get(k, (0.0, 0, True))
-        reports.append(EmbeddingReport(test.constant, value, test.argmax_node, iterations,
-                                       converged))
-    return reports
+    solutions = _power_iteration(apply, np.ones(pos.size), offsets, tol, max_iter)
+    return [EmbeddingReport(test.constant, value, test.argmax_node, iterations, converged)
+            for test, (value, iterations, converged) in zip(tests, solutions)]
 
 
 def embedding_constant(

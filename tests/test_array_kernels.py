@@ -22,6 +22,7 @@ kept here with the per-trial normalization the CLI did before them.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -642,8 +643,10 @@ def _bitree_stack(shape):
 @pytest.mark.parametrize("depth", range(9))
 @pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
 def test_stacked_tree_rows_match_one_row_loop(depth, mode):
-    measures = _tree_stack(build_tree(depth), mode)
-    for max_iter in (100_000, 2):
+    stack = _tree_stack(build_tree(depth), mode)
+    # the zero measure is second, then first, then last in the stack
+    for measures, max_iter in itertools.product(
+            [stack, stack[1:] + stack[:1], stack[2:] + stack[:2]], (100_000, 2)):
         reports = embedding_constants(measures, max_iter=max_iter)
         assert len(reports) == len(measures)
         for mu, report in zip(measures, reports):
@@ -659,8 +662,9 @@ def test_stacked_tree_rows_match_one_row_loop(depth, mode):
 @pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4)])
 def test_stacked_bitree_rows_match_one_row_loop(depths):
     shape = build_bitree(*depths)
-    stack = _bitree_stack(shape)
-    for max_iter in (100_000, 2):
+    # the zero grid is second, then first, then last in the stack
+    stacks = [np.roll(_bitree_stack(shape), -shift, axis=0) for shift in (0, 1, 2)]
+    for stack, max_iter in itertools.product(stacks, (100_000, 2)):
         solutions = _bi_embedding_values(depths, stack, max_iter=max_iter)
         assert len(solutions) == len(stack)
         for cells, got in zip(stack, solutions):
@@ -668,26 +672,24 @@ def test_stacked_bitree_rows_match_one_row_loop(depths):
             assert _same_outcome(got, _row_bitree_solve(mu, max_iter=max_iter))
             single = bi_embedding_constant(mu, max_iter=max_iter)
             assert (single.value, single.iterations, single.converged) == got
-    for cells, (gap, box, emb) in zip(stack, _probe_values(shape, stack)):
-        mu = BiMeasure(shape, cells)
-        want_box = one_box_constant(mu).constant
-        want_emb = bi_embedding_constant(mu).value if want_box else 0.0
-        assert (box, emb) == (want_box, want_emb)
-        assert gap == (want_emb / want_box if want_box else 0.0)
+    for stack in stacks:
+        for cells, (gap, box, emb) in zip(stack, _probe_values(shape, stack)):
+            mu = BiMeasure(shape, cells)
+            want_box = one_box_constant(mu).constant
+            want_emb = bi_embedding_constant(mu).value if want_box else 0.0
+            assert (box, emb) == (want_box, want_emb)
+            assert gap == (want_emb / want_box if want_box else 0.0)
 
 
 def _block_operator(blocks):
-    """Apply of the block-diagonal operator of the given rows of ``blocks``."""
-    def operator(rows):
-        def apply(x):
-            out, start = [], 0
-            for k in rows:
-                size = len(blocks[k])
-                out.append(blocks[k] @ x[start : start + size])
-                start += size
-            return np.concatenate(out)
-        return apply
-    return operator
+    """Apply of the block-diagonal operator of ``blocks`` on the whole stack."""
+    def apply(x):
+        out, start = [], 0
+        for block in blocks:
+            out.append(block @ x[start : start + len(block)])
+            start += len(block)
+        return np.concatenate(out)
+    return apply
 
 
 def test_stacked_loop_matches_one_row_loop_on_every_exit():
@@ -708,6 +710,41 @@ def test_stacked_loop_matches_one_row_loop_on_every_exit():
             want = _row_power_iteration(lambda v, b=block: b @ v, starts[k], 1e-12,
                                         max_iter)
             assert _same_outcome(got[k], want), (k, max_iter)
+
+
+def test_stacked_loop_keeps_one_layout_and_zeroes_stopped_rows():
+    rng = np.random.default_rng(11)
+    blocks = []
+    for size in (3, 4, 2, 0, 5, 3, 1, 4):
+        a = rng.normal(size=(size, size))
+        blocks.append(a @ a.T)
+    blocks[2] = np.eye(2)                     # stops at iteration 3
+    blocks[4] = np.zeros((5, 5))              # zero image: stops at iteration 1
+    starts = [rng.exponential(size=len(b)) + 0.1 for b in blocks]
+    zero = [0, 3, 5, 7]                       # zero starts: first, middle, empty, last
+    for k in zero:
+        starts[k] = np.zeros(len(blocks[k]))
+    offsets = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+    block_apply = _block_operator(blocks)
+    seen = []
+
+    def spy(x):
+        seen.append(x.copy())
+        return block_apply(x)
+
+    got = _power_iteration(spy, np.concatenate(starts), offsets, 1e-12, 100_000)
+    assert seen and all(x.size == offsets[-1] for x in seen)
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        # call i + 1 follows iteration i, so a row stopped at iteration t
+        # is zero in every call after the t-th
+        assert all(not x[lo:hi].any() for x in seen[got[k][1]:]), k
+        if k in zero:
+            assert got[k] == (0.0, 0, True)
+        else:
+            want = _row_power_iteration(lambda v, b=blocks[k]: b @ v, starts[k], 1e-12,
+                                        100_000)
+            assert _same_outcome(got[k], want), k
+    assert got[4][1] == 1 and got[2][1] == 3 and len(seen) > 3
 
 
 def test_batches_of_none_and_of_one():
