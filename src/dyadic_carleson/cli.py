@@ -275,8 +275,8 @@ def _cmd_bellman_sample(args, cfg: RunConfig) -> Outcome:
     if mode == bellman.MODE_COMPENSATION:
         values = batch.values()
         worst = float(values.max()) if len(batch) else 0.0
-        passed = worst <= 1e-12
-        summary = {"max_value": worst, "threshold": 1e-12}
+        passed = worst <= cfg.tol
+        summary = {"max_value": worst, "threshold": cfg.tol}
         bad = int(np.argmax(values)) if len(batch) else None
     else:
         values = batch.slacks()

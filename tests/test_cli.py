@@ -441,6 +441,15 @@ def test_bellman_sample_all_modes(capsys):
         assert json.loads(out)["passed"] is True
 
 
+def test_bellman_sample_compensation_takes_tol(capsys):
+    code, out, _ = _run(capsys, "bellman-sample", "--mode", "compensation",
+                        "--trials", "200", "--seed", "4", "--tol", "1e-6")
+    assert code == 0
+    report = json.loads(out)
+    assert report["threshold"] == 1e-6
+    assert report["passed"] is (report["max_value"] <= 1e-6)
+
+
 def test_maximal_verify_random(capsys):
     code, out, _ = _run(capsys, "maximal-verify", "--depth", "4",
                         "--trials", "3", "--seed", "2")
