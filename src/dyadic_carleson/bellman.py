@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .carleson import AlphaSequence, alpha_test_constant
+from .carleson import AlphaSequence, _row_blocks, alpha_test_constant
 from .errors import DomainError, PreconditionError, ValidationError
 from .tree import TreeMeasure, as_node_array, subtree_sums
 
@@ -357,17 +357,20 @@ class SamplerStats:
     rejected_test_bound: int = 0
 
 
-# ``rng.random(n) * high`` draws the same stream and bits as
-# ``rng.uniform(0.0, high)`` at a fraction of the cost of broadcasting
-# ``high``; likewise ``standard_exponential`` and ``standard_normal``
-# stand for ``exponential(1.0)`` and ``normal(0.0, 1.0)``.
+# Raw arrays are drawn whole and scaled in place: ``rng.random(n) * high``
+# draws the same stream and bits as ``rng.uniform(0.0, high)``; likewise
+# ``standard_exponential`` and ``standard_normal`` stand for
+# ``exponential(1.0)`` and ``normal(0.0, 1.0)``.  All later arithmetic is
+# elementwise and runs in blocks of about ``carleson.BLOCK_ENTRIES`` entries,
+# so temporaries stay cache-sized and each entry has the whole-array bits.
 
 
 def _draw_children(rng: np.random.Generator, count: int, side: str) -> dict:
+    """Raw draws of one side: F and v, and A and f before their scaling."""
     F = rng.standard_exponential(count)
     v = rng.standard_exponential(count)
-    A = rng.random(count) * v
-    f = rng.uniform(-1.0, 1.0, count) * np.sqrt(F * v)
+    A = rng.random(count)
+    f = rng.uniform(-1.0, 1.0, count)
     return {"F" + side: F, "f" + side: f, "A" + side: A, "v" + side: v}
 
 
@@ -378,7 +381,8 @@ class SampleBatch:
     The split modes hold the children ``F-, f-, A-, v-, F+, f+, A+, v+``
     followed by ``m`` (martingale) or ``a, b, c`` (tree split); the
     compensation mode holds the parent ``F, f, A, v`` and ``a, b, c``.
-    ``slacks`` serves the split modes and ``values`` the compensation.
+    ``slacks`` serves the split modes and ``values`` the compensation; both
+    run block by block into one array.
     """
 
     mode: str
@@ -386,6 +390,10 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return next(iter(self.arrays.values())).size
+
+    def _select(self, index) -> SampleBatch:
+        """The entries at ``index``: views for a slice, copies for a mask."""
+        return SampleBatch(self.mode, {k: x[index] for k, x in self.arrays.items()})
 
     def parent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         x = self.arrays
@@ -403,7 +411,19 @@ class SampleBatch:
             v += a * a
         return F, f, A, v
 
+    def _by_blocks(self, formula) -> np.ndarray:
+        out = np.empty(len(self))
+        for rows in _row_blocks(len(self), 1):
+            out[rows] = formula(self._select(rows))
+        return out
+
     def slacks(self) -> np.ndarray:
+        return self._by_blocks(SampleBatch._block_slacks)
+
+    def values(self) -> np.ndarray:
+        return self._by_blocks(SampleBatch._block_values)
+
+    def _block_slacks(self) -> np.ndarray:
         x = self.arrays
         F, f, A, v = self.parent()
         half = 0.5 * (
@@ -415,7 +435,7 @@ class SampleBatch:
         np.divide(f * f * increment, v * v, out=drift, where=v > 0)
         return bellman_values(F, f, A, v) - half - drift
 
-    def values(self) -> np.ndarray:
+    def _block_values(self) -> np.ndarray:
         x = self.arrays
         a, b = x["a"], x["b"]
         As = x["A"] - x["c"]
@@ -439,27 +459,42 @@ class SampleBatch:
 
 
 def _draw_mode(rng: np.random.Generator, count: int, mode: str, stats: SamplerStats):
+    """One round of ``count`` witnesses and the mask of the admissible ones;
+    compensation parents overwrite the ``-`` children, the ``+`` ones go."""
     x = {**_draw_children(rng, count, "-"), **_draw_children(rng, count, "+")}
-    a_half = 0.5 * (x["A-"] + x["A+"])
-    v_half = 0.5 * (x["v-"] + x["v+"])
     if mode == MODE_MARTINGALE:
-        x["m"] = rng.random(count) * (v_half - a_half)
+        x["m"] = rng.random(count)
     else:
-        a = np.abs(rng.standard_normal(count))
-        b = rng.standard_normal(count)
-        x.update(a=a, b=b, c=rng.random(count) * (v_half + a * a - a_half))
-    split = MODE_MARTINGALE if mode == MODE_MARTINGALE else MODE_TREE_SPLIT
-    batch = SampleBatch(split, x)
-    F, f, A, v = batch.parent()
-    if mode == MODE_COMPENSATION:
-        abc = {k: x[k] for k in "abc"}
-        batch = SampleBatch(mode, dict(F=F, f=f, A=A, v=v, **abc))
+        a = rng.standard_normal(count)
+        x.update(a=np.abs(a, out=a), b=rng.standard_normal(count), c=rng.random(count))
+    split = SampleBatch(MODE_MARTINGALE if mode == MODE_MARTINGALE else MODE_TREE_SPLIT, x)
+    keep = np.empty(count, dtype=bool)
+    for rows in _row_blocks(count, 1):
+        block = split._select(rows)
+        y = block.arrays
+        for side in "-+":
+            y["A" + side] *= y["v" + side]
+            y["f" + side] *= np.sqrt(y["F" + side] * y["v" + side])
+        a_half = 0.5 * (y["A-"] + y["A+"])
+        v_half = 0.5 * (y["v-"] + y["v+"])
+        if mode == MODE_MARTINGALE:
+            y["m"] *= v_half - a_half
+        else:
+            y["c"] *= v_half + y["a"] * y["a"] - a_half
+        F, f, A, v = block.parent()
+        if mode == MODE_COMPENSATION:
+            for k, parent in zip("FfAv", (F, f, A, v)):
+                y[k + "-"][...] = parent
+        cs_bad = f * f > F * v + DOMAIN_TOL
+        a_bad = A > v + DOMAIN_TOL
+        stats.rejected_cauchy_schwarz += int(np.count_nonzero(cs_bad))
+        stats.rejected_test_bound += int(np.count_nonzero(a_bad & ~cs_bad))
+        np.logical_not(cs_bad | a_bad, out=keep[rows])
     stats.draws += count
-    cs_bad = f * f > F * v + DOMAIN_TOL
-    a_bad = A > v + DOMAIN_TOL
-    stats.rejected_cauchy_schwarz += int(np.count_nonzero(cs_bad))
-    stats.rejected_test_bound += int(np.count_nonzero(a_bad & ~cs_bad))
-    return batch, ~(cs_bad | a_bad)
+    if mode == MODE_COMPENSATION:
+        parent = {k: x[k + "-"] for k in "FfAv"}
+        return SampleBatch(mode, {**parent, **{k: x[k] for k in "abc"}}), keep
+    return split, keep
 
 
 MAX_REJECTION_ROUNDS = 10_000
@@ -484,7 +519,7 @@ def sample_batch(seed, count: int, mode: str):
     for _ in range(MAX_REJECTION_ROUNDS):
         batch, keep = _draw_mode(rng, need, mode, stats)
         if not keep.all():
-            batch = SampleBatch(mode, {k: x[keep] for k, x in batch.arrays.items()})
+            batch = batch._select(keep)
         parts.append(batch)
         need -= len(batch)
         if need == 0:

@@ -405,7 +405,9 @@ def bitree_bellman_certify(
       phi^2 mu and mu exactly (to 1e-12 of the larger of 1, mu(root) and
       the root integral of phi^2 mu, which bound every entry; the
       measure lives on cells, so both half-sums reproduce the whole);
-    * the box sums gain at least mu(R)^2 over the averaged children;
+    * the box sums gain at least mu(R)^2 over the averaged children
+      (``gain_margin`` is the least gain over the rectangles with
+      children; it is 0.0 on a (0,0) grid, which has none);
     * |R|^2 B(x_R) minus the same for the existing children dominates
       |R| (integral of phi over R)^2 / 4, where B = F - f^2/(v + A);
     * summing those rows telescopes to the global bound with constant 4,
@@ -473,13 +475,18 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     trials, blocks = range(len(cells)), _row_blocks(M.shape[1], M.size // M.shape[1])
     row_lengths, col_lengths = shape.row_tree.lengths(), shape.col_tree.lengths()
     W, scratch = np.empty_like(M), np.empty_like(M)
-    # per trial: the largest deviation of each (array, axis) pair, the least gain
-    deviations, gain_margins = np.full((6, len(cells)), -np.inf), np.full(len(cells), np.inf)
+    # per trial: the largest deviation of each (array, axis) pair, and the least
+    # gain over the rectangles with children (a (0,0) grid has none: 0.0); a
+    # leaf-row, leaf-column rectangle has box sum M^2 and no children, so gain 0
+    deviations = np.full((6, len(cells)), -np.inf)
+    gain_margins = np.full(len(cells), np.inf if M[0].size > 1 else 0.0)
+    inner_rows, inner_cols = (M.shape[1] - 1) // 2, (M.shape[2] - 1) // 2
     for rows in blocks:
         pairs = (pair for arr in (M, G1, G2) for pair in _child_pairs(arr, rows))
         for dev, (up, left, right) in zip(deviations, pairs):
             np.maximum(dev, np.abs(left + right - up).max((1, 2), initial=-np.inf), out=dev)
         gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
+        gain[:, max(0, inner_rows - rows.start):, inner_cols:] = np.inf
         np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
         areas, G1sq = np.outer(row_lengths[rows], col_lengths), G1[:, rows] ** 2
         np.multiply(areas, G1sq, out=scratch[:, rows])

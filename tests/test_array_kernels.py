@@ -932,6 +932,10 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
                 deviation = max(deviation, float(dev))
     magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
     gain = SQ - 0.5 * (_ref_child_pair_sums(SQ, 0) + _ref_child_pair_sums(SQ, 1)) - M**2
+    # the least gain over the rectangles with children on at least one axis
+    rows, cols = np.indices(gain.shape)
+    parents = (rows < (gain.shape[0] - 1) // 2) | (cols < (gain.shape[1] - 1) // 2)
+    gain_margin = float(gain[parents].min()) if parents.any() else 0.0
     G1sq = G1**2
     # the bi-tree Bellman function F - f^2 / (v + A), with 0/0 read as 0
     ratio = np.zeros_like(G1sq)
@@ -950,8 +954,8 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
         weighted_values=W, slacks=slacks,
         martingale_deviation=deviation,
         martingale_ok=deviation <= 1e-12 * magnitude,
-        gain_margin=float(gain.min()),
-        gain_ok=float(gain.min()) >= -1e-12,
+        gain_margin=gain_margin,
+        gain_ok=gain_margin >= -1e-12,
         min_slack=float(slacks.min()),
         slack_ok=float(slacks.min()) >= -tol,
         telescope_deviation=abs(net - expected),
@@ -1223,9 +1227,10 @@ def test_stacked_certificates_match_per_trial_loop(depths, budget, monkeypatch):
 
 
 def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
-    # the least gain is 0 at the leaf rows, in the last block; box sums
-    # halved on the first row put a negative one in the first block, which
-    # blocks of one and of three rows must find as one whole block does
+    # box sums halved on the first row put a negative gain in the first
+    # block, which blocks of one and of three rows must find as one whole
+    # block does; the leaf rows, in the last block, count only their
+    # rectangles with column children
     real = bitree._box_sums
 
     def lowered(shape, masses):

@@ -5,6 +5,8 @@ closed form B = 4 (F - f^2 / (v + A)); the comments spell the arithmetic
 out so the numbers can be re-derived without running anything.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +38,7 @@ from dyadic_carleson import (
     tree_split_slack,
     uniform_boundary_measure,
 )
-from dyadic_carleson import bellman
+from dyadic_carleson import bellman, carleson
 from dyadic_carleson.bellman import (
     CertificateRow,
     MartingaleWitness,
@@ -222,63 +224,154 @@ def test_sampler_is_deterministic_and_rejection_free(mode):
         assert np.array_equal(batch1.slacks(), batch2.slacks())
 
 
-def _batch_arrays(batch):
-    return list(batch.arrays.values())
+# The sampler's oracle: whole-array formulas over raw draws taken in the
+# sampler's stream order (per side F, v, A, f; then m, or a, b, c), each
+# round's admissible draws kept and the rounds joined.
 
 
-def _ref_sample_batch(seed, count, mode):
-    """The arrays of the always-copy sampler: each round's kept draws, joined."""
+def _ref_B(F, f, A, v):
+    """B = 4 (F - f^2 / (v + A)), and 4F where v + A = 0."""
+    s = v + A
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 4.0 * (F - np.where(s > 0, f * f / s, 0.0))
+
+
+def _ref_parent(x, mode):
+    """The parent of split-mode children: half-sums plus the node terms."""
+    F, f, A, v = (0.5 * (x[k + "-"] + x[k + "+"]) for k in "FfAv")
+    if mode == "martingale":
+        return F, f, A + x["m"], v
+    a, b = x["a"], x["b"]
+    return F + b * b, f + a * b, A + x["c"], v + a * a
+
+
+def _ref_round(rng, n, mode):
+    """One round's named arrays and its two rejection masks."""
+    x = {}
+    for side in "-+":
+        F = rng.standard_exponential(n)
+        v = rng.standard_exponential(n)
+        A = rng.random(n) * v
+        f = rng.uniform(-1.0, 1.0, n) * np.sqrt(F * v)
+        x.update({"F" + side: F, "f" + side: f, "A" + side: A, "v" + side: v})
+    v_half, a_half = 0.5 * (x["v-"] + x["v+"]), 0.5 * (x["A-"] + x["A+"])
+    if mode == "martingale":
+        x["m"] = rng.random(n) * (v_half - a_half)
+    else:
+        a = np.abs(rng.standard_normal(n))
+        b = rng.standard_normal(n)
+        x.update(a=a, b=b, c=rng.random(n) * (v_half + a * a - a_half))
+    F, f, A, v = _ref_parent(x, "martingale" if mode == "martingale" else "tree_split")
+    if mode == "compensation":
+        x = dict(F=F, f=f, A=A, v=v, a=x["a"], b=x["b"], c=x["c"])
+    cs_bad = f * f > F * v + 1e-12
+    return x, cs_bad, (A > v + 1e-12) & ~cs_bad
+
+
+def _ref_sample_batch(seed, count, mode, forced=None):
+    """Arrays and stats of ``sample_batch``; ``forced(n)`` also drops from round 1."""
     rng = np.random.default_rng(seed)
     stats = bellman.SamplerStats()
-    rounds = []
-    need = count
-    while need:
-        batch, keep = bellman._draw_mode(rng, need, mode, stats)
-        rounds.append([values[keep] for values in _batch_arrays(batch)])
-        need -= int(np.count_nonzero(keep))
-    if not rounds:
-        batch = bellman._draw_mode(rng, 0, mode, stats)[0]
-        rounds = [_batch_arrays(batch)]
-    return type(batch), [np.concatenate(column) for column in zip(*rounds)], stats
+    rounds, need = [], count
+    while True:
+        x, cs_bad, a_bad = _ref_round(rng, need, mode)
+        keep = ~(cs_bad | a_bad)
+        if forced is not None and not rounds:
+            keep &= forced(need)
+        stats.draws += need
+        stats.rejected_cauchy_schwarz += int(cs_bad.sum())
+        stats.rejected_test_bound += int(a_bad.sum())
+        rounds.append({k: values[keep] for k, values in x.items()})
+        need -= int(keep.sum())
+        if need == 0:
+            break
+    return {k: np.concatenate([r[k] for r in rounds]) for k in rounds[0]}, stats
+
+
+def _ref_outputs(x, mode):
+    """Slacks of the split modes, values of the compensation."""
+    if mode == "compensation":
+        a, b, As = x["a"], x["b"], x["A"] - x["c"]
+        stripped = _ref_B(x["F"] - b * b, x["f"] - a * b, As, x["v"] - a * a)
+        return 0.25 * (stripped - _ref_B(x["F"], x["f"], As, x["v"]))
+    F, f, A, v = _ref_parent(x, mode)
+    increment = x["m"] if mode == "martingale" else x["c"]
+    half = 0.5 * (_ref_B(*(x[k + "-"] for k in "FfAv")) + _ref_B(*(x[k + "+"] for k in "FfAv")))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.where(v > 0, f * f * increment / (v * v), 0.0)
+    return _ref_B(F, f, A, v) - half - drift
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _same_batch(batch, stats, ref):
-    kind, arrays, ref_stats = ref
-    return type(batch) is kind and stats == ref_stats and all(
-        x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for x, y in zip(_batch_arrays(batch), arrays, strict=True)
+    arrays, ref_stats = ref
+    return (
+        stats == ref_stats
+        and list(batch.arrays) == list(arrays)
+        and all(_same_bits(batch.arrays[k], arrays[k]) for k in arrays)
     )
 
 
+def _outputs(batch):
+    return batch.values() if batch.mode == "compensation" else batch.slacks()
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("count", [0, 1, 500])
-def test_sampler_matches_always_copy_path(mode, count):
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_sampler_matches_whole_array_oracle(mode, block, blocks, extra, monkeypatch):
+    # counts at and around the block edges: 0, 1, B-1, B, B+1 and 2B+3
+    if block is not None:
+        monkeypatch.setattr(carleson, "BLOCK_ENTRIES", block)
+    count = blocks * carleson.BLOCK_ENTRIES + extra
     batch, stats = sample_batch(11, count, mode)
-    assert _same_batch(batch, stats, _ref_sample_batch(11, count, mode))
+    arrays, _ = ref = _ref_sample_batch(11, count, mode)
+    assert batch.mode == mode and len(batch) == count
+    assert _same_batch(batch, stats, ref)
+    got, want = _outputs(batch), _ref_outputs(arrays, mode)
+    assert _same_bits(got, want)
+    if count:
+        assert _same_bits(got.mean(), want.mean())
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_sampler_rounds_with_rejections_match_always_copy_path(mode, monkeypatch):
     draw = bellman._draw_mode
+    rounds = []
 
-    def run(sampler):
-        rounds = []
+    def dropping(rng, count, mode, stats):
+        batch, keep = draw(rng, count, mode, stats)
+        if not rounds:
+            keep = keep & (np.arange(count) % 3 != 0)
+        rounds.append(count)
+        return batch, keep
 
-        def dropping(rng, count, mode, stats):
-            batch, keep = draw(rng, count, mode, stats)
-            if not rounds:
-                keep = keep & (np.arange(count) % 3 != 0)
-            rounds.append(count)
-            return batch, keep
-
-        monkeypatch.setattr(bellman, "_draw_mode", dropping)
-        result = sampler(5, 300, mode)
-        assert rounds == [300, 100]
-        return result
-
-    batch, stats = run(sample_batch)
+    monkeypatch.setattr(bellman, "_draw_mode", dropping)
+    batch, stats = sample_batch(5, 300, mode)
+    assert rounds == [300, 100]
     assert len(batch) == 300
-    assert _same_batch(batch, stats, run(_ref_sample_batch))
+    ref = _ref_sample_batch(5, 300, mode, forced=lambda n: np.arange(n) % 3 != 0)
+    assert _same_batch(batch, stats, ref)
+    assert _same_bits(_outputs(batch), _ref_outputs(ref[0], mode))
+
+
+@pytest.mark.parametrize("mode, arrays", [("martingale", 11), ("tree_split", 13),
+                                          ("compensation", 13)])
+def test_sampler_peak_memory(mode, arrays):
+    # the raw draws (9 arrays for the martingale, 11 for the others) plus
+    # two: the output and block-sized temporaries, not whole-size ones
+    count = 1 << 20
+    tracemalloc.start()
+    try:
+        batch, _ = sample_batch(0, count, mode)
+        _outputs(batch).mean()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * count
 
 
 @pytest.mark.parametrize("mode", ["martingale", "tree_split"])

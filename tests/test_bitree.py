@@ -227,6 +227,17 @@ def test_certificate_random_instances(seed):
     assert cert.lhs_total <= cert.upper_bound + 1e-9
 
 
+def test_certificate_gain_margin_shows_headroom():
+    # every rectangle of a full-support grid has positive mass, so each one
+    # with children gains strictly; a (0,0) grid has no such rectangle
+    shape = build_bitree(4, 4)
+    mu, _ = normalized_to_unit_onebox(random_bimeasure(4, shape, density=1.0))
+    cert = bitree_bellman_certify(mu, np.ones(shape.cell_grid))
+    assert cert.gain_ok and cert.gain_margin > 0.0
+    point = cell_point_mass(build_bitree(0, 0), 0, 0)
+    assert bitree_bellman_certify(point, np.ones((1, 1))).gain_margin == 0.0
+
+
 def test_certificate_requires_unit_box():
     shape = build_bitree(1, 1)
     with pytest.raises(PreconditionError, match="scale the measure"):
