@@ -237,7 +237,7 @@ def _ref_B(F, f, A, v):
 
 
 def _ref_parent(x, mode):
-    """The parent of split-mode children: half-sums plus the node terms."""
+    """The parent of the children: half-sums plus m, or the node terms."""
     F, f, A, v = (0.5 * (x[k + "-"] + x[k + "+"]) for k in "FfAv")
     if mode == "martingale":
         return F, f, A + x["m"], v
@@ -261,7 +261,7 @@ def _ref_round(rng, n, mode):
         a = np.abs(rng.standard_normal(n))
         b = rng.standard_normal(n)
         x.update(a=a, b=b, c=rng.random(n) * (v_half + a * a - a_half))
-    F, f, A, v = _ref_parent(x, "martingale" if mode == "martingale" else "tree_split")
+    F, f, A, v = _ref_parent(x, mode)
     if mode == "compensation":
         x = dict(F=F, f=f, A=A, v=v, a=x["a"], b=x["b"], c=x["c"])
     cs_bad = f * f > F * v + 1e-12
