@@ -7,182 +7,47 @@ the stopping-time maximal inequality with constant 32, and their
 two-parameter (bi-tree) counterparts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bellman import (
-    BellmanPoint,
-    CertificateRow,
-    MODES,
-    SamplerStats,
-    TreeCertificate,
-    a_shift_gain,
-    bellman_gradient,
-    bellman_value,
-    bellman_values,
-    certify_tree_embedding,
-    concavity_first_order_gap,
-    gradient_signs_check,
-    martingale_split_slack,
-    sample_admissible,
-    sample_batch,
-    split_compensation,
-    tree_split_slack,
+    BellmanPoint, CertificateRow, MODES, SamplerStats, TreeCertificate, a_shift_gain,
+    bellman_gradient, bellman_value, bellman_values, certify_tree_embedding,
+    concavity_first_order_gap, gradient_signs_check, martingale_split_slack,
+    sample_admissible, sample_batch, split_compensation, tree_split_slack,
 )
 from .bitree import (
-    BiMeasure,
-    BiTreeShape,
-    GapProbeConfig,
-    GapProbeReport,
-    bi_embedding_constant,
-    bi_embedding_constant_dense,
-    bitree_bellman_certify,
-    boundary_set_ratio,
-    build_bitree,
-    cell_point_mass,
-    cube_embedding_check,
-    gap_probe,
-    one_box_constant,
-    one_box_constants,
-    set_test_constant,
-    uniform_bimeasure,
-    unit_box_certificates,
+    BiMeasure, BiTreeShape, GapProbeConfig, GapProbeReport, bi_embedding_constant,
+    bi_embedding_constant_dense, bitree_bellman_certify, boundary_set_ratio,
+    build_bitree, cell_point_mass, cube_embedding_check, gap_probe, one_box_constant,
+    one_box_constants, set_test_constant, uniform_bimeasure, unit_box_certificates,
 )
 from .carleson import (
-    AlphaSequence,
-    EmbeddingReport,
-    alpha_test_constant,
-    box_squared_alpha,
-    carleson_normalized,
-    carleson_ratios,
-    embedding_constant,
-    embedding_constant_dense,
-    embedding_constants,
-    embedding_lhs,
-    embedding_pair_check,
-    embedding_pair_checks,
+    AlphaSequence, EmbeddingReport, alpha_test_constant, box_squared_alpha,
+    carleson_normalized, carleson_ratios, embedding_constant, embedding_constant_dense,
+    embedding_constants, embedding_lhs, embedding_pair_check, embedding_pair_checks,
 )
 from .errors import (
-    CarlesonError,
-    DomainError,
-    PreconditionError,
-    ShapeMismatchError,
-    SizeError,
+    CarlesonError, DomainError, PreconditionError, ShapeMismatchError, SizeError,
     ValidationError,
 )
 from .instances import (
-    random_bimeasure,
-    random_cell_values,
-    random_node_values,
-    random_tree_measure,
+    random_bimeasure, random_cell_values, random_node_values, random_tree_measure,
 )
 from .maximal import (
-    StoppingDecomposition,
-    maximal_checks,
-    maximal_ratios,
-    maximal_theorem_check,
-    stopping_decomposition,
-    verify_stopping_invariants,
+    StoppingDecomposition, maximal_checks, maximal_ratios, maximal_theorem_check,
+    stopping_decomposition, verify_stopping_invariants,
 )
 from .measure_io import (
-    load_measure,
-    measure_to_dict,
-    parse_measure_file,
-    save_measure,
+    load_measure, measure_to_dict, parse_measure_file, save_measure,
 )
 from .tree import (
-    ALL_NODES,
-    BOUNDARY_ONLY,
-    NodeVector,
-    TreeMeasure,
-    TreeShape,
-    box_average,
-    box_integral,
-    build_tree,
-    hardy_down,
-    hardy_up,
-    leaf_point_mass,
-    potential,
+    ALL_NODES, BOUNDARY_ONLY, NodeVector, TreeMeasure, TreeShape, box_average,
+    box_integral, build_tree, hardy_down, hardy_up, leaf_point_mass, potential,
     uniform_boundary_measure,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_NODES",
-    "AlphaSequence",
-    "BOUNDARY_ONLY",
-    "BellmanPoint",
-    "BiMeasure",
-    "BiTreeShape",
-    "CarlesonError",
-    "CertificateRow",
-    "DomainError",
-    "EmbeddingReport",
-    "GapProbeConfig",
-    "GapProbeReport",
-    "MODES",
-    "NodeVector",
-    "PreconditionError",
-    "SamplerStats",
-    "ShapeMismatchError",
-    "SizeError",
-    "StoppingDecomposition",
-    "TreeCertificate",
-    "TreeMeasure",
-    "TreeShape",
-    "ValidationError",
-    "a_shift_gain",
-    "alpha_test_constant",
-    "bellman_gradient",
-    "bellman_value",
-    "bellman_values",
-    "bi_embedding_constant",
-    "bi_embedding_constant_dense",
-    "bitree_bellman_certify",
-    "boundary_set_ratio",
-    "box_average",
-    "box_integral",
-    "box_squared_alpha",
-    "build_bitree",
-    "build_tree",
-    "carleson_normalized",
-    "carleson_ratios",
-    "cell_point_mass",
-    "certify_tree_embedding",
-    "concavity_first_order_gap",
-    "cube_embedding_check",
-    "embedding_constant",
-    "embedding_constant_dense",
-    "embedding_constants",
-    "embedding_lhs",
-    "embedding_pair_check",
-    "embedding_pair_checks",
-    "gap_probe",
-    "gradient_signs_check",
-    "hardy_down",
-    "hardy_up",
-    "leaf_point_mass",
-    "load_measure",
-    "martingale_split_slack",
-    "maximal_checks",
-    "maximal_ratios",
-    "maximal_theorem_check",
-    "measure_to_dict",
-    "one_box_constant",
-    "one_box_constants",
-    "parse_measure_file",
-    "potential",
-    "random_bimeasure",
-    "random_cell_values",
-    "random_node_values",
-    "random_tree_measure",
-    "sample_admissible",
-    "sample_batch",
-    "save_measure",
-    "set_test_constant",
-    "split_compensation",
-    "stopping_decomposition",
-    "tree_split_slack",
-    "uniform_bimeasure",
-    "unit_box_certificates",
-    "uniform_boundary_measure",
-    "verify_stopping_invariants",
-]
+# the public names are the imports above; submodules and private names are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -16,8 +16,9 @@ either coordinate directly.  Quantities that only need the cell grid
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -225,12 +226,18 @@ def rect_integrals(shape: BiTreeShape, cell_values: np.ndarray) -> np.ndarray:
     return _rect_integrals(shape, grid)
 
 
-def _rect_integrals(shape: BiTreeShape, grid: np.ndarray) -> np.ndarray:
-    """:func:`rect_integrals` over the last two axes; leading axes are trials."""
+def _rect_integrals(shape: BiTreeShape, *grids: np.ndarray) -> np.ndarray:
+    """:func:`rect_integrals` of the product of ``grids``, taken left to right
+    on the leaf block of the output (``(phi, phi, cells)`` gives the bits of
+    ``phi**2 * cells``), over the last two axes; leading axes are trials."""
     n, m = shape.depths
-    out = np.empty(grid.shape[:-2] + shape.node_counts)
+    first, *rest = grids
+    out = np.empty(first.shape[:-2] + shape.node_counts)
     leaf_rows = out[..., (1 << n) - 1 :, :]
-    leaf_rows[..., (1 << m) - 1 :] = grid
+    leaves = leaf_rows[..., (1 << m) - 1 :]
+    leaves[...] = first
+    for grid in rest:
+        leaves *= grid
     _fill_pair_levels(m, leaf_rows, axis=-1)
     _fill_pair_levels(n, out, axis=-2)
     return out
@@ -248,12 +255,9 @@ def _box_sums(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_box_ratios(shape: BiTreeShape, masses: np.ndarray) -> np.ndarray:
-    return _safe_ratio(_box_sums(shape, masses), masses)
-
-
 def one_box_ratios(mu: BiMeasure) -> np.ndarray:
-    return _one_box_ratios(mu.shape, rect_masses(mu))
+    masses = rect_masses(mu)
+    return _safe_ratio(_box_sums(mu.shape, masses), masses)
 
 
 class OneBoxResult(NamedTuple):
@@ -261,30 +265,39 @@ class OneBoxResult(NamedTuple):
     argmax_rect: tuple[int, int]
 
 
-def _largest_ratios(ratios: np.ndarray) -> list[OneBoxResult]:
-    """Largest ratio of each rectangle array along the leading axes.
-
-    The first largest in row-major order wins, as in ``np.argmax``.  This
-    is the bi-tree family's one check for non-finite ratios: the first
-    array with one raises, at its trial, a ``ValidationError`` that names
-    its first such rectangle.
+def _largest_ratios(masses: np.ndarray, box_sums: np.ndarray) -> list[OneBoxResult]:
+    """Largest box ratio of each array of a ``(trials, rows, cols)`` stack of
+    rectangle masses and box sums, and where it is attained, one row block
+    at a time.  The first largest in row-major order wins, as in
+    ``np.argmax``.  This is the bi-tree family's one check for non-finite
+    ratios: the first array with one raises, at its trial, a
+    ``ValidationError`` that names its first such rectangle.
     """
-    cols = ratios.shape[-1]
-    flat = ratios.reshape(-1, ratios.shape[-2] * cols)
-    for k in np.flatnonzero(~np.isfinite(flat).all(axis=1)).tolist():
-        b = int(np.flatnonzero(~np.isfinite(flat[k]))[0])
+    trials, rows, cols = masses.shape
+    best, where, bad = np.full(trials, -np.inf), np.zeros(trials, dtype=np.int64), {}
+    for block in _row_blocks(rows, trials * cols):
+        ratios = _safe_ratio(box_sums[:, block], masses[:, block]).reshape(trials, -1)
+        for k in np.flatnonzero(~np.isfinite(ratios).all(axis=1)).tolist():
+            b = int(np.flatnonzero(~np.isfinite(ratios[k]))[0])
+            bad.setdefault(k, (block.start * cols + b, ratios[k, b]))
+        arg = ratios.argmax(axis=1)
+        value = ratios[np.arange(trials), arg]
+        higher = value > best
+        best[higher], where[higher] = value[higher], arg[higher] + block.start * cols
+    if bad:
+        k = min(bad)
+        b, value = bad[k]
         with _trial(k):
             raise ValidationError(
-                f"rectangle {(b // cols + 1, b % cols + 1)}: non-finite box ratio {flat[k, b]}"
+                f"rectangle {(b // cols + 1, b % cols + 1)}: non-finite box ratio {value}"
             )
-    return [OneBoxResult(float(flat[k, b]), (b // cols + 1, b % cols + 1))
-            for k, b in enumerate(flat.argmax(axis=1).tolist())]
+    return [OneBoxResult(v, (b // cols + 1, b % cols + 1))
+            for v, b in zip(best.tolist(), where.tolist())]
 
 
-def _require_unit_box(ratios: np.ndarray) -> None:
-    """:func:`_largest_ratios` of ``ratios``; the first array whose largest
-    ratio exceeds 1 (to 1e-9) raises, at its trial."""
-    for k, box in enumerate(_largest_ratios(ratios)):
+def _require_unit_box(boxes: list[OneBoxResult]) -> None:
+    """The first of ``boxes`` whose constant exceeds 1 (to 1e-9) raises, at its trial."""
+    for k, box in enumerate(boxes):
         if box.constant > 1.0 + 1e-9:
             with _trial(k):
                 raise PreconditionError(
@@ -301,7 +314,8 @@ def one_box_constant(mu: BiMeasure) -> OneBoxResult:
 
 def _one_box_results(shape: BiTreeShape, cells: np.ndarray) -> list[OneBoxResult]:
     """:func:`one_box_constant` of each grid of a ``(trials, rows, cols)`` stack."""
-    return _largest_ratios(_one_box_ratios(shape, _rect_integrals(shape, cells)))
+    masses = _rect_integrals(shape, cells)
+    return _largest_ratios(masses, _box_sums(shape, masses))
 
 
 def one_box_constants(measures: Iterable[BiMeasure]) -> Iterator[OneBoxResult]:
@@ -335,7 +349,7 @@ def cube_embedding_check(
     lhs sums |R| (integral of phi over R)^2 over all rectangles, rhs is
     the integral of phi^2; requires the box constant to be at most 1.
     """
-    _require_unit_box(one_box_ratios(mu))
+    _require_unit_box(_one_box_results(mu.shape, mu.cells[None]))
     phi_grid = _checked_grid(mu.shape, phi, "phi")
     g1 = rect_integrals(mu.shape, phi_grid * mu.cells)
     lhs = float((mu.shape.areas() * g1**2).sum())
@@ -345,36 +359,92 @@ def cube_embedding_check(
 
 
 def _child_pairs(values: np.ndarray, rows: slice):
-    """Per axis of a ``(trials, rows, cols)`` rectangle stack: the parents
-    in ``rows`` that have children on that axis, and those two children."""
-    lo, hi = rows.start, max(rows.start, min(rows.stop, (values.shape[1] - 1) // 2))
-    yield (values[:, lo:hi], values[:, 2 * lo + 1 : 2 * hi : 2],
-           values[:, 2 * lo + 2 : 2 * hi + 1 : 2])
-    block = values[:, rows]
-    yield block[..., : (values.shape[2] - 1) // 2], block[..., 1::2], block[..., 2::2]
+    """Per axis of a rectangle array (or a stack of them, along leading
+    axes): the parents in ``rows`` that have children on that axis, and
+    those two children."""
+    lo, hi = rows.start, max(rows.start, min(rows.stop, (values.shape[-2] - 1) // 2))
+    yield (values[..., lo:hi, :], values[..., 2 * lo + 1 : 2 * hi : 2, :],
+           values[..., 2 * lo + 2 : 2 * hi + 1 : 2, :])
+    block = values[..., rows, :]
+    yield block[..., : (values.shape[-1] - 1) // 2], block[..., 1::2], block[..., 2::2]
 
 
 def _child_sums(values: np.ndarray, rows: slice) -> np.ndarray:
     """Row-axis plus column-axis child-pair sums at ``rows``, each 0 if childless."""
-    out, cols = np.zeros_like(values[:, rows]), np.zeros_like(values[:, rows])
+    out, cols = np.zeros_like(values[..., rows, :]), np.zeros_like(values[..., rows, :])
     (up, *below), (left, *right) = _child_pairs(values, rows)
-    np.add(*below, out=out[:, : up.shape[1]])
-    np.add(*right, out=cols[..., : left.shape[2]])
+    np.add(*below, out=out[..., : up.shape[-2], :])
+    np.add(*right, out=cols[..., : left.shape[-1]])
     out += cols
     return out
 
 
+def _area_blocks(shape: BiTreeShape, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks, in order, of a rectangle stack ``width`` entries wide,
+    each with the areas |R| of its rectangles."""
+    row_lengths, col_lengths = shape.row_tree.lengths(), shape.col_tree.lengths()
+    for rows in _row_blocks(len(row_lengths), width):
+        yield rows, np.outer(row_lengths[rows], col_lengths)
+
+
+# Row-block steps of the certificate.  Each takes rectangle arrays, or stacks
+# of them along leading axes, then a block of rows and its areas |R|.
+
+
+def _weigh(M: np.ndarray, SQ: np.ndarray, G1: np.ndarray, W: np.ndarray,
+           rows: slice, areas: np.ndarray) -> None:
+    """Overwrite W on ``rows``, where it holds G2, with |R| (G2 - G1^2 / (M + SQ)),
+    0/0 read as 0: ``bellman.bellman_values`` without its factor 4."""
+    w = np.add(M[..., rows, :], SQ[..., rows, :])
+    np.divide(G1[..., rows, :] ** 2, w, out=w, where=w > 0)
+    block = W[..., rows, :]
+    block -= w
+    block *= areas
+
+
+def _children(W: np.ndarray, out: np.ndarray, rows: slice, areas: np.ndarray) -> None:
+    out[..., rows, :] = _child_sums(W, rows)
+
+
+def _slack(W: np.ndarray, G1: np.ndarray, out: np.ndarray, rows: slice,
+           areas: np.ndarray) -> None:
+    """Overwrite ``out`` on ``rows``, where it holds the children's W, with the
+    slacks W - childW - |R| G1^2 / 4."""
+    out[..., rows, :] = (W[..., rows, :] - out[..., rows, :]
+                         - 0.25 * areas * G1[..., rows, :] ** 2)
+
+
+def _blockwise(shape: BiTreeShape, step: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """``step(*arrays, rows, areas)`` over the row blocks, in order; returns
+    the last array, which the step fills."""
+    for rows, areas in _area_blocks(shape, arrays[0].size // arrays[0].shape[-2]):
+        step(*arrays, rows, areas)
+    return arrays[-1]
+
+
+def _built(build: Callable) -> cached_property:
+    """A certificate's rectangle array: ``build(cert)`` on first read, then
+    kept, read-only."""
+    def array(cert: BiTreeCertificate) -> np.ndarray:
+        out = build(cert)
+        out.flags.writeable = False
+        return out
+    return cached_property(array)
+
+
 @dataclass(frozen=True, eq=False)
 class BiTreeCertificate:
-    """Per-rectangle Bellman verification of the area-weighted embedding."""
+    """Per-rectangle Bellman verification of the area-weighted embedding.
+
+    ``cells`` is the (scaled) measure and ``phi`` the checked grid that the
+    verdicts certify.  The six rectangle arrays are built from those two on
+    first read, by the row-block steps of the certificate itself, so they
+    equal the arrays behind the verdicts bit for bit; each is then kept.
+    """
 
     shape: BiTreeShape
-    masses: np.ndarray
-    box_sums: np.ndarray
-    integrals: np.ndarray
-    square_integrals: np.ndarray
-    weighted_values: np.ndarray
-    slacks: np.ndarray
+    cells: np.ndarray
+    phi: np.ndarray
     martingale_deviation: float
     martingale_ok: bool
     gain_margin: float
@@ -392,6 +462,17 @@ class BiTreeCertificate:
     def ok(self) -> bool:
         return (self.martingale_ok and self.gain_ok and self.slack_ok
                 and self.telescope_ok and self.global_ok)
+
+    masses = _built(lambda c: _rect_integrals(c.shape, c.cells))
+    box_sums = _built(lambda c: _box_sums(c.shape, c.masses))
+    integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.cells))
+    square_integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.phi, c.cells))
+    weighted_values = _built(lambda c: _blockwise(
+        c.shape, _weigh, c.masses, c.box_sums, c.integrals, c.square_integrals.copy()))
+    # the children's W, then the slacks over them
+    slacks = _built(lambda c: _blockwise(
+        c.shape, _slack, c.weighted_values, c.integrals,
+        _blockwise(c.shape, _children, c.weighted_values, np.empty_like(c.masses))))
 
 
 def bitree_bellman_certify(
@@ -454,76 +535,66 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
     stack with its phi.
 
-    ``M``, ``SQ``, ``G1`` and ``G2`` are built whole, the rest in row blocks
-    of about ``carleson.BLOCK_ENTRIES`` entries; min and max run per block,
-    but each sum on a trial's whole array, in numpy's pairwise order, so each
-    certificate equals the one-trial computation bit for bit.  One scratch
-    array holds in turn |R| G1^2 (for ``lhs``), |W| (for the scales), the
-    children's W (for the telescope) and the slacks, so a stack holds just
-    the six arrays it returns.  The box constants are checked before the phis.
+    A stack holds four rectangle arrays, ``M``, ``SQ``, ``G1`` and ``G2``;
+    the rest runs in row blocks of about ``carleson.BLOCK_ENTRIES`` entries,
+    in row order.  A block reads its own rows and the rows below them, so
+    once it is done, W overwrites G2 on its rows, and |R| G1^2 (for ``lhs``)
+    overwrites M.  M's buffer then holds in turn |W| (for the scales), the
+    children's W (for the telescope) and the slacks.  Min and max run per
+    block, but each sum on a trial's whole array, in numpy's pairwise order,
+    so each certificate equals the one-trial computation bit for bit.  The
+    box constants are checked before the phis.
     """
     M = _rect_integrals(shape, cells)
     SQ = _box_sums(shape, M)
-    _require_unit_box(_safe_ratio(SQ, M))
+    _require_unit_box(_largest_ratios(M, SQ))
     phi = np.empty(cells.shape)
     for k, values in enumerate(phis):
         with _trial(k):
             phi[k] = _checked_grid(shape, values, "phi")
-    G1 = _rect_integrals(shape, phi * cells)
-    G2 = _rect_integrals(shape, phi**2 * cells)
-    del phi
-    trials, blocks = range(len(cells)), _row_blocks(M.shape[1], M.size // M.shape[1])
-    row_lengths, col_lengths = shape.row_tree.lengths(), shape.col_tree.lengths()
-    W, scratch = np.empty_like(M), np.empty_like(M)
+    cells.flags.writeable = phi.flags.writeable = False  # the certificates keep them
+    G1 = _rect_integrals(shape, phi, cells)
+    W = _rect_integrals(shape, phi, phi, cells)  # G2 until its block is weighed
+    trials, width = range(len(cells)), M.size // M.shape[1]
+    rhs_totals = W[:, 0, 0].tolist()
+    # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
+    magnitudes = [max(1.0, m, g) for m, g in zip(M[:, 0, 0].tolist(), rhs_totals)]
     # per trial: the largest deviation of each (array, axis) pair, and the least
     # gain over the rectangles with children (a (0,0) grid has none: 0.0); a
     # leaf-row, leaf-column rectangle has box sum M^2 and no children, so gain 0
     deviations = np.full((6, len(cells)), -np.inf)
     gain_margins = np.full(len(cells), np.inf if M[0].size > 1 else 0.0)
     inner_rows, inner_cols = (M.shape[1] - 1) // 2, (M.shape[2] - 1) // 2
-    for rows in blocks:
-        pairs = (pair for arr in (M, G1, G2) for pair in _child_pairs(arr, rows))
+    for rows, areas in _area_blocks(shape, width):
+        pairs = (pair for arr in (M, G1, W) for pair in _child_pairs(arr, rows))
         for dev, (up, left, right) in zip(deviations, pairs):
             np.maximum(dev, np.abs(left + right - up).max((1, 2), initial=-np.inf), out=dev)
         gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
         gain[:, max(0, inner_rows - rows.start):, inner_cols:] = np.inf
         np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
-        areas, G1sq = np.outer(row_lengths[rows], col_lengths), G1[:, rows] ** 2
-        np.multiply(areas, G1sq, out=scratch[:, rows])
-        # bellman.bellman_values without its factor 4: G2 - G1^2 / (SQ + M), 0/0 = 0
-        w = np.add(M[:, rows], SQ[:, rows], out=W[:, rows])
-        np.divide(G1sq, w, out=w, where=w > 0)
-        np.subtract(G2[:, rows], w, out=w)
-        w *= areas
-    lhs = [float(scratch[k].sum()) for k in trials]
-    scales = [max(1.0, float(np.abs(W[k], out=scratch[k]).sum())) for k in trials]
-    for rows in blocks:
-        scratch[:, rows] = _child_sums(W, rows)
-    nets = [float(W[k].sum() - scratch[k].sum()) for k in trials]
-    slacks = scratch
-    for rows in blocks:
-        areas = np.outer(row_lengths[rows], col_lengths)
-        slacks[:, rows] = W[:, rows] - slacks[:, rows] - 0.25 * areas * G1[:, rows] ** 2
-    min_slacks = [float(slacks[k].min()) for k in trials]
+        _weigh(M, SQ, G1, W, rows, areas)
+        np.multiply(areas, G1[:, rows] ** 2, out=M[:, rows])
+    lhs = [float(M[k].sum()) for k in trials]
+    scales = [max(1.0, float(np.abs(W[k], out=M[k]).sum())) for k in trials]
+    _blockwise(shape, _children, W, M)
+    nets = [float(W[k].sum() - M[k].sum()) for k in trials]
+    _blockwise(shape, _slack, W, G1, M)
+    min_slacks = [float(M[k].min()) for k in trials]
     deviations, gain_margins = deviations.tolist(), gain_margins.tolist()
 
     results = []
     for k in trials:
         deviation = max(0.0, *(dev[k] for dev in deviations))
-        # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
-        magnitude = max(1.0, float(M[k, 0, 0]), float(G2[k, 0, 0]))
         telescope_deviation = abs(nets[k] - float(W[k, 0, 0] - W[k, 1:, 1:].sum()))
-        rhs_total = float(G2[k, 0, 0])
-        upper = 4.0 * rhs_total
+        upper = 4.0 * rhs_totals[k]
         results.append(BiTreeCertificate(
-            shape=shape, masses=M[k], box_sums=SQ[k], integrals=G1[k],
-            square_integrals=G2[k], weighted_values=W[k], slacks=slacks[k],
-            martingale_deviation=deviation, martingale_ok=deviation <= 1e-12 * magnitude,
+            shape=shape, cells=cells[k], phi=phi[k],
+            martingale_deviation=deviation, martingale_ok=deviation <= 1e-12 * magnitudes[k],
             gain_margin=gain_margins[k], gain_ok=gain_margins[k] >= -1e-12,
             min_slack=min_slacks[k], slack_ok=min_slacks[k] >= -tol,
             telescope_deviation=telescope_deviation,
             telescope_ok=telescope_deviation <= tol * scales[k],
-            lhs_total=lhs[k], rhs_total=rhs_total, upper_bound=upper,
+            lhs_total=lhs[k], rhs_total=rhs_totals[k], upper_bound=upper,
             global_ok=lhs[k] <= upper + tol * max(1.0, upper),
         ))
     return results
@@ -583,15 +654,8 @@ def boundary_set_ratio(mu: BiMeasure, member) -> float:
         raise ShapeMismatchError(
             f"expected grid {mu.shape.cell_grid}, got {grid.shape}"
         )
-    return _set_ratio(mu, _box_checked_masses(mu), grid)
-
-
-def _box_checked_masses(mu: BiMeasure) -> np.ndarray:
-    """Rectangle masses of ``mu``, which fails as :func:`one_box_constant`
-    fails when its box ratios are not finite."""
-    masses = rect_masses(mu)
-    _largest_ratios(_one_box_ratios(mu.shape, masses))
-    return masses
+    one_box_constant(mu)  # raises where the box ratios are not finite
+    return _set_ratio(mu, rect_masses(mu), grid)
 
 
 def _row_subset_sums(table: np.ndarray) -> None:
@@ -660,7 +724,8 @@ def set_test_constant(
     random subsets with a seeded generator.  A measure whose box ratios
     are not finite raises as in :func:`one_box_constant`.
     """
-    masses = _box_checked_masses(mu)
+    one_box_constant(mu)  # raises where the box ratios are not finite
+    masses = rect_masses(mu)
     if strategy == STRATEGY_EXHAUSTIVE:
         constant, mask = _exhaustive_set_test(mu, masses)
         return SetTestResult(constant, _cells_of_mask(mu.shape, mask), strategy)

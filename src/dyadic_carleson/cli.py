@@ -102,8 +102,45 @@ def _plain(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_plain)
+# json's spelling of the plain scalars, by exact type; subclasses such as
+# np.float64 go through json.dumps, which spells them as their base types
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
+
+
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=_plain)``, byte for
+    byte, but a list of finite floats, the bulk of a large report, is one join
+    over ``float.__repr__`` (json's indented encoder takes them one by one)."""
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
+    if isinstance(value, (str, int, float)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json's own spelling of a key that is not a string: '{KEY: 0}' less
+        # its brace and ': 0}'
+        items = [(_SCALARS[str](key) if type(key) is str else json.dumps({key: 0})[1:-4])
+                 + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        separator = ",\n" + inner
+        try:
+            text = separator.join(map(float.__repr__, value))
+        except TypeError:
+            text = None
+        if text is None or "n" in text:  # "nan", "inf": no finite repr has an n
+            text = separator.join(_dumps(item, inner) for item in value)
+        return "[\n" + inner + text + "\n" + indent + "]"
+    return _dumps(_plain(value), indent)
 
 
 def _write(path: str, text: str) -> None:

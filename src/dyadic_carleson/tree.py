@@ -310,6 +310,7 @@ def _ancestor_sums_inplace(depth: int, vw: np.ndarray, op=np.add) -> None:
 
     ``op=np.maximum`` gives the running maximum along root-to-node paths.
     """
+    vw = vw[:, 0] if vw.shape[1:] == (1,) else vw  # a lone column walks as 1-D, same bits
     for d in range(1, depth + 1):
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1
@@ -320,6 +321,7 @@ def _ancestor_sums_inplace(depth: int, vw: np.ndarray, op=np.add) -> None:
 
 def _subtree_sums_inplace(depth: int, vw: np.ndarray) -> None:
     """:func:`subtree_sums` along the leading axis, overwriting ``vw``."""
+    vw = vw[:, 0] if vw.shape[1:] == (1,) else vw  # a lone column walks as 1-D, same bits
     for d in range(depth - 1, -1, -1):
         lo = (1 << d) - 1
         hi = (1 << (d + 1)) - 1

@@ -25,6 +25,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,7 @@ from dyadic_carleson.bitree import (
     _rect_cell_masks,
     _subset_sums,
     normalized_to_unit_onebox,
+    one_box_ratios,
     rect_integrals,
     rect_masses,
 )
@@ -795,6 +797,47 @@ def test_stacked_one_box_matches_one_box_constant(depths):
     assert results[-1] == (0.0, (1, 1))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("depths", [(0, 0), (1, 3), (3, 1), (3, 3), (5, 2)])
+def test_row_blocks_keep_the_first_largest_box_ratio(depths, rows, monkeypatch):
+    # the blocked box step finds the value and the first rectangle that
+    # np.argmax finds on the whole ratio array, ties across blocks included
+    monkeypatch.setattr(bitree, "_row_blocks", _rows_of(rows))
+    shape = build_bitree(*depths)
+    for mu in _set_test_measures(shape):
+        ratios = one_box_ratios(mu)
+        i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+        got = one_box_constant(mu)
+        assert _same_bits(np.float64(got.constant), ratios[i, j])
+        assert got.argmax_rect == (int(i) + 1, int(j) + 1)
+
+
+def test_non_finite_box_ratio_in_a_later_row_block_names_its_rectangle(monkeypatch):
+    # an infinite box sum at rectangle (6, 2), in the second block of three
+    # rows, raises the whole-array message; a stack raises it at its trial
+    real = bitree._box_sums
+
+    def spoiled(shape, masses):
+        out = real(shape, masses)
+        out[..., 5, 1] = np.inf
+        return out
+
+    monkeypatch.setattr(bitree, "_box_sums", spoiled)
+    monkeypatch.setattr(bitree, "_row_blocks", _rows_of(3))
+    shape = build_bitree(2, 2)
+    mu = uniform_bimeasure(shape)
+    message = "rectangle (6, 2): non-finite box ratio inf"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        one_box_constant(mu)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        bitree_bellman_certify(mu, np.ones(shape.cell_grid))
+    masses = rect_masses(mu)
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        bitree._largest_ratios(np.stack([masses, masses]),
+                               np.stack([real(shape, masses), spoiled(shape, masses)]))
+    assert info.value.trial == 1
+
+
 # ---------------------------------------------------------------------------
 # batch boundaries
 # ---------------------------------------------------------------------------
@@ -949,9 +992,8 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
     lhs_total = float((areas * G1sq).sum())
     rhs_total = float(G2[0, 0])
     upper = 4.0 * rhs_total
-    return BiTreeCertificate(
-        shape=shape, masses=M, box_sums=SQ, integrals=G1, square_integrals=G2,
-        weighted_values=W, slacks=slacks,
+    cert = BiTreeCertificate(
+        shape=shape, cells=mu.cells, phi=phi_grid,
         martingale_deviation=deviation,
         martingale_ok=deviation <= 1e-12 * magnitude,
         gain_margin=gain_margin,
@@ -963,6 +1005,9 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
         lhs_total=lhs_total, rhs_total=rhs_total, upper_bound=upper,
         global_ok=lhs_total <= upper + tol * max(1.0, upper),
     )
+    # the reference's own arrays stand in for the ones the certificate builds
+    vars(cert).update(zip(RECT_ARRAYS, (M, SQ, G1, G2, W, slacks)))
+    return cert
 
 
 def _ref_certify_trial(mu, phi, tol=1e-9):
@@ -1130,9 +1175,17 @@ def _same_value(got, want):
     return type(got) is type(want) and got == want
 
 
+# the rectangle arrays that a bi-tree certificate builds on first read; they are
+# not dataclass fields, so they are compared by name, after the fields
+RECT_ARRAYS = ("masses", "box_sums", "integrals", "square_integrals",
+               "weighted_values", "slacks")
+
+
 def _same_fields(got, want):
-    return all(_same_value(getattr(got, f.name), getattr(want, f.name))
-               for f in dataclasses.fields(want))
+    names = [f.name for f in dataclasses.fields(want)]
+    if isinstance(want, BiTreeCertificate):
+        names += RECT_ARRAYS
+    return all(_same_value(getattr(got, name), getattr(want, name)) for name in names)
 
 
 def _same_decomposition(got, want):
@@ -1248,22 +1301,66 @@ def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
             assert _same_fields(got.certificate, check.certificate)
 
 
-def test_rect_arrays_at_the_peak_of_a_certificate():
-    # the arrays a certificate returns and little else: at (9,9), six
-    # rectangle arrays plus grid- and block-sized temporaries
+def _traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak, above what is allocated before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rect_arrays_at_the_peak_of_a_certificate(monkeypatch):
+    # a certificate holds four rectangle arrays and its phi stack, a quarter
+    # array, which it keeps; the one-box test holds two.  Temporaries of a
+    # fixed size are not whole arrays: at (7,7) a default row block is half a
+    # rectangle array and each of numpy's ufunc buffers (8,192 elements) an
+    # eighth, so both are cut to 2^10 entries here
+    monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1 << 10)
+    shape = build_bitree(7, 7)
+    mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
+    normalized, _ = normalized_to_unit_onebox(mu)
+    rect_bytes = shape.rect_count * 8
+    buffer = np.setbufsize(1 << 10)
+    try:
+        certify = _traced_peak(lambda: bitree_bellman_certify(normalized, phi))
+        # the stacked path also keeps its scaled copy of the cells
+        stacked = _traced_peak(lambda: list(unit_box_certificates([(mu, phi)])))
+        one_box = _traced_peak(lambda: one_box_constant(mu))
+    finally:
+        np.setbufsize(buffer)
+    assert certify <= 4.5 * rect_bytes
+    assert stacked <= 4.75 * rect_bytes
+    assert one_box <= 2.5 * rect_bytes
+
+
+def test_rect_arrays_at_the_peak_of_a_large_certificate():
+    # at (9,9) the default row blocks and buffers are small beside the arrays
     shape = build_bitree(9, 9)
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
     rect_bytes = shape.rect_count * 8
-    for certify in (lambda: bitree_bellman_certify(normalized, phi),
-                    lambda: list(unit_box_certificates([(mu, phi)]))):
-        tracemalloc.start()
-        try:
-            certify()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * rect_bytes
+    assert _traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 4.75 * rect_bytes
+    assert _traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
+
+
+@pytest.mark.parametrize("depths", [(0, 0), (1, 3), (3, 1), (2, 2), (5, 4)])
+def test_certificate_arrays_are_built_on_first_read(depths):
+    # the verdicts come first; each array is built when read, equals the
+    # reference's bit for bit, is read-only, and is built once
+    shape = build_bitree(*depths)
+    for mu, phi in _certify_jobs(shape):
+        scale, want = _ref_certify_trial(mu, phi)
+        cert = bitree_bellman_certify(mu.scaled(scale) if scale != 1.0 else mu, phi)
+        fields = [f.name for f in dataclasses.fields(want)]
+        assert all(_same_value(getattr(cert, name), getattr(want, name)) for name in fields)
+        assert not set(RECT_ARRAYS) & set(vars(cert))
+        for name in RECT_ARRAYS:
+            array = getattr(cert, name)
+            assert _same_bits(array, getattr(want, name))
+            assert not array.flags.writeable and getattr(cert, name) is array
+        assert not cert.cells.flags.writeable and not cert.phi.flags.writeable
 
 
 def _spoiled_kernel(real, spoil, trial):

@@ -7,6 +7,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyadic_carleson import (
     BiMeasure,
@@ -557,6 +560,38 @@ def test_json_reports_match_per_value_walk():
     payload = _numpy_payload()
     want = json.dumps(_walk_pyify(payload), sort_keys=True, indent=2)
     assert cli._dumps(payload) == want
+
+
+_FLOATS = st.floats()  # NaN, the infinities and -0.0 included
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=4),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-9, 9).map(np.int64),
+    st.booleans().map(np.bool_), st.lists(_FLOATS), st.lists(_FLOATS.map(np.float64)),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.float32]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+)
+# keys of one dict must sort together: strings, numbers (bools among them) or None
+_KEYS = st.one_of(st.just(st.text(max_size=4)), st.just(st.none()),
+                  st.just(st.one_of(st.integers(), _FLOATS, st.booleans())))
+_PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_report_writer_matches_json(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2, default=cli._plain)
+    assert cli._dumps(payload) == want
+
+
+def test_report_writer_rejects_what_json_rejects():
+    for payload in ({"a": object()}, {np.int64(1): 2}, {(1, 2): 3}, [1, {None: set()}]):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2, default=cli._plain)
+        with pytest.raises(TypeError):
+            cli._dumps(payload)
 
 
 def test_csv_reports_match_per_value_walk(capsys):

@@ -9,13 +9,17 @@ compiler directives and are skipped.  A module-level function or class
 whose name starts with one underscore must be read, as a name or as an
 attribute, somewhere in the package outside its own definition.  No
 module tests ``isinstance(..., CarlesonError)``: a stack kernel raises a
-failing trial's error, and never returns it among its results.
+failing trial's error, and never returns it among its results.  The
+package exports a pinned set of public names.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import dyadic_carleson
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dyadic_carleson"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -165,3 +169,38 @@ def test_finds_a_test_for_library_errors():
         "    return isinstance(x, (int, errors.CarlesonError)) or isinstance(x, ValueError)\n"
     )
     assert error_type_tests(source) == [4, 6]
+
+
+# the package's public names; a change to this set changes the public API
+PUBLIC_NAMES = {
+    'ALL_NODES', 'AlphaSequence', 'BOUNDARY_ONLY', 'BellmanPoint', 'BiMeasure',
+    'BiTreeShape', 'CarlesonError', 'CertificateRow', 'DomainError', 'EmbeddingReport',
+    'GapProbeConfig', 'GapProbeReport', 'MODES', 'NodeVector', 'PreconditionError',
+    'SamplerStats', 'ShapeMismatchError', 'SizeError', 'StoppingDecomposition',
+    'TreeCertificate', 'TreeMeasure', 'TreeShape', 'ValidationError', 'a_shift_gain',
+    'alpha_test_constant', 'bellman_gradient', 'bellman_value', 'bellman_values',
+    'bi_embedding_constant', 'bi_embedding_constant_dense', 'bitree_bellman_certify',
+    'boundary_set_ratio', 'box_average', 'box_integral', 'box_squared_alpha',
+    'build_bitree', 'build_tree', 'carleson_normalized', 'carleson_ratios',
+    'cell_point_mass', 'certify_tree_embedding', 'concavity_first_order_gap',
+    'cube_embedding_check', 'embedding_constant', 'embedding_constant_dense',
+    'embedding_constants', 'embedding_lhs', 'embedding_pair_check',
+    'embedding_pair_checks', 'gap_probe', 'gradient_signs_check', 'hardy_down',
+    'hardy_up', 'leaf_point_mass', 'load_measure', 'martingale_split_slack',
+    'maximal_checks', 'maximal_ratios', 'maximal_theorem_check', 'measure_to_dict',
+    'one_box_constant', 'one_box_constants', 'parse_measure_file', 'potential',
+    'random_bimeasure', 'random_cell_values', 'random_node_values',
+    'random_tree_measure', 'sample_admissible', 'sample_batch', 'save_measure',
+    'set_test_constant', 'split_compensation', 'stopping_decomposition',
+    'tree_split_slack', 'uniform_bimeasure', 'uniform_boundary_measure',
+    'unit_box_certificates', 'verify_stopping_invariants',
+}
+
+
+def test_public_names_are_pinned():
+    exported = dyadic_carleson.__all__
+    assert len(exported) == len(set(exported)) and set(exported) == PUBLIC_NAMES
+    assert set(exported) == {
+        name for name in dir(dyadic_carleson) if not name.startswith("_")
+        and not isinstance(getattr(dyadic_carleson, name), types.ModuleType)
+    }
