@@ -351,8 +351,12 @@ def cube_embedding_check(
     """
     _require_unit_box(_one_box_results(mu.shape, mu.cells[None]))
     phi_grid = _checked_grid(mu.shape, phi, "phi")
-    g1 = rect_integrals(mu.shape, phi_grid * mu.cells)
-    lhs = float((mu.shape.areas() * g1**2).sum())
+    g1 = _rect_integrals(mu.shape, phi_grid, mu.cells)
+    for rows, areas in _area_blocks(mu.shape, g1.shape[-1]):
+        block = g1[rows]
+        np.square(block, out=block)
+        block *= areas
+    lhs = float(g1.sum())  # |R| G1^2, written over G1 row block by row block
     rhs = float((phi_grid**2 * mu.cells).sum())
     ratio = lhs / rhs if rhs > 0 else 0.0
     return CubeEmbeddingReport(lhs, rhs, ratio, lhs <= 4.0 * rhs + tol)

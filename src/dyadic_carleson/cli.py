@@ -64,6 +64,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise _UsageError(f"--trials must be nonnegative, got {self.trials}")
+        if self.seed < 0:
+            raise _UsageError(f"--seed must be nonnegative, got {self.seed}")
         if not self.tol > 0:
             raise _UsageError(f"--tol must be positive, got {self.tol}")
         if not math.isfinite(self.tol):
@@ -306,35 +308,48 @@ def _cmd_tree_embed(args, cfg: RunConfig) -> Outcome:
     return Outcome(report, counterexample=failure)
 
 
+# bellman-sample draws its witnesses in blocks of this many from one
+# generator and keeps only the report's summary of each block, so its memory
+# does not grow with --trials.  The size is part of the report's definition:
+# a run of one block draws the stream of sample_batch(seed, trials), a longer
+# run its own stream.
+SAMPLE_BLOCK = 1 << 15
+
+
 def _cmd_bellman_sample(args, cfg: RunConfig) -> Outcome:
     mode = args.mode.replace("-", "_")  # the flag spells bellman.MODES with hyphens
-    batch, stats = bellman.sample_batch(cfg.seed, cfg.trials, mode)
-    if mode == bellman.MODE_COMPENSATION:
-        values = batch.values()
-        worst = float(values.max()) if len(batch) else 0.0
+    compensation = mode == bellman.MODE_COMPENSATION
+    pick = np.argmax if compensation else np.argmin
+    rng = np.random.default_rng(cfg.seed)
+    counts = dataclasses.asdict(bellman.SamplerStats())
+    worst, bad, witness, total = 0.0, None, None, 0.0
+    for start in range(0, cfg.trials, SAMPLE_BLOCK):
+        batch, stats = bellman.sample_batch(rng, min(SAMPLE_BLOCK, cfg.trials - start), mode)
+        for key, count in dataclasses.asdict(stats).items():
+            counts[key] += count
+        values = batch.values() if compensation else batch.slacks()
+        total = values.sum() if start == 0 else total + values.sum()
+        i = int(pick(values))
+        # pick of the pair is pick of the whole: a first NaN, else a first worst
+        if bad is None or pick([worst, values[i]]) == 1:
+            worst, bad, witness = float(values[i]), start + i, batch.witness(i)
+    if compensation:
         passed = worst <= cfg.tol
         summary = {"max_value": worst, "threshold": cfg.tol}
-        bad = int(np.argmax(values)) if len(batch) else None
     else:
-        values = batch.slacks()
-        worst = float(values.min()) if len(batch) else 0.0
         passed = worst >= -cfg.tol
         summary = {"min_slack": worst, "threshold": -cfg.tol}
-        bad = int(np.argmin(values)) if len(batch) else None
     report = {
         "mode": args.mode,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "draws": stats.draws,
-        "rejected_cauchy_schwarz": stats.rejected_cauchy_schwarz,
-        "rejected_test_bound": stats.rejected_test_bound,
-        "mean": float(values.mean()) if len(batch) else 0.0,
+        **counts,
+        "mean": float(total / cfg.trials) if cfg.trials else 0.0,
         "passed": passed,
         **summary,
     }
     if passed:
         return Outcome(report)
-    witness = batch.witness(bad)
     payload = {"reason": f"{args.mode} inequality violated", "index": bad}
     for field in dataclasses.fields(witness):
         value = getattr(witness, field.name)

@@ -47,6 +47,7 @@ from dyadic_carleson import (
     build_tree,
     carleson_ratios,
     cell_point_mass,
+    cube_embedding_check,
     embedding_constant,
     embedding_constant_dense,
     embedding_constants,
@@ -1343,6 +1344,36 @@ def test_rect_arrays_at_the_peak_of_a_large_certificate():
     rect_bytes = shape.rect_count * 8
     assert _traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 4.75 * rect_bytes
     assert _traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
+
+
+def test_rect_arrays_at_the_peak_of_the_cube_embedding(monkeypatch):
+    # |R| G1^2 is written over G1 row block by row block, so the one-box
+    # pre-check and its two arrays set the peak; blocks and buffers are cut
+    # as for the certificate above
+    monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1 << 10)
+    shape = build_bitree(7, 7)
+    mu, _ = normalized_to_unit_onebox(random_bimeasure(3, shape))
+    phi = random_cell_values(4, shape)
+    buffer = np.setbufsize(1 << 10)
+    try:
+        peak = _traced_peak(lambda: cube_embedding_check(mu, phi))
+    finally:
+        np.setbufsize(buffer)
+    assert peak <= 2.5 * shape.rect_count * 8
+
+
+@pytest.mark.parametrize("blocks", [None, 1, 3])
+@pytest.mark.parametrize("depths", [(0, 0), (1, 3), (3, 1), (5, 4), (7, 7)])
+def test_cube_embedding_lhs_matches_whole_array_expression(depths, blocks, monkeypatch):
+    if blocks is not None:
+        monkeypatch.setattr(bitree, "_row_blocks", _rows_of(blocks))
+    shape = build_bitree(*depths)
+    mu, _ = normalized_to_unit_onebox(random_bimeasure(5, shape))
+    phi = random_cell_values(6, shape)
+    g1 = rect_integrals(shape, phi * mu.cells)
+    report = cube_embedding_check(mu, phi)
+    assert _same_value(report.lhs, float((shape.areas() * g1**2).sum()))
+    assert _same_value(report.rhs, float((phi**2 * mu.cells).sum()))
 
 
 @pytest.mark.parametrize("depths", [(0, 0), (1, 3), (3, 1), (2, 2), (5, 4)])

@@ -5,6 +5,9 @@ closed form B = 4 (F - f^2 / (v + A)); the comments spell the arithmetic
 out so the numbers can be re-derived without running anything.
 """
 
+import functools
+import json
+import operator
 import tracemalloc
 
 import numpy as np
@@ -38,7 +41,7 @@ from dyadic_carleson import (
     tree_split_slack,
     uniform_boundary_measure,
 )
-from dyadic_carleson import bellman, carleson
+from dyadic_carleson import bellman, carleson, cli
 from dyadic_carleson.bellman import (
     CertificateRow,
     MartingaleWitness,
@@ -429,6 +432,114 @@ def test_witness_stream_types():
         assert martingale_split_slack(w.left, w.right, w.m) >= -1e-9
     split = next(sample_admissible(5, 1, "tree_split"))
     assert isinstance(split, SplitWitness)
+
+
+# ---------------------------------------------------------------------------
+# the bellman-sample report, drawn block by block
+# ---------------------------------------------------------------------------
+
+FLAG_MODES = ("martingale", "tree-split", "compensation")
+
+
+def _ref_report(flag, trials, seed, tol=1e-9):
+    """The report of ``bellman-sample``: blocks of ``cli.SAMPLE_BLOCK`` trials
+    drawn by the oracle from one generator, then numpy on their joined
+    values; the mean is the per-block sums, added in order, over ``trials``."""
+    mode = flag.replace("-", "_")
+    rng = np.random.default_rng(seed)
+    stats, outputs = bellman.SamplerStats(), []
+    for start in range(0, trials, cli.SAMPLE_BLOCK):
+        arrays, block = _ref_sample_batch(rng, min(cli.SAMPLE_BLOCK, trials - start), mode)
+        stats.draws += block.draws
+        stats.rejected_cauchy_schwarz += block.rejected_cauchy_schwarz
+        stats.rejected_test_bound += block.rejected_test_bound
+        outputs.append(_ref_outputs(arrays, mode))
+    values = np.concatenate(outputs) if outputs else np.empty(0)
+    sums = [out.sum() for out in outputs]
+    if mode == "compensation":
+        worst = float(values.max()) if trials else 0.0
+        summary = {"max_value": worst, "threshold": tol, "passed": worst <= tol}
+    else:
+        worst = float(values.min()) if trials else 0.0
+        summary = {"min_slack": worst, "threshold": -tol, "passed": worst >= -tol}
+    return {"command": "bellman-sample", "mode": flag, "trials": trials, "seed": seed,
+            "draws": stats.draws, "rejected_cauchy_schwarz": stats.rejected_cauchy_schwarz,
+            "rejected_test_bound": stats.rejected_test_bound,
+            "mean": float(functools.reduce(operator.add, sums) / trials) if trials else 0.0,
+            **summary}
+
+
+@pytest.mark.parametrize("flag", FLAG_MODES)
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_bellman_sample_report_matches_block_oracle(flag, blocks, extra, tmp_path):
+    # trials at and around the block edges: 0, 1, B-1, B, B+1 and 2B+3
+    trials = blocks * cli.SAMPLE_BLOCK + extra
+    path = tmp_path / "r.json"
+    argv = ["bellman-sample", "--mode", flag, "--trials", str(trials), "--seed", "6",
+            "--out", str(path)]
+    assert cli.run_command(argv) == 0
+    assert json.loads(path.read_text()) == _ref_report(flag, trials, 6)
+
+
+@pytest.mark.parametrize("flag, method, pick, bad", [
+    ("martingale", "slacks", np.argmin, -1.0),
+    ("compensation", "values", np.argmax, 1.0),
+])
+@pytest.mark.parametrize("second", ["nan", "tie"])
+def test_bellman_sample_names_the_first_worst_of_all_blocks(flag, method, pick, bad,
+                                                            second, tmp_path, monkeypatch):
+    # block 1 fails at entry 9; block 2 holds, at entry 5, a NaN or block 1's
+    # worst value again; the report names what pick gives on the joined values
+    real = getattr(bellman.SampleBatch, method)
+    blocks = []
+
+    def spoiled(batch):
+        out = real(batch)
+        if not blocks:
+            out[9] = bad
+        else:
+            first = blocks[0][1]
+            out[5] = np.nan if second == "nan" else first[pick(first)]
+        blocks.append((batch, out.copy()))
+        return out
+
+    monkeypatch.setattr(bellman.SampleBatch, method, spoiled)
+    monkeypatch.chdir(tmp_path)
+    argv = ["bellman-sample", "--mode", flag, "--trials", str(cli.SAMPLE_BLOCK + 100),
+            "--seed", "3", "--out", "r.json"]
+    assert cli.run_command(argv) == 2
+    values = np.concatenate([out for _, out in blocks])
+    index = int(pick(values))
+    assert index == (cli.SAMPLE_BLOCK + 5 if second == "nan" else 9)
+    report = json.loads((tmp_path / "r.json").read_text())
+    worst = report["max_value" if flag == "compensation" else "min_slack"]
+    assert np.array_equal(worst, values[index], equal_nan=True)
+    payload = json.loads((tmp_path / "r.json.counterexample.json").read_text())
+    assert payload["index"] == index
+    batch = blocks[index // cli.SAMPLE_BLOCK][0]
+    witness = batch.witness(index % cli.SAMPLE_BLOCK)
+    point = "parent" if flag == "compensation" else "left"
+    assert payload[point] == list(getattr(witness, point).as_tuple())
+
+
+@pytest.mark.parametrize("flag", FLAG_MODES)
+def test_bellman_sample_memory_does_not_grow_with_trials(flag, tmp_path, monkeypatch):
+    # drawn whole, a 2^20-trial job peaked at 82-98 MB and a 2^17 one at 12-14 MB
+    monkeypatch.chdir(tmp_path)
+
+    def peak(trials):
+        argv = ["bellman-sample", "--mode", flag, "--trials", str(trials), "--out", "r.json"]
+        tracemalloc.start()
+        try:
+            assert cli.run_command(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the shared parser is built on the first call
+    small, large = peak(1 << 17), peak(1 << 20)
+    assert large <= 16 << 20
+    assert abs(large - small) <= 1 << 20
 
 
 # ---------------------------------------------------------------------------

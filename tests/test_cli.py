@@ -60,6 +60,41 @@ def test_bitree_measure_round_trip(tmp_path):
     assert np.array_equal(back.cells, mu.cells)
 
 
+# exact zeros of both signs, subnormals, and masses near 1e300
+EDGE_MASSES = [0.0, -0.0, 5e-324, 2.2250738585072e-310, 1e300, 9.999999999999999e299]
+
+
+@pytest.mark.parametrize("kind", ["boundary-only", "all-nodes", "bitree"])
+def test_saved_measure_loads_back_bit_for_bit(tmp_path, kind):
+    rng = np.random.default_rng(17)
+    if kind == "bitree":
+        shape = build_bitree(2, 3)
+        cells = rng.exponential(size=shape.cell_grid)
+        cells.flat[: len(EDGE_MASSES)] = EDGE_MASSES
+        mu = BiMeasure(shape, cells)
+    else:
+        shape = build_tree(3)
+        if kind == "boundary-only":
+            leaves = rng.exponential(size=shape.leaf_count)
+            leaves[: len(EDGE_MASSES)] = EDGE_MASSES
+            mu = TreeMeasure.boundary(shape, leaves)
+        else:
+            masses = rng.exponential(size=shape.node_count)
+            masses[-len(EDGE_MASSES):] = EDGE_MASSES
+            mu = TreeMeasure(shape, masses, kind)
+    path = tmp_path / "mu.json"
+    save_measure(mu, path)
+    back = load_measure(path)
+    assert type(back) is type(mu) and back.shape == mu.shape
+    if kind == "bitree":
+        got, want = back.cells, mu.cells
+    else:
+        assert back.support_mode == mu.support_mode == kind
+        got, want = back.masses, mu.masses
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_parse_documented_examples():
     tree_doc = {
         "kind": "tree",

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadic_carleson import bellman, bitree, carleson, maximal
+from dyadic_carleson import bellman, bitree, carleson, cli, maximal
 from dyadic_carleson.cli import build_parser, run_command
 
 HERE = Path(__file__).parent
@@ -131,6 +131,8 @@ USAGE = [
     "bitree-onebox --in .",
     "tree-test --depth 30 --trials 0",
     "bitree-onebox --depths 20,20 --trials 0",
+    "tree-test --depth 2 --seed -1",
+    "bellman-sample --mode martingale --seed -1",
 ]
 
 # (argv, patch name, index of the first spoiled call)
@@ -151,6 +153,8 @@ FAILURES = [
     ("bellman-sample --mode tree-split --trials 50 --seed 4", "sampler", 0),
     ("bellman-sample --mode compensation --trials 50 --seed 4 --out b.json",
      "sampler", 0),
+    # the second block of cli.SAMPLE_BLOCK witnesses is the first spoiled one
+    ("bellman-sample --mode martingale --trials 40000 --seed 4", "sampler", 1),
 ]
 
 CASES = [(argv, None, 0) for argv in HELP + USAGE] + FAILURES
@@ -237,6 +241,13 @@ def test_each_group_reaches_its_exit_code():
     assert {outcomes[_case_id(c)]["code"] for c in FAILURES} == {2}
     assert {outcomes[_case_id(c)]["code"] for c in CASES if c[0] in USAGE} == {1}
     assert {outcomes[_case_id(c)]["code"] for c in CASES if c[0] in HELP} == {0}
+
+
+def test_spoiled_second_sampler_block_names_its_global_index(tmp_path):
+    case = ("bellman-sample --mode martingale --trials 40000 --seed 4", "sampler", 1)
+    assert outcome(case, tmp_path)["code"] == 2
+    payload = json.loads((tmp_path / "bellman-sample.counterexample.json").read_text())
+    assert payload["index"] == cli.SAMPLE_BLOCK + SPOILED_INDEX
 
 
 def _regenerate() -> dict:
