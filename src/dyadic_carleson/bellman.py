@@ -35,13 +35,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .carleson import AlphaSequence, _row_blocks, alpha_test_constant
+from .carleson import AlphaSequence, _row_blocks, _safe_ratio, alpha_test_constant
 from .errors import DomainError, PreconditionError, ValidationError
-from .tree import TreeMeasure, as_node_array, subtree_sums
+from .tree import TreeMeasure, TreeShape, _subtree_sums_inplace, as_node_array
 
 __all__ = [
     "BellmanPoint",
@@ -556,18 +557,27 @@ class CertificateRow:
 
 @dataclass(frozen=True, eq=False)
 class CertificateRows(Sequence):
-    """Per-node arrays of a tree certificate in heap order, read as a
-    sequence of :class:`CertificateRow` built on access."""
+    """Per-node arrays of a tree certificate in heap order, read as a sequence
+    of :class:`CertificateRow`; the six arrays are built on first read, then kept."""
 
-    F: np.ndarray
-    f: np.ndarray
-    A: np.ndarray
-    v: np.ndarray
-    slacks: np.ndarray
-    weighted_values: np.ndarray
+    shape: TreeShape
+    masses: np.ndarray
+    phi: np.ndarray
+    alpha: np.ndarray
+
+    @cached_property
+    def _arrays(self) -> list[np.ndarray]:
+        inputs = (self.shape, self.masses, self.phi, self.alpha)
+        arrays = [*_quadruples(*inputs), *_certificate_arrays(*inputs)[:2]]
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
+
+    F, f, A, v, weighted_values, slacks = (
+        property(lambda rows, k=k: rows._arrays[k]) for k in range(6))
 
     def __len__(self) -> int:
-        return self.slacks.size
+        return self.masses.size
 
     def __getitem__(self, index: int) -> CertificateRow:
         k = range(len(self))[index]
@@ -585,6 +595,42 @@ class TreeCertificate:
     upper_bound: float
     min_slack: float
     ok: bool
+
+
+def _quadruples(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
+                alpha: np.ndarray) -> list[np.ndarray]:
+    """The box averages F, f, A and v of phi^2, phi sqrt(lam), alpha v^2 and lam."""
+    def averages(x: np.ndarray) -> np.ndarray:
+        _subtree_sums_inplace(shape.depth, x)
+        x /= shape.lengths()
+        return x
+
+    v = averages(masses.copy())
+    A = averages(v * v * alpha)
+    f = averages(np.sqrt(masses) * phi)
+    return [averages(phi * phi), f, A, v]
+
+
+def _certificate_arrays(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
+                        alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The weighted values |I| B(x_I) and the slacks of every node, the total
+    and the upper bound 4 F(root), with about four node arrays at once."""
+    F, f, s, v = _quadruples(shape, masses, phi, alpha)
+    s += v  # v + A, for B = 4 (F - f^2 / s) as in bellman_values
+    del v
+    weighted = _safe_ratio(f * f, s, out=s)  # v + A is not read again
+    np.subtract(F, weighted, out=weighted)
+    upper = float(4.0 * F[0])
+    del F, s
+    weighted *= 4.0
+    weighted *= shape.lengths()
+    total = float((alpha * f * f).sum())
+    f *= f
+    f *= alpha  # now alpha f^2
+    slack = weighted.copy()
+    slack[: slack.size // 2] -= weighted[1:].reshape(-1, 2).sum(axis=1)
+    slack -= f
+    return weighted, slack, total, upper
 
 
 def certify_tree_embedding(
@@ -605,7 +651,8 @@ def certify_tree_embedding(
     the theorem with constant exactly 4.  Requires the weighted test
     constant of (lam, alpha) to be at most 1 (that is literally the
     domain condition A <= v at every node); otherwise an error asks the
-    caller to rescale.
+    caller to rescale.  The certificate keeps the masses, phi and alpha
+    it certified, and its rows build their arrays from them on first read.
     """
     shape = lam.shape
     phi_a = as_node_array(shape, phi)
@@ -615,25 +662,9 @@ def certify_tree_embedding(
             f"weighted test constant {test.constant:.12g} exceeds 1 at node "
             f"{test.argmax_node}; scale the measure by 1/{test.constant:.12g} first"
         )
-    depth = shape.depth
-    inv_len = np.exp2(shape.depths().astype(float))
-    lens = shape.lengths()
-
-    v = inv_len * subtree_sums(depth, lam.masses)
-    F = inv_len * subtree_sums(depth, phi_a**2)
-    f = inv_len * subtree_sums(depth, phi_a * np.sqrt(lam.masses))
-    A = inv_len * subtree_sums(depth, alpha.values * v**2)
-
-    weighted = lens * bellman_values(F, f, A, v)
-    slack = weighted.copy()
-    internal = (shape.node_count - 1) // 2
-    if internal:
-        slack[:internal] -= weighted[1:].reshape(-1, 2).sum(axis=1)
-    slack -= alpha.values * f**2
-
-    total = float((alpha.values * f * f).sum())
+    weighted, slack, total, upper = _certificate_arrays(
+        shape, lam.masses, phi_a, alpha.values)
     bound = float(weighted[0])
-    upper = float(4.0 * F[0])
     min_slack = float(slack.min())
     scale = max(1.0, abs(total), abs(bound), abs(upper))
     ok = (
@@ -641,5 +672,5 @@ def certify_tree_embedding(
         and total <= bound + tol * scale
         and bound <= upper + tol * scale
     )
-    rows = CertificateRows(F, f, A, v, slack, weighted)
+    rows = CertificateRows(shape, lam.masses, phi_a, alpha.values)
     return TreeCertificate(rows, total, bound, upper, min_slack, ok)

@@ -107,10 +107,14 @@ class EmbeddingReport:
     converged: bool
 
 
-def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+def _safe_ratio(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0, into ``out`` (which may be ``num``)."""
+    positive = den > 0
+    if out is None:
+        out = np.zeros_like(num)
+    else:
+        np.putmask(out, ~positive, 0.0)
+    return np.divide(num, den, out=out, where=positive)
 
 
 def _test_ratios(depth: int, masses: np.ndarray) -> np.ndarray:
@@ -132,10 +136,11 @@ def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
 
 def _weighted_ratios(shape: TreeShape, box: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Weighted test ratios of ``(nodes, trials)`` box masses and weights."""
-    averages = box * np.exp2(shape.depths().astype(float))[:, None]
+    averages = box / shape.lengths()[:, None]
     averages **= 2
     averages *= alpha
-    return _safe_ratio(subtree_sums(shape.depth, averages), box)
+    _subtree_sums_inplace(shape.depth, averages)
+    return _safe_ratio(averages, box, out=averages)
 
 
 def _test_constants(shape: TreeShape, ratios: np.ndarray) -> list[AlphaTestResult]:
@@ -472,8 +477,7 @@ def embedding_lhs(phi, lam: TreeMeasure, alpha: AlphaSequence) -> EmbeddingSides
         raise ShapeMismatchError("alpha and measure shapes differ")
     shape = lam.shape
     phi_a = as_node_array(shape, phi)
-    inv_len = np.exp2(shape.depths().astype(float))
-    pairing = subtree_sums(shape.depth, phi_a * lam.masses) * inv_len
+    pairing = subtree_sums(shape.depth, phi_a * lam.masses) / shape.lengths()
     lhs = float((alpha.values * pairing**2).sum())
     rhs = float((phi_a**2 * lam.masses).sum())
     return EmbeddingSides(lhs, rhs)

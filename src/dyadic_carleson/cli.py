@@ -504,7 +504,7 @@ def _cmd_certify(args, cfg: RunConfig) -> Outcome:
         alpha = carleson.box_squared_alpha(mu.shape)
         test = carleson.alpha_test_constant(mu, alpha).constant
         mu = mu.scaled(1.0 / test) if test > 1.0 else mu
-        phi = np.ones(mu.shape.node_count)
+        phi = tree.NodeVector(mu.shape, np.ones(mu.shape.node_count))  # read in place, not copied
         cert = bellman.certify_tree_embedding(mu, phi, alpha, tol=cfg.tol)
         # unlike the bi-tree one, the tree counterexample names its kind
         kind, result = "tree", {

@@ -27,6 +27,7 @@ import numpy as np
 
 from .carleson import (
     AlphaSequence,
+    _row_blocks,
     _safe_ratio,
     _stacks,
     _test_constants,
@@ -36,7 +37,7 @@ from .carleson import (
 )
 from .errors import PreconditionError, ValidationError
 from .tree import NodeVector, TreeMeasure, TreeShape, as_node_array, subtree_sums
-from .tree import _ancestor_sums_inplace
+from .tree import _ancestor_sums_inplace, _subtree_sums_inplace
 
 __all__ = [
     "MaximalCheck",
@@ -57,9 +58,10 @@ def _ratios(depth: int, masses: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray
 
     Along the leading (node) axis; a trailing axis holds trials.
     """
-    num = subtree_sums(depth, phi * masses)
+    num = phi * masses
+    _subtree_sums_inplace(depth, num)
     den = subtree_sums(depth, masses)
-    return _safe_ratio(num, den), den
+    return _safe_ratio(num, den, out=num), den
 
 
 def _gathered(shape: TreeShape, phis: list) -> np.ndarray:
@@ -162,10 +164,8 @@ def _decompositions(shape: TreeShape, r: np.ndarray,
     up in the order a lone trial adds them.
     """
     n = shape.node_count
-    nodes = np.arange(1, n + 1, dtype=np.int64)
     owner = np.ones(r.shape, dtype=np.int64)
-    generation = np.zeros(r.shape, dtype=np.int64)
-    column = nodes[:, None]
+    generation = np.zeros(r.shape, dtype=np.int8)  # at most the depth: int64 ids keep it < 63
     for d in range(1, shape.depth + 1):
         here, up = _level(d), _level(d - 1)
         po = np.repeat(owner[up], 2, axis=0)
@@ -175,11 +175,12 @@ def _decompositions(shape: TreeShape, r: np.ndarray,
         stops = (den[here] > 0.0) & np.where(
             r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
         )
-        owner[here] = np.where(stops, column[here], po)
+        owner[here] = np.where(stops, np.arange(here.start + 1, here.stop + 1)[:, None], po)
         generation[here] = np.repeat(generation[up], 2, axis=0) + stops
 
     owners = np.ascontiguousarray(owner.T)
-    trial, pos = np.nonzero(owners == nodes)
+    trial, pos = np.nonzero(owners == np.arange(1, n + 1))
+    slot = trial * n + pos  # ascending: the bins of the escaped masses below
     gen = generation.T[trial, pos]
     order = np.argsort(trial * (shape.depth + 1) + gen, kind="stable")
     trial, pos, gen = trial[order], pos[order], gen[order]
@@ -188,9 +189,9 @@ def _decompositions(shape: TreeShape, r: np.ndarray,
     up = owners[trial[child], (pos[child] + 1) // 2 - 1] - 1
     den_t, r_t = den.T, r.T
     count = len(owners)
-    escaped = np.bincount(trial[child] * n + up, weights=den_t[trial[child], pos[child]],
-                          minlength=count * n)
-    beta = (den_t[trial, pos] - escaped[trial * n + pos]).tolist()
+    escaped = np.bincount(np.searchsorted(slot, trial[child] * n + up),
+                          weights=den_t[trial[child], pos[child]], minlength=slot.size)
+    beta = (den_t[trial, pos] - escaped[order]).tolist()
     ratio = r_t[trial, pos].tolist()
     keys, gen = (pos + 1).tolist(), gen.tolist()
     bounds = np.searchsorted(trial, np.arange(count + 1)).tolist()
@@ -304,15 +305,16 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     n, count = shape.node_count, len(decs)
     slots = n + 1
     r, den = _ratios(shape.depth, masses, phi)
+    del phi  # a caller's temporary goes before the node arrays below
     r_t, den_t = r.T, den.T
 
-    owners = np.zeros((count, n), dtype=np.int64)
+    owners = [np.asarray(dec.owner, dtype=np.int64) for dec in decs]
+    owners = [o if o.shape == (n,) else np.zeros(n, dtype=np.int64) for o in owners]
+    # a lone trial reads its owners in place, and never writes them
+    owners = owners[0][None] if count == 1 else np.stack(owners)
     listed_ok = np.zeros(count, dtype=bool)
     stops, betas, laters, ratio_keys, ratio_values = [], [], [], [], []
     for k, dec in enumerate(decs):
-        owner = np.array(dec.owner, dtype=np.int64)
-        if owner.shape == (n,):
-            owners[k] = owner
         stop, beta, keys_in_tree = _node_items(dec.beta, n)
         stops.append(stop)
         betas.append(beta)
@@ -341,25 +343,25 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
         return out
 
     owners_in_tree = ((owners >= 1) & (owners <= n)).all(axis=1)
-    owners[(owners < 1) | (owners > n)] = 0
+    if not owners_in_tree.all():  # a new array, so no decomposition's owners change
+        owners = np.where((owners >= 1) & (owners <= n), owners, 0)
     stop_trial, stop = flat(stops)
     beta = np.concatenate(betas)
     is_stop = np.zeros((count, slots), dtype=bool)
     is_stop[stop_trial, stop] = True
-    sizes = np.bincount((owners + np.arange(count)[:, None] * slots).ravel(),
-                        minlength=count * slots).reshape(count, slots)
-    partition_ok = (listed_ok & owners_in_tree
-                    & ~(sizes.astype(bool) & ~is_stop).any(axis=1)
-                    & ~((sizes == 0) & is_stop).any(axis=1))
-    del sizes
+    # every owner is a stopping vertex and every stopping vertex owns a node
+    owned = np.zeros((count, slots), dtype=bool)
+    owned[np.arange(count)[:, None], owners] = True
+    partition_ok = listed_ok & owners_in_tree & (owned == is_stop).all(axis=1)
+    del owned
 
-    # the root has no parent's owner to inherit, so it must stop
-    nodes = np.arange(1, n + 1)
-    inherited = np.zeros((count, n), dtype=np.int64)
-    inherited[:, 1:] = owners[:, nodes[1:] // 2 - 1]
-    np.copyto(inherited, nodes, where=is_stop[:, 1:])
-    owner_consistent = owners_in_tree & (owners == inherited).all(axis=1)
-    del inherited, nodes
+    # a stopping vertex owns itself, another node its parent's owner; the root must stop
+    owner_consistent = owners_in_tree & is_stop[:, 1]
+    owner_consistent[stop_trial[owners[stop_trial, stop - 1] != stop]] = False
+    for first in (1, 2):  # the left children, then the right ones
+        moved = (owners[:, first::2] != owners[:, : n // 2]) & ~is_stop[:, first + 1 :: 2]
+        owner_consistent &= ~moved.any(axis=1)
+    del is_stop
 
     # mass captured by the stopping children must stay below half
     later_trial, later = flat(laters)
@@ -372,29 +374,33 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     beta_values = np.zeros(den.shape)
     beta_values[stop - 1, stop_trial] = beta
     beta_margin = largest(stop_trial, np.abs(beta - (den_stop - escaped)))
-    sums_margin = (subtree_sums(shape.depth, beta_values) - den).max(axis=0)
+    _subtree_sums_inplace(shape.depth, beta_values)
+    beta_values -= den
+    sums_margin = beta_values.max(axis=0)
     del beta_values
 
-    # each node's owner's ratio, 0 for "not a node" and without stopping vertices
+    # each node's ratio and running maximum against twice its owner's ratio (0 for
+    # "not a node" and without stopping vertices), a block of nodes at a time
     r0 = np.zeros((count, slots))
     r0[:, 1:] = r_t
-    owner_ratio = np.take_along_axis(r0, owners, axis=1)
-    owner_ratio[[not dec.beta for dec in decs]] = 0.0
+    r_j = r_t[later_trial, later - 1]
+    _ancestor_sums_inplace(shape.depth, r, np.maximum)  # now the running maximum
+    ratio_margin, maximal_margin = np.full(count, -np.inf), np.full(count, -np.inf)
+    for block in _row_blocks(n, count):
+        twice = 2.0 * np.take_along_axis(r0, owners[:, block], axis=1)
+        twice[[not dec.beta for dec in decs]] = 0.0
+        np.maximum(ratio_margin, (r0[:, 1:][:, block] - twice).max(axis=1), out=ratio_margin)
+        np.maximum(maximal_margin, (r_t[:, block] - twice).max(axis=1), out=maximal_margin)
+    del r, r_t
 
     # the owner's ratio as the decomposition records it, else recomputed
     ratio_trial, keys = flat(ratio_keys)
     r0[ratio_trial, keys] = np.concatenate(ratio_values)
-    r_p, r_j = r0[later_trial, pred], r_t[later_trial, later - 1]
+    r_p = r0[later_trial, pred]
     del r0
     zero = r_p == 0.0
     chain_margin = largest(later_trial[~zero], 2.0 * r_p[~zero] - r_j[~zero])
     chain_bad = np.bincount(later_trial[zero & ~(r_j > 0.0)], minlength=count)
-
-    ratio_margin = (r_t - 2.0 * owner_ratio).max(axis=1)
-    m = r  # the running maximum takes r over, which is not read after this
-    _ancestor_sums_inplace(shape.depth, m, np.maximum)
-    maximal_margin = (m.T - 2.0 * owner_ratio).max(axis=1)
-    del m, r, r_t, owner_ratio
 
     # the weighted test constant of carleson.alpha_test_constant, NaN without valid weights
     alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
@@ -483,10 +489,13 @@ def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float
             with _trial(k):
                 raise ValidationError(_SIGNED_PHI)
     r, den = _ratios(depth, masses, phi)
+    rhs = [float(row.sum()) for row in np.ascontiguousarray((phi**2 * masses).T)]
+    del phi
     m = r.copy()
     _ancestor_sums_inplace(depth, m, np.maximum)
-    lhs = [float(row.sum()) for row in np.ascontiguousarray((den**2 * m**2).T)]
-    rhs = [float(row.sum()) for row in np.ascontiguousarray((phi**2 * masses).T)]
+    m *= m
+    m *= den**2
+    lhs = [float(row.sum()) for row in np.ascontiguousarray(m.T)]
     del m
     results = []
     for k, dec in enumerate(_decompositions(shape, r, den)):

@@ -146,9 +146,12 @@ def parse_measure_dict(obj) -> TreeMeasure | BiMeasure:
 
 def parse_measure_file(data: bytes | str) -> TreeMeasure | BiMeasure:
     try:
+        if isinstance(data, (bytes, bytearray)):  # as json.loads does, dropping the bytes
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
         obj = json.loads(data)
     except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise ValidationError(f"not valid JSON: {exc}") from None
+    del data  # the text goes before the masses are converted
     return parse_measure_dict(obj)
 
 

@@ -70,17 +70,8 @@ def _size_limit(default: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _depths_array(depth: int) -> np.ndarray:
-    out = np.concatenate(
-        [np.full(1 << d, d, dtype=np.int64) for d in range(depth + 1)]
-    )
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=128)
 def _lengths_array(depth: int) -> np.ndarray:
-    out = np.exp2(-_depths_array(depth).astype(float))
+    out = np.concatenate([np.full(1 << d, 2.0**-d) for d in range(depth + 1)])
     out.setflags(write=False)
     return out
 
@@ -109,7 +100,9 @@ class TreeShape:
 
     def depths(self) -> np.ndarray:
         """Read-only array, depth of node ``k`` at position ``k - 1``."""
-        return _depths_array(self.depth)
+        out = np.repeat(np.arange(self.depth + 1), 1 << np.arange(self.depth + 1))
+        out.setflags(write=False)
+        return out
 
     def lengths(self) -> np.ndarray:
         """Read-only array of interval lengths ``2**-depth(k)``."""

@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,10 +42,13 @@ from dyadic_carleson import (
     bi_embedding_constant,
     bi_embedding_constant_dense,
     bitree_bellman_certify,
+    box_squared_alpha,
     build_bitree,
     build_tree,
+    carleson_normalized,
     carleson_ratios,
     cell_point_mass,
+    certify_tree_embedding,
     cube_embedding_check,
     embedding_constant,
     embedding_constant_dense,
@@ -54,6 +56,7 @@ from dyadic_carleson import (
     embedding_pair_check,
     embedding_pair_checks,
     leaf_point_mass,
+    load_measure,
     maximal_checks,
     maximal_theorem_check,
     one_box_constant,
@@ -62,6 +65,7 @@ from dyadic_carleson import (
     random_cell_values,
     random_node_values,
     random_tree_measure,
+    save_measure,
     set_test_constant,
     stopping_decomposition,
     uniform_bimeasure,
@@ -1302,64 +1306,79 @@ def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
             assert _same_fields(got.certificate, check.certificate)
 
 
-def _traced_peak(call):
-    """Bytes that ``call()`` allocates at its peak, above what is allocated before."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_rect_arrays_at_the_peak_of_a_certificate(monkeypatch):
+def test_rect_arrays_at_the_peak_of_a_certificate(traced_peak, small_temporaries):
     # a certificate holds four rectangle arrays and its phi stack, a quarter
-    # array, which it keeps; the one-box test holds two.  Temporaries of a
-    # fixed size are not whole arrays: at (7,7) a default row block is half a
-    # rectangle array and each of numpy's ufunc buffers (8,192 elements) an
+    # array, which it keeps; the one-box test holds two.  At (7,7) a default
+    # row block is half a rectangle array and each of numpy's ufunc buffers an
     # eighth, so both are cut to 2^10 entries here
-    monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1 << 10)
     shape = build_bitree(7, 7)
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
     rect_bytes = shape.rect_count * 8
-    buffer = np.setbufsize(1 << 10)
-    try:
-        certify = _traced_peak(lambda: bitree_bellman_certify(normalized, phi))
-        # the stacked path also keeps its scaled copy of the cells
-        stacked = _traced_peak(lambda: list(unit_box_certificates([(mu, phi)])))
-        one_box = _traced_peak(lambda: one_box_constant(mu))
-    finally:
-        np.setbufsize(buffer)
+    certify = traced_peak(lambda: bitree_bellman_certify(normalized, phi))
+    # the stacked path also keeps its scaled copy of the cells
+    stacked = traced_peak(lambda: list(unit_box_certificates([(mu, phi)])))
+    one_box = traced_peak(lambda: one_box_constant(mu))
     assert certify <= 4.5 * rect_bytes
     assert stacked <= 4.75 * rect_bytes
     assert one_box <= 2.5 * rect_bytes
 
 
-def test_rect_arrays_at_the_peak_of_a_large_certificate():
+def test_rect_arrays_at_the_peak_of_a_large_certificate(traced_peak):
     # at (9,9) the default row blocks and buffers are small beside the arrays
     shape = build_bitree(9, 9)
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
     rect_bytes = shape.rect_count * 8
-    assert _traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 4.75 * rect_bytes
-    assert _traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
+    assert traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 4.75 * rect_bytes
+    assert traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
 
 
-def test_rect_arrays_at_the_peak_of_the_cube_embedding(monkeypatch):
+def test_rect_arrays_at_the_peak_of_the_cube_embedding(traced_peak, small_temporaries):
     # |R| G1^2 is written over G1 row block by row block, so the one-box
     # pre-check and its two arrays set the peak; blocks and buffers are cut
     # as for the certificate above
-    monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1 << 10)
     shape = build_bitree(7, 7)
     mu, _ = normalized_to_unit_onebox(random_bimeasure(3, shape))
     phi = random_cell_values(4, shape)
-    buffer = np.setbufsize(1 << 10)
-    try:
-        peak = _traced_peak(lambda: cube_embedding_check(mu, phi))
-    finally:
-        np.setbufsize(buffer)
+    peak = traced_peak(lambda: cube_embedding_check(mu, phi))
     assert peak <= 2.5 * shape.rect_count * 8
+
+
+@pytest.mark.parametrize("mode", [ALL_NODES, BOUNDARY_ONLY])
+def test_node_arrays_at_the_peak_of_a_lone_maximal_check(mode, traced_peak, small_temporaries):
+    # the stack of scaled masses, the ratios, the subtree masses, the owners,
+    # one more array at a time (the ratios kept for the margins, or the
+    # weights of the test constant and their ratios) and the decomposition's
+    # vertex tables; the whole-array temporaries took 12 node arrays
+    shape = build_tree(14)
+    mu = random_tree_measure(3, shape, support_mode=mode)
+    phi = random_node_values(4, shape, nonneg=True)
+    list(maximal_checks([(mu, phi)]))  # shape caches
+    peak = traced_peak(lambda: list(maximal_checks([(mu, phi)])))
+    assert peak <= 7.5 * shape.node_count * 8
+
+
+def test_node_arrays_at_the_peak_of_a_tree_certificate(traced_peak, small_temporaries):
+    # F, f, v + A and the weighted values, plus the checked phi that the
+    # certificate keeps; the certificate held six arrays and took ten
+    shape = build_tree(14)
+    lam = carleson_normalized(random_tree_measure(3, shape, support_mode=ALL_NODES))
+    phi, alpha = random_node_values(4, shape), box_squared_alpha(shape)
+    certify_tree_embedding(lam, phi, alpha)  # shape caches
+    peak = traced_peak(lambda: certify_tree_embedding(lam, phi, alpha))
+    assert peak <= 6 * shape.node_count * 8
+
+
+def test_node_arrays_at_the_peak_of_a_measure_file_load(traced_peak, small_temporaries,
+                                                         tmp_path):
+    # the file's text beside the parsed list of floats (some 3 and 4 node
+    # arrays), not also its bytes, which took 9
+    shape = build_tree(14)
+    path = tmp_path / "mu.json"
+    save_measure(random_tree_measure(3, shape, support_mode=ALL_NODES), path)
+    peak = traced_peak(lambda: load_measure(path))
+    assert peak <= 7.5 * shape.node_count * 8
 
 
 @pytest.mark.parametrize("blocks", [None, 1, 3])

@@ -7,8 +7,8 @@ out so the numbers can be re-derived without running anything.
 
 import functools
 import json
+import math
 import operator
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from dyadic_carleson import (
     DomainError,
     MODES,
     PreconditionError,
+    TreeMeasure,
     ValidationError,
     a_shift_gain,
     bellman_gradient,
@@ -363,17 +364,11 @@ def test_sampler_rounds_with_rejections_match_always_copy_path(mode, monkeypatch
 
 @pytest.mark.parametrize("mode, arrays", [("martingale", 11), ("tree_split", 13),
                                           ("compensation", 13)])
-def test_sampler_peak_memory(mode, arrays):
+def test_sampler_peak_memory(mode, arrays, traced_peak):
     # the raw draws (9 arrays for the martingale, 11 for the others) plus
     # two: the output and block-sized temporaries, not whole-size ones
     count = 1 << 20
-    tracemalloc.start()
-    try:
-        batch, _ = sample_batch(0, count, mode)
-        _outputs(batch).mean()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _outputs(sample_batch(0, count, mode)[0]).mean())
     assert peak <= arrays * 8 * count
 
 
@@ -523,18 +518,17 @@ def test_bellman_sample_names_the_first_worst_of_all_blocks(flag, method, pick, 
 
 
 @pytest.mark.parametrize("flag", FLAG_MODES)
-def test_bellman_sample_memory_does_not_grow_with_trials(flag, tmp_path, monkeypatch):
+def test_bellman_sample_memory_does_not_grow_with_trials(flag, tmp_path, monkeypatch,
+                                                         traced_peak):
     # drawn whole, a 2^20-trial job peaked at 82-98 MB and a 2^17 one at 12-14 MB
     monkeypatch.chdir(tmp_path)
 
     def peak(trials):
         argv = ["bellman-sample", "--mode", flag, "--trials", str(trials), "--out", "r.json"]
-        tracemalloc.start()
-        try:
-            assert cli.run_command(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        used = traced_peak(lambda: codes.append(cli.run_command(argv)))
+        assert codes == [0]
+        return used
 
     peak(1)  # the shared parser is built on the first call
     small, large = peak(1 << 17), peak(1 << 20)
@@ -607,6 +601,86 @@ def test_lazy_rows_equal_eager_rows(depth):
     assert rows[-1] == eager[-1] and rows[0] == eager[0]
     with pytest.raises(IndexError):
         rows[len(eager)]
+
+
+def _closed_form_rows(lam, phi, alpha):
+    """The six row arrays from their closed forms, node by node in Python floats.
+
+    A box average is the subtree sum, which adds each node's value to the sum
+    of its children's sums, over the interval length 2^-depth.  Then
+    v = <lam>, F = <phi^2>, f = <phi sqrt(lam)>, A = <alpha v^2>,
+    B = 4 (F - f^2 / (v + A)), or 4F where v + A = 0, the weighted value is
+    |I| B and the slack is that minus the children's minus alpha f^2.
+    """
+    n = lam.shape.node_count
+    masses, weights, phi = lam.masses.tolist(), alpha.values.tolist(), list(phi)
+
+    def averages(values):
+        sums = [0.0] * (n + 1)
+        for k in range(n, 0, -1):
+            below = sums[2 * k] + sums[2 * k + 1] if 2 * k <= n else None
+            sums[k] = values[k - 1] if below is None else values[k - 1] + below
+        return [sums[k] * 2.0 ** (k.bit_length() - 1) for k in range(1, n + 1)]
+
+    v = averages(masses)
+    F = averages([p * p for p in phi])
+    f = averages([p * math.sqrt(m) for p, m in zip(phi, masses)])
+    A = averages([a * (x * x) for a, x in zip(weights, v)])
+    weighted = []
+    for k in range(1, n + 1):
+        s = v[k - 1] + A[k - 1]
+        ratio = f[k - 1] * f[k - 1] / s if s > 0 else 0.0
+        weighted.append((F[k - 1] - ratio) * 4.0 * 2.0 ** -(k.bit_length() - 1))
+    slacks = []
+    for k in range(1, n + 1):
+        children = weighted[2 * k - 1] + weighted[2 * k] if 2 * k <= n else None
+        slack = weighted[k - 1] if children is None else weighted[k - 1] - children
+        slacks.append(slack - weights[k - 1] * (f[k - 1] * f[k - 1]))
+    return dict(F=F, f=f, A=A, v=v, weighted_values=weighted, slacks=slacks)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_rows_equal_their_closed_forms(depth):
+    shape = build_tree(depth)
+    rng = np.random.default_rng(depth)
+    masses = rng.exponential(size=shape.node_count)
+    for level in range(depth):  # node 2's subtree has no mass: there v + A = 0
+        masses[(2 << level) - 1 : (3 << level) - 1] = 0.0
+    lam = TreeMeasure(shape, masses)
+    alpha = AlphaSequence(shape, rng.uniform(size=shape.node_count))
+    lam = lam.scaled(1.0 / carleson.alpha_test_constant(lam, alpha).constant)
+    phi = rng.normal(size=shape.node_count)
+    cert = certify_tree_embedding(lam, phi, alpha)
+    want = _closed_form_rows(lam, phi, alpha)
+    for name, values in want.items():
+        assert getattr(cert.rows, name).tobytes() == np.array(values).tobytes(), name
+    assert cert.bellman_bound == want["weighted_values"][0]
+    assert cert.upper_bound == 4.0 * want["F"][0]
+    assert cert.min_slack == min(want["slacks"])
+    if depth:
+        assert want["v"][1] == want["A"][1] == 0.0 and want["F"][1] > 0.0
+
+
+def test_rows_are_built_on_first_read_and_kept_read_only(traced_peak):
+    shape = build_tree(12)
+    lam = carleson_normalized(random_tree_measure(2, shape, density=0.5))
+    alpha = box_squared_alpha(shape)
+    cert = certify_tree_embedding(lam, np.ones(shape.node_count), alpha)
+    node_bytes = shape.node_count * 8
+    # the verdicts and the length read no row array
+    assert traced_peak(lambda: (len(cert.rows), cert.ok, cert.min_slack)) < node_bytes
+    assert len(cert.rows) == shape.node_count and cert.ok
+    assert cert.rows.masses is lam.masses and cert.rows.alpha is alpha.values
+    # the first read builds all six, which are then kept
+    assert traced_peak(lambda: cert.rows.slacks) >= 6 * node_bytes
+    names = ("F", "f", "A", "v", "slacks", "weighted_values")
+    assert traced_peak(lambda: [getattr(cert.rows, name) for name in names]) < node_bytes
+    assert cert.rows.slacks.min() == cert.min_slack
+    for name in names:
+        array = getattr(cert.rows, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_certificate_point_mass():

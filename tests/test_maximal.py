@@ -1,5 +1,7 @@
 """Stopping-time decomposition and the constant-32 maximal inequality."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -287,14 +289,16 @@ def test_check_and_invariants_share_tree_passes(monkeypatch):
     lam = carleson_normalized(random_tree_measure(4, shape, support_mode=ALL_NODES))
     phi = np.abs(random_node_values(5, shape))
     calls = []
-    for module in (maximal, carleson):
-        real = module.subtree_sums
+    # a pass is a subtree_sums call or an in-place one on a buffer of the caller's
+    for module, name in itertools.product((maximal, carleson),
+                                          ("subtree_sums", "_subtree_sums_inplace")):
+        real = getattr(module, name)
 
         def counted(*args, _real=real, **kwargs):
             calls.append(args[0])
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "subtree_sums", counted)
+        monkeypatch.setattr(module, name, counted)
     report = maximal_theorem_check(lam, phi)
     assert verify_stopping_invariants(report.decomposition, lam, phi).ok
     # the check: box constant 2, ratios 2 (which the decomposition shares);
