@@ -829,19 +829,19 @@ def _bi_embedding_values(
 ) -> list[tuple[float, int, bool]]:
     """Power iteration of the Gram operator of each grid of a cell stack.
 
-    ``cells`` is ``(trials, rows, cols)``; one ``_apply_bi_gram`` runs on
-    every grid of the stack, from the indicator of its positive cells.  A
+    ``cells`` is ``(trials, rows, cols)``; the loop's stack is its
+    ``(trials, rows * cols)`` view, from the indicator of the positive
+    cells, and one ``_apply_bi_gram`` runs on every grid of the stack.  A
     grid without positive cells starts from zero, so the loop stops it with
     ``(0.0, 0, True)``.
     """
     weights = np.sqrt(cells)
-    size = cells.shape[1] * cells.shape[2]
+    x = (cells > 0).astype(float, order="C").reshape(len(cells), math.prod(cells.shape[1:]))
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _apply_bi_gram(depths, weights, x.reshape(weights.shape)).ravel()
+    def apply(g: np.ndarray) -> np.ndarray:
+        return _apply_bi_gram(depths, weights, g.reshape(weights.shape)).reshape(g.shape)
 
-    return _power_iteration(apply, (cells > 0).astype(float).ravel(),
-                            range(0, (len(cells) + 1) * size, size), tol, max_iter)
+    return _power_iteration(apply, x, tol, max_iter)
 
 
 def bi_embedding_constant(

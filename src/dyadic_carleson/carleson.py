@@ -194,8 +194,8 @@ def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
 
 
 # A stack holds about BATCH_ENTRIES measure entries in a few whole arrays (the bi-tree
-# certificate: the six it returns).  Sums run on whole per-trial arrays, whose bits numpy's
-# pairwise order sets; elementwise passes, min and max run in cache-sized row blocks.
+# certificate: four rectangle arrays).  Sums run on whole per-trial arrays, whose bits
+# numpy's pairwise order sets; elementwise passes, min and max run in cache-sized row blocks.
 BATCH_ENTRIES = 1 << 17
 BLOCK_ENTRIES = 1 << 15
 
@@ -265,16 +265,21 @@ def _stacks(items: Iterable, kernel: Callable, entries: Callable,
             raise error
 
 
-def _power_iteration(apply: Callable, x: np.ndarray, offsets: Sequence[int],
-                     tol: float, max_iter: int) -> list[tuple[float, int, bool]]:
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[k].dot(y[k])`` for each row ``k``: one BLAS dot per row."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _power_iteration(apply: Callable, x: np.ndarray, tol: float,
+                     max_iter: int) -> list[tuple[float, int, bool]]:
     """Largest eigenvalues of a stack of positive semidefinite operators.
 
-    Row ``k`` of the stack starts from ``x[offsets[k]:offsets[k + 1]]``; the
-    loop takes over ``x``.  ``apply`` maps the whole stack to a new buffer of
-    the same layout, each row's slice by its own operator, which the loop
-    then normalizes row by row in place.  The layout never changes: a row
-    that stops has its slice of the image zeroed in place and leaves the
-    Python loop, and its operator must map that zero slice to zero.
+    Row ``k`` of the C-contiguous ``(trials, size)`` stack ``x`` is the start
+    vector of operator ``k``; the loop takes over ``x``.  ``apply`` maps the
+    stack to a C-contiguous stack of the same shape, each row by its own
+    operator, and may reuse the buffer of the stack it was given the call
+    before; the loop normalizes the image in place.  A row that stops is
+    zeroed and stays in place, so its operator must map a zero row to zero.
 
     A row whose start vector is zero (a measure without support) stops
     before the first apply with ``(0.0, 0, True)``.  Any other row stops once
@@ -282,52 +287,36 @@ def _power_iteration(apply: Callable, x: np.ndarray, offsets: Sequence[int],
     (to dodge spurious plateaus), or with value 0 when its image is the zero
     vector, or unconverged with value NaN when its image is not finite, or
     unconverged after ``max_iter`` iterations.  Its quotient and norm are
-    ``ndarray.dot`` of its own contiguous slice, so a row's outcome does not
-    depend on the rest of the stack.  Returns ``(value, iterations,
-    converged)`` per row.
+    dots of its own row, so a row's outcome does not depend on the rest of
+    the stack.  Returns ``(value, iterations, converged)`` per row.
     """
-    count = len(offsets) - 1
-    results = [(0.0, 0, True)] * count
-    value, hits = [0.0] * count, [0] * count
-    rows = []
-    for k in range(count):
-        row = x[offsets[k] : offsets[k + 1]]
-        norm = math.sqrt(row.dot(row))
-        if norm:
-            row /= norm
-            rows.append(k)
+    results = [(0.0, 0, True)] * len(x)
+    norm = np.sqrt(_row_dots(x, x))
+    running = norm > 0
+    x /= np.where(running, norm, 1.0)[:, None]
+    value, agreed = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
     for iteration in range(1, max_iter + 1):
-        if not rows:
+        if not running.any():
             break
         y = apply(x)
-        running = []
-        for k in rows:
-            lo, hi = offsets[k], offsets[k + 1]
-            image = y[lo:hi]
-            current = float(x[lo:hi].dot(image))
-            norm = math.sqrt(image.dot(image))
-            if norm == math.inf:  # the squares overflow, not the entries
-                peak = float(np.abs(image).max())
-                norm = peak * float(np.linalg.norm(image / peak))
-            if not 0.0 < norm < math.inf:  # a zero image, or one that overflowed
-                converged = norm == 0.0
-                results[k] = (0.0 if converged else math.nan, iteration, converged)
-                image.fill(0.0)
-                continue
-            image /= norm
-            if abs(current - value[k]) <= tol * max(abs(current), 1e-300):
-                hits[k] += 1
-                if hits[k] >= 2:
-                    results[k] = (current, iteration, True)
-                    image.fill(0.0)
-                    continue
-            else:
-                hits[k] = 0
-            value[k] = current
-            running.append(k)
-        x, rows = y, running
-    for k in rows:
-        results[k] = (value[k], max_iter, False)
+        current = _row_dots(x, y)
+        norm = np.sqrt(_row_dots(y, y))
+        for k in (norm == np.inf).nonzero()[0].tolist():  # squares overflow, not entries
+            peak = np.abs(y[k]).max()
+            norm[k] = peak * np.linalg.norm(y[k] / peak)
+        ok = (0.0 < norm) & (norm < np.inf)  # neither a zero image nor one that overflowed
+        y /= np.where(ok, norm, 1.0)[:, None]
+        close = np.abs(current - value) <= tol * np.maximum(np.abs(current), 1e-300)
+        stop = running & (~ok | (close & agreed))
+        for k in stop.nonzero()[0].tolist():
+            y[k] = 0.0
+            results[k] = ((float(current[k]), iteration, True) if ok[k]
+                          else (0.0, iteration, True) if norm[k] == 0.0
+                          else (math.nan, iteration, False))
+        running &= ~stop
+        x, value, agreed = y, current, close
+    for k in running.nonzero()[0].tolist():
+        results[k] = (float(value[k]), max_iter, False)
     return results
 
 
@@ -336,33 +325,29 @@ def _embedding_reports(shape: TreeShape, measures: Sequence[TreeMeasure],
     """:func:`embedding_constant` of each measure of one shape.
 
     The test ratios come from one pass pair over the ``(nodes, trials)``
-    stack of masses.  The power loop's stack holds the support of each
-    trial in turn; its apply scatters the stacked ``sqrt(mu) * g`` into one
-    ``(nodes, trials)`` array, runs both tree passes along its leading
-    axis, and gathers the result back.  A measure without support is an
-    empty row, which the loop stops with ``(0.0, 0, True)``.
+    stack of masses.  The power loop's stack holds one whole node vector
+    per trial, from the indicator of its support.  ``sqrt(mu)`` is 0 off
+    the support, so the apply multiplies by it into the masses' buffer,
+    runs both tree passes in place along its node axis, and multiplies by
+    it again into the other of two output buffers.  A measure without
+    support is a zero row, which the loop stops with ``(0.0, 0, True)``.
     """
     depth = shape.depth
     masses = np.stack([mu.masses for mu in measures], axis=-1)
     tests = _test_constants(shape, _test_ratios(depth, masses))
-    nodes, trials = masses.shape
-    pos = np.flatnonzero(masses.T)  # trial * nodes + node, trial by trial
-    index = pos % nodes
-    index *= trials
-    index += pos // nodes
-    weights = np.sqrt(masses.ravel()[index])
-    offsets = np.searchsorted(pos, np.arange(trials + 1) * nodes).tolist()
-    full = np.empty((nodes, trials))
-    flat = full.reshape(-1)
+    weights = np.sqrt(masses)
+    x = (masses.T > 0).astype(float, order="C")
+    spare = np.empty_like(x)
 
     def apply(g: np.ndarray) -> np.ndarray:
-        full.fill(0.0)
-        flat[index] = weights * g
-        _subtree_sums_inplace(depth, full)
-        _ancestor_sums_inplace(depth, full)
-        return weights * flat[index]
+        nonlocal spare
+        np.multiply(weights, g.T, out=masses)
+        _subtree_sums_inplace(depth, masses)
+        _ancestor_sums_inplace(depth, masses)
+        y, spare = spare, g
+        return np.multiply(masses.T, weights.T, out=y)
 
-    solutions = _power_iteration(apply, np.ones(pos.size), offsets, tol, max_iter)
+    solutions = _power_iteration(apply, x, tol, max_iter)
     return [EmbeddingReport(test.constant, value, test.argmax_node, iterations, converged)
             for test, (value, iterations, converged) in zip(tests, solutions)]
 

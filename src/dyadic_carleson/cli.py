@@ -283,7 +283,7 @@ def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
 
     modes = TREE_MODES if args.support == "both" else (args.support,)
     jobs = _instances(args, cfg, "tree", cfg.trials, modes=modes)
-    pairs = carleson.embedding_pair_checks((mu for mu, _ in jobs), rel_tol=SANDWICH_TOL)
+    pairs = carleson.embedding_pair_checks((mu for mu, _ in jobs), rel_tol=cfg.tol)
     rows, failure = _trial_rows(pairs, check)
     if failure:
         return failure
@@ -302,7 +302,7 @@ def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
 
 def _cmd_tree_embed(args, cfg: RunConfig) -> Outcome:
     [(mu, _)] = _instances(args, cfg, "tree")
-    pair = carleson.embedding_pair_check(mu, rel_tol=SANDWICH_TOL)
+    pair = carleson.embedding_pair_check(mu, rel_tol=cfg.tol)
     row, failure = _sandwich(pair)
     report = {"argmax_node": pair.report.argmax_node, "passed": pair.ok, **row}
     return Outcome(report, counterexample=failure)

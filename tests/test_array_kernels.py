@@ -4,10 +4,13 @@ The references are the earlier forms of the kernels: reshape/repeat tree
 passes, rectangle integrals over a zero-padded rectangle array, the
 Gram apply that builds every rectangle sum and spreads it back with two
 ancestor passes, the fancy-index subset-sum passes of the exhaustive set
-test, and the two power-iteration loops the embedding constants had
-before they shared one, and the one-row loop that came before the stacked
-one.  The pass kernels add in the same order and must
-agree exactly.  Only the sign of a zero may differ in the tree passes: a
+test, and two kinds of power loop.  The one-measure loops the embedding
+constants had before they shared one stay as references; the tree's runs
+on whole node vectors with zeros off the support, as the stacked solve
+does, so each Rayleigh quotient is the same dot.  A one-row loop checks
+the stacked loop on operators zero-padded to one size, row by row.  The
+pass kernels add in the same order and must agree exactly.  Only the
+sign of a zero may differ in the tree passes: a
 ``reshape(...).sum(axis=1)`` of two -0.0 halves gives +0.0 in some numpy
 versions and -0.0 in others.  Rectangle integrals, subset sums and both
 power iterations agree bit for bit, and so does every row of a stacked
@@ -460,20 +463,18 @@ def test_exhaustive_set_test_matches_fancy_index_reference(depths):
 
 
 def _ref_tree_power(mu, tol=1e-12, max_iter=100_000):
-    supp = np.flatnonzero(mu.masses)
-    if supp.size == 0:
+    support = mu.masses > 0
+    if not support.any():
         return 0.0, 0, True
     depth = mu.shape.depth
-    sqrt_m = np.sqrt(mu.masses[supp])
-    g = np.ones(supp.size)
+    sqrt_m = np.sqrt(mu.masses)  # 0 off the support
+    g = support.astype(float)
     g /= np.linalg.norm(g)
     rho_prev = rho = 0.0
     hits = iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        full = np.zeros(mu.shape.node_count)
-        full[supp] = sqrt_m * g
-        y = sqrt_m * ancestor_sums(depth, subtree_sums(depth, full))[supp]
+        y = sqrt_m * ancestor_sums(depth, subtree_sums(depth, sqrt_m * g))
         rho = float(g @ y)
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
@@ -584,21 +585,19 @@ def _row_power_iteration(apply, x, tol, max_iter):
 
 
 def _row_tree_solve(mu, tol=1e-12, max_iter=100_000):
-    supp = np.flatnonzero(mu.masses)
-    if supp.size == 0:
+    support = mu.masses > 0
+    if not support.any():
         return 0.0, 0, True
-    sqrt_m = np.sqrt(mu.masses[supp])
+    sqrt_m = np.sqrt(mu.masses)  # 0 off the support
     depth = mu.shape.depth
-    full = np.zeros(mu.shape.node_count)
 
     def apply(g):
-        full.fill(0.0)
-        full[supp] = sqrt_m * g
+        full = sqrt_m * g
         _subtree_sums_inplace(depth, full)
         _ancestor_sums_inplace(depth, full)
-        return sqrt_m * full[supp]
+        return sqrt_m * full
 
-    return _row_power_iteration(apply, np.ones(supp.size), tol, max_iter)
+    return _row_power_iteration(apply, support.astype(float), tol, max_iter)
 
 
 def _row_bitree_solve(mu, tol=1e-12, max_iter=100_000):
@@ -688,15 +687,18 @@ def test_stacked_bitree_rows_match_one_row_loop(depths):
             assert gap == (want_emb / want_box if want_box else 0.0)
 
 
-def _block_operator(blocks):
-    """Apply of the block-diagonal operator of ``blocks`` on the whole stack."""
-    def apply(x):
-        out, start = [], 0
-        for block in blocks:
-            out.append(block @ x[start : start + len(block)])
-            start += len(block)
-        return np.concatenate(out)
-    return apply
+def _padded(blocks, starts, size):
+    """The operators and start vectors of ``blocks``, zero-padded to ``size``."""
+    ops, x = np.zeros((len(blocks), size, size)), np.zeros((len(blocks), size))
+    for k, (block, start) in enumerate(zip(blocks, starts)):
+        ops[k, : len(block), : len(block)] = block
+        x[k, : len(start)] = start
+    return ops, x
+
+
+def _block_operator(ops):
+    """Apply of the operator stack ``ops``, one matvec per row of the stack."""
+    return lambda x: np.array([op @ row for op, row in zip(ops, x)])
 
 
 def test_stacked_loop_matches_one_row_loop_on_every_exit():
@@ -708,15 +710,14 @@ def test_stacked_loop_matches_one_row_loop_on_every_exit():
     blocks[2] = np.zeros((3, 3))              # zero image: value 0 at iteration 1
     blocks[4] = np.eye(2)                     # stops at iteration 3, the earliest
     blocks[6] = np.diag([1.0, 1.0 - 1e-3, 0.5])  # slow: runs into small max_iter
-    starts = [rng.exponential(size=len(b)) + 0.1 for b in blocks]
-    offsets = np.cumsum([0] + [len(b) for b in blocks])
-    for max_iter in (0, 1, 2, 3, 7, 100_000):
-        got = _power_iteration(_block_operator(blocks), np.concatenate(starts),
-                               offsets, 1e-12, max_iter)
-        for k, block in enumerate(blocks):
-            want = _row_power_iteration(lambda v, b=block: b @ v, starts[k], 1e-12,
-                                        max_iter)
+    ops, starts = _padded(blocks, [rng.exponential(size=len(b)) + 0.1 for b in blocks], 6)
+    for max_iter in (*range(8), 100_000):
+        got = _power_iteration(_block_operator(ops), starts.copy(), 1e-12, max_iter)
+        for k, op in enumerate(ops):
+            want = _row_power_iteration(lambda v, b=op: b @ v, starts[k], 1e-12, max_iter)
             assert _same_outcome(got[k], want), (k, max_iter)
+        if max_iter >= 3:
+            assert got[2] == (0.0, 1, True) and got[4][1:] == (3, True)
 
 
 def test_stacked_loop_keeps_one_layout_and_zeroes_stopped_rows():
@@ -731,31 +732,37 @@ def test_stacked_loop_keeps_one_layout_and_zeroes_stopped_rows():
     zero = [0, 3, 5, 7]                       # zero starts: first, middle, empty, last
     for k in zero:
         starts[k] = np.zeros(len(blocks[k]))
-    offsets = np.cumsum([0] + [len(b) for b in blocks]).tolist()
-    block_apply = _block_operator(blocks)
-    seen = []
+    ops, starts = _padded(blocks, starts, 5)
+    block_apply = _block_operator(ops)
+    seen, given = [], []
 
     def spy(x):
+        # write each image into the stack given the call before, as the tree apply does
         seen.append(x.copy())
-        return block_apply(x)
+        y = block_apply(x)
+        if given:
+            given[-1][...] = y
+            y = given[-1]
+        given.append(x)
+        return y
 
-    got = _power_iteration(spy, np.concatenate(starts), offsets, 1e-12, 100_000)
-    assert seen and all(x.size == offsets[-1] for x in seen)
-    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+    got = _power_iteration(spy, starts.copy(), 1e-12, 100_000)
+    assert seen and all(x.shape == starts.shape and x.flags.c_contiguous for x in seen)
+    for k in range(len(ops)):
         # call i + 1 follows iteration i, so a row stopped at iteration t
         # is zero in every call after the t-th
-        assert all(not x[lo:hi].any() for x in seen[got[k][1]:]), k
+        assert all(not x[k].any() for x in seen[got[k][1]:]), k
         if k in zero:
             assert got[k] == (0.0, 0, True)
         else:
-            want = _row_power_iteration(lambda v, b=blocks[k]: b @ v, starts[k], 1e-12,
+            want = _row_power_iteration(lambda v, b=ops[k]: b @ v, starts[k], 1e-12,
                                         100_000)
             assert _same_outcome(got[k], want), k
-    assert got[4][1] == 1 and got[2][1] == 3 and len(seen) > 3
+    assert got[4] == (0.0, 1, True) and got[2][1] == 3 and len(seen) > 3
 
 
 def test_batches_of_none_and_of_one():
-    assert _power_iteration(_block_operator([]), np.zeros(0), [0], 1e-12, 10) == []
+    assert _power_iteration(_block_operator([]), np.zeros((0, 0)), 1e-12, 10) == []
     assert embedding_constants([]) == []
     assert list(embedding_pair_checks([])) == []
     assert list(one_box_constants([])) == []
@@ -1370,6 +1377,18 @@ def test_node_arrays_at_the_peak_of_a_tree_certificate(traced_peak, small_tempor
     assert peak <= 6 * shape.node_count * 8
 
 
+@pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
+def test_node_arrays_at_the_peak_of_an_embedding_solve(mode, traced_peak, small_temporaries):
+    # the masses (then the pass buffer), the test ratios' temporaries or the
+    # weights and the two iterates, in either support mode; packing the
+    # support into its own buffers took 6.9 node arrays on all nodes
+    shape = build_tree(14)
+    mu = random_tree_measure(3, shape, support_mode=mode)
+    embedding_constant(mu)  # shape caches
+    peak = traced_peak(lambda: embedding_constant(mu))
+    assert peak <= 4.5 * shape.node_count * 8
+
+
 def test_node_arrays_at_the_peak_of_a_measure_file_load(traced_peak, small_temporaries,
                                                          tmp_path):
     # the file's text beside the parsed list of floats (some 3 and 4 node
@@ -1652,3 +1671,18 @@ def test_power_iteration_rescales_an_overflowing_norm():
         bi = bi_embedding_constant(mu)
     assert bi.converged and bi.iterations > 2
     assert bi.value == pytest.approx(bi_embedding_constant_dense(mu), rel=1e-9)
+    # in the middle of a stack, the rescued row and its neighbours keep their lone bits
+    good = random_tree_measure(5, tree)
+    with np.errstate(over="ignore"):
+        reports = embedding_constants([good, lam, good])
+    lone = [embedding_constant(good), report, embedding_constant(good)]
+    for got, want in zip(reports, lone):
+        assert _same_outcome((got.embedding_constant, got.iterations, got.converged),
+                             (want.embedding_constant, want.iterations, want.converged))
+    bi_good = random_bimeasure(5, mu.shape)
+    with np.errstate(over="ignore"):
+        stack = _bi_embedding_values(mu.shape.depths,
+                                     np.stack([bi_good.cells, mu.cells, bi_good.cells]))
+    lone = [bi_embedding_constant(bi_good), bi, bi_embedding_constant(bi_good)]
+    for got, want in zip(stack, lone):
+        assert _same_outcome(got, (want.value, want.iterations, want.converged))

@@ -488,6 +488,18 @@ def test_bellman_sample_compensation_takes_tol(capsys):
     assert report["passed"] is (report["max_value"] <= 1e-6)
 
 
+@pytest.mark.parametrize("argv", [("tree-test", "--trials", "30"), ("tree-embed",)])
+def test_sandwich_commands_take_tol(capsys, tmp_path, argv):
+    # at depth 0 both constants are the one mass up to a rounding, so the
+    # default slack passes where a slack of 1e-300 fails the lower end
+    base = [*argv, "--depth", "0", "--seed", "0", "--out", str(tmp_path / "r.json")]
+    assert _run(capsys, *base)[0] == 0
+    assert _run(capsys, *base, "--tol", "1e-300")[0] == 2
+    payload = json.loads((tmp_path / "r.json.counterexample.json").read_text())
+    assert payload["lower_ok"] is False
+    assert payload["embedding_constant"] < payload["test_constant"]
+
+
 def test_maximal_verify_random(capsys):
     code, out, _ = _run(capsys, "maximal-verify", "--depth", "4",
                         "--trials", "3", "--seed", "2")
