@@ -27,7 +27,10 @@ import numpy as np
 
 from .carleson import _batches, _power_iteration, _row_blocks, _safe_ratio, _stacks, _trial
 from .errors import PreconditionError, ShapeMismatchError, SizeError, ValidationError
-from .tree import MAX_NODES_ENV, TreeShape, _common_ancestors, _size_limit, _subtree_sums_inplace
+from .tree import (
+    MAX_NODES_ENV, TreeShape, _common_ancestors, _count_past_limit, _size_limit,
+    _subtree_sums_inplace,
+)
 
 __all__ = [
     "BiEmbeddingReport",
@@ -131,12 +134,17 @@ def build_bitree(n: int, m: int) -> BiTreeShape:
     """Validated shape; rectangle count is capped by the size guard."""
     shape = BiTreeShape((int(n), int(m)))
     limit = _size_limit(DEFAULT_MAX_RECTS)
-    if shape.rect_count > limit:
-        raise SizeError(
-            f"depths {shape.depths} give {shape.rect_count} rectangles, over the "
-            f"limit {limit} (set {MAX_NODES_ENV} to raise it)"
-        )
-    return shape
+    deepest = max(shape.depths)
+    if _count_past_limit(deepest, limit):
+        rect_count = f"at least 2^{deepest + 1} - 1"
+    else:
+        rect_count = shape.rect_count
+        if rect_count <= limit:
+            return shape
+    raise SizeError(
+        f"depths {shape.depths} give {rect_count} rectangles, over the "
+        f"limit {limit} (set {MAX_NODES_ENV} to raise it)"
+    )
 
 
 def _checked_grid(shape: BiTreeShape, values, label: str) -> np.ndarray:

@@ -10,6 +10,13 @@ One schema, version 1, two kinds:
 The version field may be omitted (it defaults to 1); every other unknown
 or missing field is an error, and diagnostics carry the offending
 position.
+
+Files are read with orjson. The json module reads only what orjson
+rejects: a byte-order mark, UTF-16 or UTF-32 text, ``NaN``, ``Infinity``
+and numbers that overflow to infinity, lone surrogate escapes, and
+invalid JSON, whose message is the json module's. orjson reads an integer
+outside [-2^63, 2^64) as a float, so such a ``version``, ``depth`` or
+``depths`` entry fails as a non-integer; masses round to the same doubles.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .bitree import BiMeasure, build_bitree
 from .errors import ValidationError
@@ -146,13 +154,21 @@ def parse_measure_dict(obj) -> TreeMeasure | BiMeasure:
 
 def parse_measure_file(data: bytes | str) -> TreeMeasure | BiMeasure:
     try:
-        if isinstance(data, (bytes, bytearray)):  # as json.loads does, dropping the bytes
-            data = data.decode(json.detect_encoding(data), "surrogatepass")
-        obj = json.loads(data)
-    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
-        raise ValidationError(f"not valid JSON: {exc}") from None
-    del data  # the text goes before the masses are converted
-    return parse_measure_dict(obj)
+        obj, rejected = orjson.loads(data), False
+    except orjson.JSONDecodeError:  # its error holds a copy of the text: read again after it
+        rejected = True
+    if rejected:
+        try:
+            if isinstance(data, (bytes, bytearray)):  # as json.loads does, dropping the bytes
+                data = data.decode(json.detect_encoding(data), "surrogatepass")
+            obj = json.loads(data)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long integers
+            raise ValidationError(f"not valid JSON: {exc}") from None
+    del data  # the input goes before the masses are converted
+    try:
+        return parse_measure_dict(obj)
+    except RecursionError:  # the repr, in a message, of a value nested thousands deep
+        raise ValidationError("a value is nested too deep to show") from None
 
 
 def measure_to_dict(measure: TreeMeasure | BiMeasure) -> dict:

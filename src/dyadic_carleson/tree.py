@@ -138,18 +138,30 @@ class TreeShape:
             )
 
 
+def _count_past_limit(depth: int, limit: int) -> bool:
+    """Whether 2^(depth+1) - 1 is over ``limit`` and too long to be worth building.
+
+    Past 64 bits and past the limit's bit length the count exceeds the limit,
+    and building it for a huge depth would allocate and zero gigabytes.
+    """
+    return depth > max(64, limit.bit_length())
+
+
 def build_tree(depth: int) -> TreeShape:
     """Build the depth-``depth`` shape, enforcing the size guard."""
     if depth < 0:
         raise ValidationError("tree depth must be non-negative")
-    node_count = (1 << (depth + 1)) - 1
     limit = _size_limit((1 << (DEFAULT_MAX_DEPTH + 1)) - 1)
-    if node_count > limit:
-        raise SizeError(
-            f"depth {depth} needs {node_count} nodes, limit is {limit} "
-            f"(set {MAX_NODES_ENV} to raise it)"
-        )
-    return TreeShape(depth)
+    if _count_past_limit(depth, limit):
+        node_count = f"2^{depth + 1} - 1"
+    else:
+        node_count = (1 << (depth + 1)) - 1
+        if node_count <= limit:
+            return TreeShape(depth)
+    raise SizeError(
+        f"depth {depth} needs {node_count} nodes, limit is {limit} "
+        f"(set {MAX_NODES_ENV} to raise it)"
+    )
 
 
 def _checked_array(values, expected_len: int, label: str) -> np.ndarray:

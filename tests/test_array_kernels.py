@@ -24,6 +24,7 @@ theorem check, stopping decomposition and invariant check they replaced,
 kept here with the per-trial normalization the CLI did before them.
 """
 
+import codecs
 import dataclasses
 import itertools
 import json
@@ -1391,13 +1392,31 @@ def test_node_arrays_at_the_peak_of_an_embedding_solve(mode, traced_peak, small_
 
 def test_node_arrays_at_the_peak_of_a_measure_file_load(traced_peak, small_temporaries,
                                                          tmp_path):
-    # the file's text beside the parsed list of floats (some 3 and 4 node
-    # arrays), not also its bytes, which took 9
+    # the file's bytes beside orjson's list of floats, then the list beside
+    # its array (some 3 and 4 node arrays); keeping the bytes through the
+    # conversion took 8.6. orjson's own buffers are not Python allocations,
+    # so tracemalloc does not see them
     shape = build_tree(14)
     path = tmp_path / "mu.json"
     save_measure(random_tree_measure(3, shape, support_mode=ALL_NODES), path)
     peak = traced_peak(lambda: load_measure(path))
     assert peak <= 7.5 * shape.node_count * 8
+
+
+def test_node_arrays_at_the_peak_of_a_measure_file_load_after_orjson(traced_peak,
+                                                                     small_temporaries,
+                                                                     tmp_path):
+    # a byte-order mark sends the file to the json module. orjson fails at
+    # some 9.8 node arrays: the file's bytes (2.5) and its error's copy of
+    # the text, two bytes a character for the mark's sake; the json module
+    # alone took 6.6. It reads the text once that error is gone: reading it
+    # within the handler took 11.5
+    shape = build_tree(14)
+    path = tmp_path / "mu.json"
+    save_measure(random_tree_measure(3, shape, support_mode=ALL_NODES), path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    peak = traced_peak(lambda: load_measure(path))
+    assert peak <= 10.5 * shape.node_count * 8
 
 
 @pytest.mark.parametrize("blocks", [None, 1, 3])

@@ -68,6 +68,16 @@ def test_size_guard(monkeypatch):
         build_bitree(1, 1)
 
 
+@pytest.mark.parametrize("depths", [(2**64, 0), (3, 2**64)])
+def test_size_guard_of_a_huge_depth_builds_no_rectangle_count(depths):
+    with pytest.raises(SizeError) as info:
+        build_bitree(*depths)
+    assert str(info.value) == (
+        f"depths {depths} give at least 2^18446744073709551617 - 1 rectangles, "
+        "over the limit 4194304 (set CARLESON_MAX_NODES to raise it)"
+    )
+
+
 def test_measure_validation():
     shape = build_bitree(1, 1)
     with pytest.raises(ValidationError, match=r"cells\[0\]\[1\]"):

@@ -4,8 +4,11 @@ import codecs
 import csv
 import io
 import json
+import re
+import sys
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from dyadic_carleson import (
     BiMeasure,
+    CarlesonError,
     TreeMeasure,
     ValidationError,
     build_bitree,
@@ -327,6 +331,185 @@ def test_load_measure_and_cli_read_bytes(capsys, tmp_path):
     assert np.array_equal(load_measure(path).masses, [0, 0.5, 0.5])
     code, _, _ = _run(capsys, "tree-embed", "--in", str(path))
     assert code == 0
+
+
+# The reader is orjson, with the json module for what orjson rejects. Its
+# arrays must equal those of json.loads and np.array bit for bit.
+
+_EDGE_INTEGERS = sorted({base + d for base in (2**53, 2**63, 2**64) for d in (-2, -1, 0, 1, 2)}
+                        | {2**1024 - 2**970 - 1})
+# decimal tokens that json.dumps never writes: "-0", long mantissas, and
+# exponents from underflow to near the largest double
+_TOKENS = st.one_of(
+    st.sampled_from(["-0", "-0.0", "0e5", "-0E-3"]),
+    st.builds("{}.{}e{}".format, st.integers(0, 10**20), st.integers(0, 10**20),
+              st.integers(-345, 285)),
+)
+_MASS_ENTRIES = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),  # subnormals too
+    st.just(-0.0),
+    st.sampled_from(_EDGE_INTEGERS),
+    st.integers(0, 2**1023),
+    _TOKENS,
+)
+_ZERO_ENTRIES = st.sampled_from([0, 0.0, -0.0, "-0", "-0.0"])
+
+
+@st.composite
+def _measure_docs(draw):
+    if draw(st.booleans()):
+        depth = draw(st.integers(0, 4))
+        mode = draw(st.sampled_from([None, "all-nodes", "boundary-only"]))
+        interior = _ZERO_ENTRIES if mode == "boundary-only" else _MASS_ENTRIES
+        masses = (draw(st.lists(interior, min_size=2**depth - 1, max_size=2**depth - 1))
+                  + draw(st.lists(_MASS_ENTRIES, min_size=2**depth, max_size=2**depth)))
+        doc = {"kind": "tree", "depth": depth, "masses": masses}
+        if mode is not None:
+            doc["support_mode"] = mode
+        return doc
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    row = st.lists(_MASS_ENTRIES, min_size=2**m, max_size=2**m)
+    return {"kind": "bitree", "depths": [n, m],
+            "masses": draw(st.lists(row, min_size=2**n, max_size=2**n))}
+
+
+def _file_text(doc, indent):
+    """The document as json.dumps writes it, with each token string unquoted."""
+    text = json.dumps(doc, sort_keys=indent is not None, indent=indent)
+    return re.sub(r'"(-?[0-9][^"]*)"', r"\1", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_docs(), st.sampled_from([None, 2]))
+def test_parse_matches_the_json_module_bit_for_bit(doc, indent):
+    # compact json.dumps form and save_measure's indent=2 form
+    text = _file_text(doc, indent)
+    want = np.array(json.loads(text)["masses"], dtype=float)
+    for data in (text, text.encode()):
+        mu = parse_measure_file(data)
+        got = mu.masses if isinstance(mu, TreeMeasure) else mu.cells
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _tree_text(masses="[0, 0.5, 0.5]", kind='"tree"'):
+    return '{"kind": %s, "depth": 1, "masses": %s}' % (kind, masses)
+
+
+_PARENT_MASSES = [0.0, 0.5, 0.5]
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+# inputs that orjson rejects, with the outcome the json-module reader gave
+# before orjson: the masses, or the error text
+_REJECTED_BY_ORJSON = {
+    "bom": (codecs.BOM_UTF8 + _tree_text().encode(), _PARENT_MASSES),
+    "utf-16": (_tree_text().encode("utf-16"), _PARENT_MASSES),
+    "utf-16-be": (_tree_text().encode("utf-16-be"), _PARENT_MASSES),
+    "utf-32": (_tree_text().encode("utf-32"), _PARENT_MASSES),
+    "nan": (_tree_text("[0, NaN, 0.5]").encode(), "masses[1]: non-finite value nan"),
+    "infinity": (_tree_text("[0, 0.5, Infinity]").encode(),
+                 "masses[2]: non-finite value inf"),
+    "1e400": (_tree_text("[0, 1e400, 0.5]").encode(), "masses[1]: non-finite value inf"),
+    "400-digit-integer": (_tree_text("[0, 1" + "0" * 399 + ", 0.5]").encode(),
+                          "masses[1]: integer outside the double range"),
+    "lone-surrogate-escape": (_tree_text(kind='"tree\\ud800"').encode(),
+                              "kind: expected 'tree' or 'bitree', got 'tree\\ud800'"),
+    "lone-surrogate-text": (_tree_text(kind='"tree\ud800"'),
+                            "kind: expected 'tree' or 'bitree', got 'tree\\ud800'"),
+    "5001-digit-integer": (
+        _tree_text("[0, 1" + "0" * 5000 + ", 0.5]").encode(),
+        "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"
+        if sys.version_info >= (3, 11) else  # no digit limit before 3.11
+        "masses[1]: integer outside the double range",
+    ),
+    "trailing-comma": (_tree_text("[0, 0.5, 0.5,]").encode(),
+                       "not valid JSON: Expecting value: line 1 column 53 (char 52)"),
+    "deep-after-bom": (codecs.BOM_UTF8 + _tree_text(_DEEP).encode(),
+                       "not valid JSON: maximum recursion depth exceeded while decoding "
+                       "a JSON array from a unicode string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED_BY_ORJSON))
+def test_files_orjson_rejects_keep_the_json_module_outcome(name):
+    data, want = _REJECTED_BY_ORJSON[name]
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(data)
+    try:
+        got = parse_measure_file(data).masses.tolist()
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_json_module_reads_only_what_orjson_rejects(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the json module read a file that orjson accepts")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(json, "detect_encoding", refuse)
+    path = tmp_path / "mu.json"
+    save_measure(uniform_bimeasure(build_bitree(2, 1)), path)
+    assert load_measure(path).cells.shape == (4, 2)
+
+
+@pytest.mark.parametrize("field,value,message,json_message", [
+    ("depth", 2**64, "depth: expected an integer, got 1.8446744073709552e+19",
+     "depth 18446744073709551616 needs 2^18446744073709551617 - 1 nodes, limit is 2097151 "
+     "(set CARLESON_MAX_NODES to raise it)"),
+    ("depth", -(2**63) - 1, "depth: expected an integer, got -9.223372036854776e+18",
+     "depth: must be nonnegative, got -9223372036854775809"),
+    ("version", 2**64, "unsupported version 1.8446744073709552e+19",
+     "unsupported version 18446744073709551616"),
+    ("depths", [2**64, 0], "depths[0]: expected an integer, got 1.8446744073709552e+19",
+     "depths (18446744073709551616, 0) give at least 2^18446744073709551617 - 1 rectangles, "
+     "over the limit 4194304 (set CARLESON_MAX_NODES to raise it)"),
+])
+def test_header_integers_outside_64_bits_read_as_floats(field, value, message, json_message):
+    # orjson reads integers outside [-2^63, 2^64) as floats; the json module
+    # reads them as integers, and still does for a file that orjson rejects
+    doc = ({"kind": "bitree", "masses": [[1]]} if field == "depths"
+           else {"kind": "tree", "depth": 0, "masses": [1]})
+    doc[field] = value
+    data = json.dumps(doc).encode()
+    for data, want in [(data, message), (codecs.BOM_UTF8 + data, json_message)]:
+        with pytest.raises(CarlesonError) as info:
+            parse_measure_file(data)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("argv,shape_error", [
+    (("tree-test", "--depth", str(2**64)),
+     "depth 18446744073709551616 needs 2^18446744073709551617 - 1 nodes, limit is 2097151"),
+    (("bitree-onebox", "--depths", f"{2**64},0"),
+     "depths (18446744073709551616, 0) give at least 2^18446744073709551617 - 1 rectangles, "
+     "over the limit 4194304"),
+])
+def test_huge_depth_is_a_size_error(capsys, argv, shape_error):
+    # building the count 2^(2^64 + 1) - 1 first raised MemoryError
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {shape_error} (set CARLESON_MAX_NODES to raise it)\n"
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_deep_nesting_is_an_input_error(capsys, tmp_path, depth):
+    # a list 100,000 deep: the json module's RecursionError, or the repr of
+    # the value in the schema's message, was a traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "tree", "depth": %d, "masses": %s}' % (depth, _DEEP))
+    code, out, err = _run(capsys, "tree-embed", "--in", str(path))
+    assert code == 1 and out == ""
+    try:
+        orjson.loads(path.read_bytes())
+    except orjson.JSONDecodeError:  # an orjson that limits nesting
+        want = ("not valid JSON: maximum recursion depth exceeded while decoding "
+                "a JSON array from a unicode string")
+    else:
+        want = ("a value is nested too deep to show" if depth == 0
+                else "masses: expected 3 entries for depth 1, got 1")
+    assert err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize("mu", [

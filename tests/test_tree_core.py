@@ -214,6 +214,27 @@ def test_size_guard(monkeypatch):
         build_tree(1)
 
 
+def test_size_guard_of_a_huge_depth_builds_no_node_count(monkeypatch):
+    # 1 << (2**64 + 1) would raise MemoryError, and a depth near 2**40
+    # would allocate and zero-fill the count's digits
+    with pytest.raises(SizeError) as info:
+        build_tree(2**64)
+    assert str(info.value) == (
+        "depth 18446744073709551616 needs 2^18446744073709551617 - 1 nodes, "
+        "limit is 2097151 (set CARLESON_MAX_NODES to raise it)"
+    )
+    # the count is written out up to 64 bits, and up to the limit's bit length
+    with pytest.raises(SizeError, match=f"^depth 64 needs {2**65 - 1} nodes"):
+        build_tree(64)
+    with pytest.raises(SizeError, match=r"^depth 65 needs 2\^66 - 1 nodes"):
+        build_tree(65)
+    monkeypatch.setenv("CARLESON_MAX_NODES", str(2**80))
+    with pytest.raises(SizeError, match=f"^depth 81 needs {2**82 - 1} nodes"):
+        build_tree(81)
+    with pytest.raises(SizeError, match=r"^depth 82 needs 2\^83 - 1 nodes"):
+        build_tree(82)
+
+
 def test_negative_depth_rejected():
     with pytest.raises(ValidationError):
         TreeShape(-1)
