@@ -10,9 +10,8 @@ two-parameter (bi-tree) counterparts.
 from types import ModuleType as _ModuleType
 
 from .bellman import (
-    BellmanPoint, CertificateRow, MODES, SamplerStats, TreeCertificate, a_shift_gain,
-    bellman_gradient, bellman_value, bellman_values, certify_tree_embedding,
-    concavity_first_order_gap, gradient_signs_check, martingale_split_slack,
+    BellmanPoint, CertificateRow, MODES, SamplerStats, TreeCertificate, bellman_gradient,
+    bellman_value, bellman_values, certify_tree_embedding, martingale_split_slack,
     sample_admissible, sample_batch, split_compensation, tree_split_slack,
 )
 from .bitree import (

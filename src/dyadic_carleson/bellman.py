@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -49,20 +49,15 @@ __all__ = [
     "CertificateRow",
     "CertificateRows",
     "CompensationWitness",
-    "GradientReport",
     "MartingaleWitness",
     "SampleBatch",
     "SamplerStats",
-    "ShiftGain",
     "SplitWitness",
     "TreeCertificate",
-    "a_shift_gain",
     "bellman_gradient",
     "bellman_value",
     "bellman_values",
     "certify_tree_embedding",
-    "concavity_first_order_gap",
-    "gradient_signs_check",
     "martingale_split_slack",
     "sample_admissible",
     "sample_batch",
@@ -244,106 +239,6 @@ def split_compensation(
     _require_domain(stripped, tol)
     _require_domain(shifted, tol)
     return 0.25 * (bellman_value(stripped, tol) - bellman_value(shifted, tol))
-
-
-class ShiftGain(NamedTuple):
-    gain: float
-    exact_bound: float
-    weak_bound: float
-
-
-def a_shift_gain(p: BellmanPoint, c: float, tol: float = DOMAIN_TOL) -> ShiftGain:
-    """Gain of B from raising the test coordinate by ``c``, with bounds.
-
-    Returns (gain, exact, weak) where
-    gain = (B(F,f,A,v) - B(F,f,A-c,v)) / 4 and the bounds are the
-    first-order estimates c f^2/(v+A)^2 and c f^2/(4 v^2); the chain
-    gain >= exact >= weak holds for 0 <= c <= A <= v.
-    """
-    if c < -tol or c > p.A + tol:
-        raise DomainError(f"need 0 <= c <= A, got c = {c}, A = {p.A}")
-    shifted = BellmanPoint(p.F, p.f, p.A - c, p.v)
-    gain = 0.25 * (bellman_value(p, tol) - bellman_value(shifted, tol))
-    s = p.v + p.A
-    exact = c * p.f * p.f / (s * s) if s > 0 else 0.0
-    weak = c * p.f * p.f / (4.0 * p.v * p.v) if p.v > 0 else 0.0
-    return ShiftGain(gain, exact, weak)
-
-
-def concavity_first_order_gap(x: BellmanPoint, x_star: BellmanPoint) -> float:
-    """First-order concavity defect; non-negative up to rounding.
-
-    Computes grad B(x*) . (x - x*) - (B(x) - B(x*)); concavity makes the
-    tangent plane at x* dominate B.
-    """
-    g = bellman_gradient(x_star)
-    dx = (
-        x.F - x_star.F,
-        x.f - x_star.f,
-        x.A - x_star.A,
-        x.v - x_star.v,
-    )
-    linear = sum(gi * di for gi, di in zip(g, dx))
-    return linear - (bellman_value(x) - bellman_value(x_star))
-
-
-# ---------------------------------------------------------------------------
-# gradient sign check by finite differences
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    dF: float
-    df: float
-    dA: float
-    dv: float
-    F_ok: bool
-    f_ok: bool
-    A_ok: bool
-    v_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.F_ok and self.f_ok and self.A_ok and self.v_ok
-
-
-def gradient_signs_check(p: BellmanPoint, step: float = 1e-6) -> GradientReport:
-    """Check the gradient signs by central differences.
-
-    Requires the point to sit strictly inside the domain (all margins at
-    least 1e-6) so every shifted evaluation stays admissible.  Expected:
-    dF = 4 (tol 1e-4), dA >= -1e-8, dv >= -1e-8 and sign(df) = -sign(f).
-    """
-    _require_domain(p)
-    margins = (p.F, p.A, p.v - p.A, p.v + p.A, p.F * p.v - p.f * p.f)
-    if min(margins) < 1e-6:
-        raise PreconditionError(
-            f"point too close to the domain boundary (margins {margins})"
-        )
-
-    def diff(index: int) -> float:
-        coords = list(p.as_tuple())
-        h = step * max(1.0, abs(coords[index]))
-        hi, lo = list(coords), list(coords)
-        hi[index] += h
-        lo[index] -= h
-        return (
-            bellman_value(BellmanPoint(*hi)) - bellman_value(BellmanPoint(*lo))
-        ) / (2.0 * h)
-
-    dF, df, dA, dv = (diff(i) for i in range(4))
-    if abs(p.f) > 1e-9:
-        f_ok = (df * np.sign(p.f) <= 1e-8) or abs(df) <= 1e-6
-    else:
-        f_ok = abs(df) <= 1e-6
-    return GradientReport(
-        dF, df, dA, dv,
-        F_ok=abs(dF - 4.0) <= 1e-4,
-        f_ok=bool(f_ok),
-        A_ok=dA >= -1e-8,
-        v_ok=dv >= -1e-8,
-    )
 
 
 # ---------------------------------------------------------------------------

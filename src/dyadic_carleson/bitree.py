@@ -629,20 +629,11 @@ def _cells_of_mask(shape: BiTreeShape, mask: int) -> list[tuple[int, int]]:
     return [divmod(k, cols) for k in range(shape.cell_count) if mask >> k & 1]
 
 
-def _rect_cell_masks(shape: BiTreeShape) -> list[int]:
-    """Boundary cells below each rectangle as a bitmask, row-major bits."""
-    rows, cols = shape.cell_grid
-    masks = []
-    for u in range(1, shape.node_counts[0] + 1):
-        rs, re = shape.row_span(u)
-        for v in range(1, shape.node_counts[1] + 1):
-            cs, ce = shape.col_span(v)
-            stripe = ((1 << (ce - cs)) - 1) << cs
-            mask = 0
-            for i in range(rs, re):
-                mask |= stripe << (i * cols)
-            masks.append(mask)
-    return masks
+def _rect_cell_masks(shape: BiTreeShape) -> np.ndarray:
+    """Boundary cells below each rectangle as a bitmask, row-major bits: the
+    integral of the cell weights ``2**k``, exact in float64 up to 53 cells."""
+    weights = 1 << np.arange(shape.cell_count).reshape(shape.cell_grid)
+    return _rect_integrals(shape, weights).astype(np.int64)
 
 
 def _set_ratio(mu: BiMeasure, masses: np.ndarray, member: np.ndarray) -> float:
@@ -707,8 +698,7 @@ def _exhaustive_set_test(mu: BiMeasure, masses: np.ndarray) -> tuple[float, int]
         )
     size = 1 << cells
     num = np.zeros(size)
-    for mask, m in zip(_rect_cell_masks(shape), masses.ravel()):
-        num[mask] += m * m
+    np.add.at(num, _rect_cell_masks(shape).ravel(), masses.ravel() ** 2)
     den = np.zeros(size)
     den[1 << np.arange(cells)] = mu.cells.ravel()
     _subset_sums(num)

@@ -235,21 +235,24 @@ def _instances(args, cfg: RunConfig, kind: str, count: int = 1, values: bool = F
     return map(draw, range(count))
 
 
-def _trial_rows(jobs: Iterable, check: Callable):
-    """``(rows, failure)`` of ``check(job)`` over the jobs, stopping at a failure.
+def _trials_outcome(jobs: Iterable, check: Callable, report: dict, *columns: str) -> Outcome:
+    """The Outcome of ``check(job)`` over the jobs, stopping at a failure.
 
     ``check`` returns a row and, when the trial fails, its counterexample.
-    Rows and counterexample gain the trial index; ``failure`` is None or
-    the outcome whose report holds the rows up to the failing trial.
+    Rows and counterexample gain the trial index.  A failure's report holds
+    the rows up to the failing trial; else ``report`` gains the rows, with
+    their largest ``ratio`` when ``columns``, the CSV table, has one.
     """
     rows = []
     for trial, job in enumerate(jobs):
         row, counterexample = check(job)
         rows.append({"trial": trial, **row})
         if counterexample is not None:
-            report = {"rows": rows, "passed": False}
-            return rows, Outcome(report, counterexample={"trial": trial, **counterexample})
-    return rows, None
+            return Outcome({"rows": rows, "passed": False},
+                           counterexample={"trial": trial, **counterexample})
+    if "ratio" in columns:
+        report["max_ratio"] = max((r["ratio"] for r in rows), default=0.0)
+    return Outcome({**report, "rows": rows}, **_columns(rows, *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +287,9 @@ def _cmd_tree_test(args, cfg: RunConfig) -> Outcome:
     modes = TREE_MODES if args.support == "both" else (args.support,)
     jobs = _instances(args, cfg, "tree", cfg.trials, modes=modes)
     pairs = carleson.embedding_pair_checks((mu for mu, _ in jobs), rel_tol=cfg.tol)
-    rows, failure = _trial_rows(pairs, check)
-    if failure:
-        return failure
-    report = {
-        "depth": args.depth,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "passed": True,
-        "max_ratio": max((r["ratio"] for r in rows), default=0.0),
-        "rows": rows,
-    }
-    return Outcome(
-        report, **_columns(rows, "trial", "support_mode", "c_test", "c_emb", "ratio")
-    )
+    report = {"depth": args.depth, "trials": cfg.trials, "seed": cfg.seed, "passed": True}
+    return _trials_outcome(pairs, check, report,
+                           "trial", "support_mode", "c_test", "c_emb", "ratio")
 
 
 def _cmd_tree_embed(args, cfg: RunConfig) -> Outcome:
@@ -384,18 +376,9 @@ def _cmd_maximal_verify(args, cfg: RunConfig) -> Outcome:
         }
 
     jobs = _instances(args, cfg, "tree", max(1, cfg.trials), values=True)
-    rows, failure = _trial_rows(maximal.maximal_checks(jobs, tol=cfg.tol), check)
-    if failure:
-        return failure
-    report = {
-        "seed": cfg.seed,
-        "passed": True,
-        "max_ratio": max((r["ratio"] for r in rows), default=0.0),
-        "rows": rows,
-    }
-    return Outcome(
-        report, **_columns(rows, "trial", "lhs", "rhs", "ratio", "stopping_bound")
-    )
+    return _trials_outcome(maximal.maximal_checks(jobs, tol=cfg.tol), check,
+                           {"seed": cfg.seed, "passed": True},
+                           "trial", "lhs", "rhs", "ratio", "stopping_bound")
 
 
 def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
@@ -405,11 +388,8 @@ def _cmd_bitree_onebox(args, cfg: RunConfig) -> Outcome:
 
     jobs = _instances(args, cfg, "bitree", max(1, cfg.trials))
     results = bitree.one_box_constants(mu for mu, _ in jobs)
-    rows, _ = _trial_rows(results, check)
-    report = {"seed": cfg.seed, "rows": rows}
-    return Outcome(
-        report, **_columns(rows, "trial", "constant", "argmax_row", "argmax_col")
-    )
+    return _trials_outcome(results, check, {"seed": cfg.seed},
+                           "trial", "constant", "argmax_row", "argmax_col")
 
 
 def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
@@ -419,7 +399,8 @@ def _cmd_bitree_settest(args, cfg: RunConfig) -> Outcome:
         mu, args.strategy, k=args.k, trials=cfg.trials, seed=cfg.seed
     )
     embedding = bitree.bi_embedding_constant(mu)
-    passed = result.constant <= embedding.value + cfg.tol
+    scale = max(1.0, result.constant, embedding.value)
+    passed = result.constant <= embedding.value + cfg.tol * scale
     report = {
         "strategy": result.strategy,
         "constant": result.constant,
@@ -465,11 +446,9 @@ def _cmd_bitree_certify(args, cfg: RunConfig) -> Outcome:
         })
 
     jobs = _instances(args, cfg, "bitree", max(1, cfg.trials), values=True)
-    rows, failure = _trial_rows(bitree.unit_box_certificates(jobs, cfg.tol), check)
-    if failure:
-        return failure
-    report = {"seed": cfg.seed, "passed": True, "rows": rows}
-    return Outcome(report, **_columns(rows, "trial", "min_slack", "lhs", "upper_bound"))
+    return _trials_outcome(bitree.unit_box_certificates(jobs, cfg.tol), check,
+                           {"seed": cfg.seed, "passed": True},
+                           "trial", "min_slack", "lhs", "upper_bound")
 
 
 def _cmd_gap_probe(args, cfg: RunConfig) -> Outcome:

@@ -30,19 +30,15 @@ def random_tree_measure(
 ) -> TreeMeasure:
     """Sparse exponential masses, never identically zero."""
     rng = _as_rng(seed)
-    if support_mode == BOUNDARY_ONLY:
-        masses = rng.exponential(1.0, shape.leaf_count)
-        masses *= rng.uniform(size=shape.leaf_count) < density
-        if not masses.any():
-            masses[int(rng.integers(shape.leaf_count))] = 1.0
-        return TreeMeasure.boundary(shape, masses)
-    if support_mode == ALL_NODES:
-        masses = rng.exponential(1.0, shape.node_count)
-        masses *= rng.uniform(size=shape.node_count) < density
-        if not masses.any():
-            masses[int(rng.integers(shape.node_count))] = 1.0
-        return TreeMeasure(shape, masses)
-    raise ValidationError(f"unknown support mode {support_mode!r}")
+    if support_mode not in (BOUNDARY_ONLY, ALL_NODES):
+        raise ValidationError(f"unknown support mode {support_mode!r}")
+    masses = np.zeros(shape.node_count)
+    drawn = masses[shape.first_leaf - 1 :] if support_mode == BOUNDARY_ONLY else masses
+    drawn[:] = rng.exponential(1.0, drawn.size)
+    drawn *= rng.uniform(size=drawn.size) < density
+    if not drawn.any():
+        drawn[int(rng.integers(drawn.size))] = 1.0
+    return TreeMeasure(shape, masses, support_mode)
 
 
 def random_node_values(

@@ -387,13 +387,29 @@ def test_certificate_checks_the_box_before_phi():
 # ---------------------------------------------------------------------------
 
 
+def _ref_rect_cell_masks(shape):
+    """Boundary cells below each rectangle as a bitmask, row-major bits."""
+    rows, cols = shape.cell_grid
+    masks = []
+    for u in range(1, shape.node_counts[0] + 1):
+        rs, re = shape.row_span(u)
+        for v in range(1, shape.node_counts[1] + 1):
+            cs, ce = shape.col_span(v)
+            stripe = ((1 << (ce - cs)) - 1) << cs
+            mask = 0
+            for i in range(rs, re):
+                mask |= stripe << (i * cols)
+            masks.append(mask)
+    return masks
+
+
 def _ref_set_sums(mu):
     """Inputs of the subset sums: squared rectangle masses at each
     rectangle's cell mask, and cell masses at the one-cell masks."""
     shape = mu.shape
     size = 1 << shape.cell_count
     num = np.zeros(size)
-    for mask, m in zip(_rect_cell_masks(shape), rect_masses(mu).ravel()):
+    for mask, m in zip(_ref_rect_cell_masks(shape), rect_masses(mu).ravel()):
         num[mask] += m * m
     den = np.zeros(size)
     den[1 << np.arange(shape.cell_count)] = mu.cells.ravel()
@@ -412,6 +428,14 @@ def _ref_subset_sums(values):
 
 SET_TEST_DEPTHS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2),
                    (2, 1), (3, 0), (0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+
+
+@pytest.mark.parametrize("depths", SET_TEST_DEPTHS)
+def test_rect_cell_masks_match_bit_loops(depths):
+    shape = build_bitree(*depths)
+    masks = _rect_cell_masks(shape)
+    assert masks.shape == shape.node_counts
+    assert masks.ravel().tolist() == _ref_rect_cell_masks(shape)
 
 
 def _set_test_measures(shape):

@@ -9,6 +9,8 @@ import functools
 import json
 import math
 import operator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from dyadic_carleson import (
     PreconditionError,
     TreeMeasure,
     ValidationError,
-    a_shift_gain,
     bellman_gradient,
     bellman_value,
     bellman_values,
@@ -31,8 +32,6 @@ from dyadic_carleson import (
     build_tree,
     carleson_normalized,
     certify_tree_embedding,
-    concavity_first_order_gap,
-    gradient_signs_check,
     leaf_point_mass,
     martingale_split_slack,
     random_tree_measure,
@@ -44,12 +43,119 @@ from dyadic_carleson import (
 )
 from dyadic_carleson import bellman, carleson, cli
 from dyadic_carleson.bellman import (
+    DOMAIN_TOL,
     CertificateRow,
     MartingaleWitness,
     SplitWitness,
+    _require_domain,
     domain_violation,
 )
 from dyadic_carleson.tree import subtree_sums
+
+
+# ---------------------------------------------------------------------------
+# oracles: first-order properties of B, checked on scalar points
+# ---------------------------------------------------------------------------
+
+
+class ShiftGain(NamedTuple):
+    gain: float
+    exact_bound: float
+    weak_bound: float
+
+
+def a_shift_gain(p: BellmanPoint, c: float, tol: float = DOMAIN_TOL) -> ShiftGain:
+    """Gain of B from raising the test coordinate by ``c``, with bounds.
+
+    Returns (gain, exact, weak) where
+    gain = (B(F,f,A,v) - B(F,f,A-c,v)) / 4 and the bounds are the
+    first-order estimates c f^2/(v+A)^2 and c f^2/(4 v^2); the chain
+    gain >= exact >= weak holds for 0 <= c <= A <= v.
+    """
+    if c < -tol or c > p.A + tol:
+        raise DomainError(f"need 0 <= c <= A, got c = {c}, A = {p.A}")
+    shifted = BellmanPoint(p.F, p.f, p.A - c, p.v)
+    gain = 0.25 * (bellman_value(p, tol) - bellman_value(shifted, tol))
+    s = p.v + p.A
+    exact = c * p.f * p.f / (s * s) if s > 0 else 0.0
+    weak = c * p.f * p.f / (4.0 * p.v * p.v) if p.v > 0 else 0.0
+    return ShiftGain(gain, exact, weak)
+
+
+def concavity_first_order_gap(x: BellmanPoint, x_star: BellmanPoint) -> float:
+    """First-order concavity defect; non-negative up to rounding.
+
+    Computes grad B(x*) . (x - x*) - (B(x) - B(x*)); concavity makes the
+    tangent plane at x* dominate B.
+    """
+    g = bellman_gradient(x_star)
+    dx = (
+        x.F - x_star.F,
+        x.f - x_star.f,
+        x.A - x_star.A,
+        x.v - x_star.v,
+    )
+    linear = sum(gi * di for gi, di in zip(g, dx))
+    return linear - (bellman_value(x) - bellman_value(x_star))
+
+
+# ---------------------------------------------------------------------------
+# gradient sign check by finite differences
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GradientReport:
+    dF: float
+    df: float
+    dA: float
+    dv: float
+    F_ok: bool
+    f_ok: bool
+    A_ok: bool
+    v_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.F_ok and self.f_ok and self.A_ok and self.v_ok
+
+
+def gradient_signs_check(p: BellmanPoint, step: float = 1e-6) -> GradientReport:
+    """Check the gradient signs by central differences.
+
+    Requires the point to sit strictly inside the domain (all margins at
+    least 1e-6) so every shifted evaluation stays admissible.  Expected:
+    dF = 4 (tol 1e-4), dA >= -1e-8, dv >= -1e-8 and sign(df) = -sign(f).
+    """
+    _require_domain(p)
+    margins = (p.F, p.A, p.v - p.A, p.v + p.A, p.F * p.v - p.f * p.f)
+    if min(margins) < 1e-6:
+        raise PreconditionError(
+            f"point too close to the domain boundary (margins {margins})"
+        )
+
+    def diff(index: int) -> float:
+        coords = list(p.as_tuple())
+        h = step * max(1.0, abs(coords[index]))
+        hi, lo = list(coords), list(coords)
+        hi[index] += h
+        lo[index] -= h
+        return (
+            bellman_value(BellmanPoint(*hi)) - bellman_value(BellmanPoint(*lo))
+        ) / (2.0 * h)
+
+    dF, df, dA, dv = (diff(i) for i in range(4))
+    if abs(p.f) > 1e-9:
+        f_ok = (df * np.sign(p.f) <= 1e-8) or abs(df) <= 1e-6
+    else:
+        f_ok = abs(df) <= 1e-6
+    return GradientReport(
+        dF, df, dA, dv,
+        F_ok=abs(dF - 4.0) <= 1e-4,
+        f_ok=bool(f_ok),
+        A_ok=dA >= -1e-8,
+        v_ok=dv >= -1e-8,
+    )
 
 
 # ---------------------------------------------------------------------------

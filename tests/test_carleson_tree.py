@@ -127,6 +127,37 @@ def test_random_measure_rejects_unknown_support_mode():
         random_tree_measure(0, build_tree(2), support_mode="interior-only")
 
 
+def _ref_random_tree_measure(rng, shape, support_mode, density):
+    """The draw of random_tree_measure as one branch per support mode."""
+    if support_mode == BOUNDARY_ONLY:
+        masses = rng.exponential(1.0, shape.leaf_count)
+        masses *= rng.uniform(size=shape.leaf_count) < density
+        if not masses.any():
+            masses[int(rng.integers(shape.leaf_count))] = 1.0
+        return TreeMeasure.boundary(shape, masses)
+    masses = rng.exponential(1.0, shape.node_count)
+    masses *= rng.uniform(size=shape.node_count) < density
+    if not masses.any():
+        masses[int(rng.integers(shape.node_count))] = 1.0
+    return TreeMeasure(shape, masses)
+
+
+@pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
+@pytest.mark.parametrize("density", [0.0, 0.7, 1.0])
+def test_random_measure_matches_per_mode_draw(mode, density):
+    # density 0.0 takes the fallback draw of one unit mass; the generators
+    # must also end in the same state, so that later draws agree
+    for depth in (0, 3, 6):
+        for seed in range(4):
+            shape = build_tree(depth)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_tree_measure(got_rng, shape, support_mode=mode, density=density)
+            want = _ref_random_tree_measure(want_rng, shape, mode, density)
+            assert got.support_mode == want.support_mode == mode
+            assert got.masses.tobytes() == want.masses.tobytes()
+            assert got_rng.random() == want_rng.random()
+
+
 def test_alpha_validation():
     shape = build_tree(1)
     with pytest.raises(ValidationError, match=r"alpha\[2\]"):

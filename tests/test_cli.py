@@ -725,6 +725,18 @@ def test_bitree_commands(capsys, tmp_path):
     assert report["kind"] == "bitree" and report["passed"] is True
 
 
+def test_bitree_settest_tolerance_is_relative(capsys, tmp_path):
+    # the set test and the embedding constant of one heavy cell are its
+    # mass, here one ulp apart, which is far above an absolute --tol
+    path = tmp_path / "heavy.json"
+    save_measure(BiMeasure(build_bitree(0, 0), [[1024646501.5313329]]), path)
+    code, out, _ = _run(capsys, "bitree-settest", "--in", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["constant"] - report["embedding_constant"] > 1e-9
+    assert report["passed"] is True
+
+
 def test_certify_tree_file_rescales(capsys, tmp_path):
     path = tmp_path / "t.json"
     save_measure(uniform_boundary_measure(build_tree(2)), path)  # test 1.75

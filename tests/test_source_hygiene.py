@@ -177,15 +177,15 @@ PUBLIC_NAMES = {
     'BiTreeShape', 'CarlesonError', 'CertificateRow', 'DomainError', 'EmbeddingReport',
     'GapProbeConfig', 'GapProbeReport', 'MODES', 'NodeVector', 'PreconditionError',
     'SamplerStats', 'ShapeMismatchError', 'SizeError', 'StoppingDecomposition',
-    'TreeCertificate', 'TreeMeasure', 'TreeShape', 'ValidationError', 'a_shift_gain',
+    'TreeCertificate', 'TreeMeasure', 'TreeShape', 'ValidationError',
     'alpha_test_constant', 'bellman_gradient', 'bellman_value', 'bellman_values',
     'bi_embedding_constant', 'bi_embedding_constant_dense', 'bitree_bellman_certify',
     'boundary_set_ratio', 'box_average', 'box_integral', 'box_squared_alpha',
     'build_bitree', 'build_tree', 'carleson_normalized', 'carleson_ratios',
-    'cell_point_mass', 'certify_tree_embedding', 'concavity_first_order_gap',
+    'cell_point_mass', 'certify_tree_embedding',
     'cube_embedding_check', 'embedding_constant', 'embedding_constant_dense',
     'embedding_constants', 'embedding_lhs', 'embedding_pair_check',
-    'embedding_pair_checks', 'gap_probe', 'gradient_signs_check', 'hardy_down',
+    'embedding_pair_checks', 'gap_probe', 'hardy_down',
     'hardy_up', 'leaf_point_mass', 'load_measure', 'martingale_split_slack',
     'maximal_checks', 'maximal_ratios', 'maximal_theorem_check', 'measure_to_dict',
     'one_box_constant', 'one_box_constants', 'parse_measure_file', 'potential',
