@@ -234,13 +234,16 @@ def rect_integrals(shape: BiTreeShape, cell_values: np.ndarray) -> np.ndarray:
     return _rect_integrals(shape, grid)
 
 
-def _rect_integrals(shape: BiTreeShape, *grids: np.ndarray) -> np.ndarray:
+def _rect_integrals(shape: BiTreeShape, *grids: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """:func:`rect_integrals` of the product of ``grids``, taken left to right
     on the leaf block of the output (``(phi, phi, cells)`` gives the bits of
-    ``phi**2 * cells``), over the last two axes; leading axes are trials."""
+    ``phi**2 * cells``), over the last two axes; leading axes are trials.
+    Every entry of ``out``, when given, is overwritten."""
     n, m = shape.depths
     first, *rest = grids
-    out = np.empty(first.shape[:-2] + shape.node_counts)
+    if out is None:
+        out = np.empty(first.shape[:-2] + shape.node_counts)
     leaf_rows = out[..., (1 << n) - 1 :, :]
     leaves = leaf_rows[..., (1 << m) - 1 :]
     leaves[...] = first
@@ -403,14 +406,15 @@ def _area_blocks(shape: BiTreeShape, width: int) -> Iterator[tuple[slice, np.nda
 # of them along leading axes, then a block of rows and its areas |R|.
 
 
-def _weigh(M: np.ndarray, SQ: np.ndarray, G1: np.ndarray, W: np.ndarray,
-           rows: slice, areas: np.ndarray) -> None:
-    """Overwrite W on ``rows``, where it holds G2, with |R| (G2 - G1^2 / (M + SQ)),
-    0/0 read as 0: ``bellman.bellman_values`` without its factor 4."""
-    w = np.add(M[..., rows, :], SQ[..., rows, :])
-    np.divide(G1[..., rows, :] ** 2, w, out=w, where=w > 0)
+def _weigh(D: np.ndarray, G1: np.ndarray, W: np.ndarray, rows: slice,
+           areas: np.ndarray) -> None:
+    """Overwrite W on ``rows``, where it holds G2, with |R| (G2 - G1^2 / D),
+    0/0 read as 0, where D = M + SQ: ``bellman.bellman_values`` without its
+    factor 4.  D's rows are spent: they end up holding G1^2 / D."""
+    d = D[..., rows, :]
+    np.divide(G1[..., rows, :] ** 2, d, out=d, where=d > 0)
     block = W[..., rows, :]
-    block -= w
+    block -= d
     block *= areas
 
 
@@ -480,7 +484,7 @@ class BiTreeCertificate:
     integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.cells))
     square_integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.phi, c.cells))
     weighted_values = _built(lambda c: _blockwise(
-        c.shape, _weigh, c.masses, c.box_sums, c.integrals, c.square_integrals.copy()))
+        c.shape, _weigh, c.masses + c.box_sums, c.integrals, c.square_integrals.copy()))
     # the children's W, then the slacks over them
     slacks = _built(lambda c: _blockwise(
         c.shape, _slack, c.weighted_values, c.integrals,
@@ -507,6 +511,7 @@ def bitree_bellman_certify(
       to ``tol`` relative to the larger of 1 and the bound.
 
     Raises when the box constant exceeds 1, naming the worst rectangle.
+    The check holds three rectangle arrays at once and keeps none of them.
     """
     [cert] = _certificates(mu.shape, mu.cells[None], [phi], tol)
     return cert
@@ -547,11 +552,14 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
     stack with its phi.
 
-    A stack holds four rectangle arrays, ``M``, ``SQ``, ``G1`` and ``G2``;
-    the rest runs in row blocks of about ``carleson.BLOCK_ENTRIES`` entries,
-    in row order.  A block reads its own rows and the rows below them, so
-    once it is done, W overwrites G2 on its rows, and |R| G1^2 (for ``lhs``)
-    overwrites M.  M's buffer then holds in turn |W| (for the scales), the
+    A stack holds three rectangle arrays.  Two passes run over them in row
+    blocks of about ``carleson.BLOCK_ENTRIES`` entries, in row order.  A block
+    reads its own rows and the rows below them, so once it is done its rows
+    may be overwritten.  The first pass reads the masses ``M`` and box sums
+    ``SQ`` and overwrites ``SQ`` with ``D = M + SQ``.  The integrals ``G1`` of
+    phi mu are then built into M's buffer and those of phi^2 mu into a third,
+    and the second pass overwrites the latter with W and D with |R| G1^2
+    (for ``lhs``).  D's buffer then holds in turn |W| (for the scales), the
     children's W (for the telescope) and the slacks.  Min and max run per
     block, but each sum on a trial's whole array, in numpy's pairwise order,
     so each certificate equals the one-trial computation bit for bit.  The
@@ -565,33 +573,41 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
         with _trial(k):
             phi[k] = _checked_grid(shape, values, "phi")
     cells.flags.writeable = phi.flags.writeable = False  # the certificates keep them
-    G1 = _rect_integrals(shape, phi, cells)
-    W = _rect_integrals(shape, phi, phi, cells)  # G2 until its block is weighed
     trials, width = range(len(cells)), M.size // M.shape[1]
-    rhs_totals = W[:, 0, 0].tolist()
-    # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
-    magnitudes = [max(1.0, m, g) for m, g in zip(M[:, 0, 0].tolist(), rhs_totals)]
+    mass_totals = M[:, 0, 0].tolist()
     # per trial: the largest deviation of each (array, axis) pair, and the least
     # gain over the rectangles with children (a (0,0) grid has none: 0.0); a
     # leaf-row, leaf-column rectangle has box sum M^2 and no children, so gain 0
     deviations = np.full((6, len(cells)), -np.inf)
     gain_margins = np.full(len(cells), np.inf if M[0].size > 1 else 0.0)
     inner_rows, inner_cols = (M.shape[1] - 1) // 2, (M.shape[2] - 1) // 2
-    for rows, areas in _area_blocks(shape, width):
-        pairs = (pair for arr in (M, G1, W) for pair in _child_pairs(arr, rows))
-        for dev, (up, left, right) in zip(deviations, pairs):
+
+    def deviate(devs: np.ndarray, arrays: tuple, rows: slice) -> None:
+        pairs = (pair for arr in arrays for pair in _child_pairs(arr, rows))
+        for dev, (up, left, right) in zip(devs, pairs):
             np.maximum(dev, np.abs(left + right - up).max((1, 2), initial=-np.inf), out=dev)
+
+    for rows in _row_blocks(M.shape[1], width):
+        deviate(deviations[:2], (M,), rows)
         gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
         gain[:, max(0, inner_rows - rows.start):, inner_cols:] = np.inf
         np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
-        _weigh(M, SQ, G1, W, rows, areas)
-        np.multiply(areas, G1[:, rows] ** 2, out=M[:, rows])
-    lhs = [float(M[k].sum()) for k in trials]
-    scales = [max(1.0, float(np.abs(W[k], out=M[k]).sum())) for k in trials]
-    _blockwise(shape, _children, W, M)
-    nets = [float(W[k].sum() - M[k].sum()) for k in trials]
-    _blockwise(shape, _slack, W, G1, M)
-    min_slacks = [float(M[k].min()) for k in trials]
+        np.add(M[:, rows], SQ[:, rows], out=SQ[:, rows])
+    D, G1 = SQ, _rect_integrals(shape, phi, cells, out=M)
+    W = _rect_integrals(shape, phi, phi, cells)  # G2 until its block is weighed
+    rhs_totals = W[:, 0, 0].tolist()
+    # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
+    magnitudes = [max(1.0, m, g) for m, g in zip(mass_totals, rhs_totals)]
+    for rows, areas in _area_blocks(shape, width):
+        deviate(deviations[2:], (G1, W), rows)
+        _weigh(D, G1, W, rows, areas)
+        np.multiply(areas, G1[:, rows] ** 2, out=D[:, rows])
+    lhs = [float(D[k].sum()) for k in trials]
+    scales = [max(1.0, float(np.abs(W[k], out=D[k]).sum())) for k in trials]
+    _blockwise(shape, _children, W, D)
+    nets = [float(W[k].sum() - D[k].sum()) for k in trials]
+    _blockwise(shape, _slack, W, G1, D)
+    min_slacks = [float(D[k].min()) for k in trials]
     deviations, gain_margins = deviations.tolist(), gain_margins.tolist()
 
     results = []

@@ -1339,7 +1339,7 @@ def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
 
 
 def test_rect_arrays_at_the_peak_of_a_certificate(traced_peak, small_temporaries):
-    # a certificate holds four rectangle arrays and its phi stack, a quarter
+    # a certificate holds three rectangle arrays and its phi stack, a quarter
     # array, which it keeps; the one-box test holds two.  At (7,7) a default
     # row block is half a rectangle array and each of numpy's ufunc buffers an
     # eighth, so both are cut to 2^10 entries here
@@ -1351,8 +1351,8 @@ def test_rect_arrays_at_the_peak_of_a_certificate(traced_peak, small_temporaries
     # the stacked path also keeps its scaled copy of the cells
     stacked = traced_peak(lambda: list(unit_box_certificates([(mu, phi)])))
     one_box = traced_peak(lambda: one_box_constant(mu))
-    assert certify <= 4.5 * rect_bytes
-    assert stacked <= 4.75 * rect_bytes
+    assert certify <= 3.5 * rect_bytes
+    assert stacked <= 3.75 * rect_bytes
     assert one_box <= 2.5 * rect_bytes
 
 
@@ -1362,7 +1362,7 @@ def test_rect_arrays_at_the_peak_of_a_large_certificate(traced_peak):
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
     rect_bytes = shape.rect_count * 8
-    assert traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 4.75 * rect_bytes
+    assert traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 3.75 * rect_bytes
     assert traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
 
 
