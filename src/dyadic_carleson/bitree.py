@@ -504,7 +504,8 @@ def bitree_bellman_certify(
       measure lives on cells, so both half-sums reproduce the whole);
     * the box sums gain at least mu(R)^2 over the averaged children
       (``gain_margin`` is the least gain over the rectangles with
-      children; it is 0.0 on a (0,0) grid, which has none);
+      children and positive mass, 0.0 when there is none: a massless
+      rectangle gains exactly 0);
     * |R|^2 B(x_R) minus the same for the existing children dominates
       |R| (integral of phi over R)^2 / 4, where B = F - f^2/(v + A);
     * summing those rows telescopes to the global bound with constant 4,
@@ -576,10 +577,11 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     trials, width = range(len(cells)), M.size // M.shape[1]
     mass_totals = M[:, 0, 0].tolist()
     # per trial: the largest deviation of each (array, axis) pair, and the least
-    # gain over the rectangles with children (a (0,0) grid has none: 0.0); a
-    # leaf-row, leaf-column rectangle has box sum M^2 and no children, so gain 0
+    # gain over the rectangles with children and positive mass (0.0 when there
+    # is none); a leaf-row, leaf-column rectangle has box sum M^2 and no
+    # children, and a massless one has massless children, so both gain 0
     deviations = np.full((6, len(cells)), -np.inf)
-    gain_margins = np.full(len(cells), np.inf if M[0].size > 1 else 0.0)
+    gain_margins = np.full(len(cells), np.inf)
     inner_rows, inner_cols = (M.shape[1] - 1) // 2, (M.shape[2] - 1) // 2
 
     def deviate(devs: np.ndarray, arrays: tuple, rows: slice) -> None:
@@ -591,8 +593,10 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
         deviate(deviations[:2], (M,), rows)
         gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
         gain[:, max(0, inner_rows - rows.start):, inner_cols:] = np.inf
+        gain[M[:, rows] <= 0] = np.inf
         np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
         np.add(M[:, rows], SQ[:, rows], out=SQ[:, rows])
+    gain_margins[gain_margins == np.inf] = 0.0
     D, G1 = SQ, _rect_integrals(shape, phi, cells, out=M)
     W = _rect_integrals(shape, phi, phi, cells)  # G2 until its block is weighed
     rhs_totals = W[:, 0, 0].tolist()

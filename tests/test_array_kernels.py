@@ -1013,8 +1013,10 @@ def _ref_bitree_certify(mu, phi, tol=1e-9):
     magnitude = max(1.0, float(M[0, 0]), float(G2[0, 0]))
     gain = SQ - 0.5 * (_ref_child_pair_sums(SQ, 0) + _ref_child_pair_sums(SQ, 1)) - M**2
     # the least gain over the rectangles with children on at least one axis
+    # and positive mass
     rows, cols = np.indices(gain.shape)
     parents = (rows < (gain.shape[0] - 1) // 2) | (cols < (gain.shape[1] - 1) // 2)
+    parents &= M > 0
     gain_margin = float(gain[parents].min()) if parents.any() else 0.0
     G1sq = G1**2
     # the bi-tree Bellman function F - f^2 / (v + A), with 0/0 read as 0

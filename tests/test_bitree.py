@@ -238,12 +238,16 @@ def test_certificate_random_instances(seed):
 
 
 def test_certificate_gain_margin_shows_headroom():
-    # every rectangle of a full-support grid has positive mass, so each one
-    # with children gains strictly; a (0,0) grid has no such rectangle
+    # each rectangle with children and positive mass gains strictly; the
+    # sparse grid also has massless ones with children, which gain exactly 0
+    # and do not count; a (0,0) grid has no rectangle that counts
     shape = build_bitree(4, 4)
-    mu, _ = normalized_to_unit_onebox(random_bimeasure(4, shape, density=1.0))
-    cert = bitree_bellman_certify(mu, np.ones(shape.cell_grid))
-    assert cert.gain_ok and cert.gain_margin > 0.0
+    for density in (1.0, 0.7):
+        mu, _ = normalized_to_unit_onebox(random_bimeasure(4, shape, density=density))
+        cert = bitree_bellman_certify(mu, np.ones(shape.cell_grid))
+        assert cert.gain_ok and cert.gain_margin > 0.0
+        massless_parents = (cert.masses[:, : (shape.node_counts[1] - 1) // 2] == 0).any()
+        assert massless_parents == (density < 1.0)
     point = cell_point_mass(build_bitree(0, 0), 0, 0)
     assert bitree_bellman_certify(point, np.ones((1, 1))).gain_margin == 0.0
 
