@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyadic_carleson import carleson
+from dyadic_carleson import carleson, measure_io
 
 
 @pytest.fixture
@@ -25,10 +25,11 @@ def traced_peak():
 
 @pytest.fixture
 def small_temporaries(monkeypatch):
-    """Row blocks and numpy's ufunc buffers (8,192 elements by default) cut to
-    2^10 entries, so that a budget counted in whole arrays does not count
-    temporaries of a fixed size."""
+    """Row blocks, measure-file pieces and numpy's ufunc buffers (8,192
+    elements by default) cut to 2^10 entries, so that a budget counted in
+    whole arrays does not count temporaries of a fixed size."""
     monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(measure_io, "_PIECE_ENTRIES", 1 << 10)
     buffer = np.setbufsize(1 << 10)
     yield
     np.setbufsize(buffer)

@@ -1418,31 +1418,41 @@ def test_node_arrays_at_the_peak_of_an_embedding_solve(mode, traced_peak, small_
 
 def test_node_arrays_at_the_peak_of_a_measure_file_load(traced_peak, small_temporaries,
                                                          tmp_path):
-    # the file's bytes beside orjson's list of floats, then the list beside
-    # its array (some 3 and 4 node arrays); keeping the bytes through the
-    # conversion took 8.6. orjson's own buffers are not Python allocations,
+    # the file's bytes (2.45 node arrays) beside the masses and their checked
+    # copy. Reading the whole file with orjson took 6.44, with its list of
+    # floats beside the bytes; at 2^12 entries a piece's bytes, list and
+    # array take 0.17 more. orjson's own buffers are not Python allocations,
     # so tracemalloc does not see them
     shape = build_tree(14)
     path = tmp_path / "mu.json"
     save_measure(random_tree_measure(3, shape, support_mode=ALL_NODES), path)
     peak = traced_peak(lambda: load_measure(path))
-    assert peak <= 7.5 * shape.node_count * 8
+    assert peak <= 4.75 * shape.node_count * 8
+
+
+def test_cell_grids_at_the_peak_of_a_bi_measure_file_load(traced_peak, small_temporaries,
+                                                          tmp_path):
+    # the file's bytes (2.7 cell grids) beside the cells and their checked
+    # copy; reading the whole file with orjson took 6.72
+    shape = build_bitree(7, 7)
+    path = tmp_path / "mu.json"
+    save_measure(random_bimeasure(3, shape), path)
+    peak = traced_peak(lambda: load_measure(path))
+    assert peak <= 5.25 * shape.cell_count * 8
 
 
 def test_node_arrays_at_the_peak_of_a_measure_file_load_after_orjson(traced_peak,
                                                                      small_temporaries,
                                                                      tmp_path):
-    # a byte-order mark sends the file to the json module. orjson fails at
-    # some 9.8 node arrays: the file's bytes (2.5) and its error's copy of
-    # the text, two bytes a character for the mark's sake; the json module
-    # alone took 6.6. It reads the text once that error is gone: reading it
-    # within the handler took 11.5
+    # a byte-order mark sends the file straight to the json module, which
+    # peaks at 6.6 node arrays. Trying orjson first took 9.8, since its error
+    # holds a copy of the text, two bytes a character for the mark's sake
     shape = build_tree(14)
     path = tmp_path / "mu.json"
     save_measure(random_tree_measure(3, shape, support_mode=ALL_NODES), path)
     path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     peak = traced_peak(lambda: load_measure(path))
-    assert peak <= 10.5 * shape.node_count * 8
+    assert peak <= 6.75 * shape.node_count * 8
 
 
 @pytest.mark.parametrize("blocks", [None, 1, 3])

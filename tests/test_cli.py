@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, report formats, measure files."""
 
 import codecs
+import contextlib
 import csv
 import io
 import json
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dyadic_carleson import (
+    ALL_NODES,
     BiMeasure,
     CarlesonError,
     TreeMeasure,
@@ -24,11 +27,13 @@ from dyadic_carleson import (
     load_measure,
     measure_to_dict,
     parse_measure_file,
+    random_bimeasure,
+    random_tree_measure,
     save_measure,
     uniform_bimeasure,
     uniform_boundary_measure,
 )
-from dyadic_carleson import cli
+from dyadic_carleson import cli, measure_io
 from dyadic_carleson.carleson import EmbeddingReport, PairCheckResult
 from dyadic_carleson.cli import run_command
 from dyadic_carleson.measure_io import parse_measure_dict
@@ -173,12 +178,16 @@ def _reference_parse(doc):
     return BiMeasure(build_bitree(*doc["depths"]), grid)
 
 
+def _masses_of(mu):
+    return mu.masses if isinstance(mu, TreeMeasure) else mu.cells
+
+
 def _outcome(parse, doc):
     try:
         mu = parse(doc)
     except ValidationError as exc:
         return str(exc)
-    arr = mu.masses if isinstance(mu, TreeMeasure) else mu.cells
+    arr = _masses_of(mu)
     return arr.shape, arr.tobytes()
 
 
@@ -379,17 +388,52 @@ def _file_text(doc, indent):
     return re.sub(r'"(-?[0-9][^"]*)"', r"\1", text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_measure_docs(), st.sampled_from([None, 2]))
-def test_parse_matches_the_json_module_bit_for_bit(doc, indent):
-    # compact json.dumps form and save_measure's indent=2 form
+@contextlib.contextmanager
+def _read_in_pieces_only(data):
+    """orjson refuses the whole of ``data``, and the json module every text."""
+    loads = orjson.loads
+
+    def piece_loads(text):
+        if text == data:
+            raise AssertionError("orjson read the whole file")
+        return loads(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the json module read a file that orjson accepts")
+
+    with mock.patch.object(orjson, "loads", piece_loads), \
+            mock.patch.object(json, "loads", refuse), \
+            mock.patch.object(json, "detect_encoding", refuse):
+        yield
+
+
+def _check_bit_for_bit(doc, indent):
+    # compact json.dumps form and save_measure's indent=2 form; bytes are
+    # read in pieces, a str whole
     text = _file_text(doc, indent)
     want = np.array(json.loads(text)["masses"], dtype=float)
     for data in (text, text.encode()):
-        mu = parse_measure_file(data)
-        got = mu.masses if isinstance(mu, TreeMeasure) else mu.cells
+        with _read_in_pieces_only(data) if isinstance(data, bytes) else contextlib.nullcontext():
+            got = _masses_of(parse_measure_file(data))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_docs(), st.sampled_from([None, 2]))
+def test_parse_matches_the_json_module_bit_for_bit(doc, indent):
+    _check_bit_for_bit(doc, indent)
+
+
+@pytest.mark.parametrize("piece_entries", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(doc=_measure_docs(), indent=st.sampled_from([None, 2]))
+def test_parse_in_small_pieces_matches_the_json_module_bit_for_bit(piece_entries, doc,
+                                                                   indent):
+    # pieces of one and three entries (a bi-tree piece holds at least one
+    # row) cut the drawn arrays between entries and between rows
+    with mock.patch.object(measure_io, "_PIECE_ENTRIES", piece_entries):
+        _check_bit_for_bit(doc, indent)
 
 
 def _tree_text(masses="[0, 0.5, 0.5]", kind='"tree"'):
@@ -452,6 +496,94 @@ def test_json_module_reads_only_what_orjson_rejects(monkeypatch, tmp_path):
     path = tmp_path / "mu.json"
     save_measure(uniform_bimeasure(build_bitree(2, 1)), path)
     assert load_measure(path).cells.shape == (4, 2)
+
+
+@pytest.mark.parametrize("mu", [
+    random_tree_measure(1, build_tree(12), support_mode=ALL_NODES),
+    random_bimeasure(2, build_bitree(5, 5)),
+], ids=["tree", "bitree"])
+@pytest.mark.parametrize("layout", ["compact", "saved"])
+def test_whole_document_reader_runs_only_on_declined_input(mu, layout, tmp_path):
+    path = tmp_path / "mu.json"
+    if layout == "saved":
+        save_measure(mu, path)
+    else:
+        path.write_text(json.dumps(measure_to_dict(mu)))
+    data = path.read_bytes()
+    with _read_in_pieces_only(data):
+        assert _masses_of(parse_measure_file(data)).tobytes() == _masses_of(mu).tobytes()
+    # str input is declined, and read whole as before
+    text = data.decode()
+    seen = []
+    loads = orjson.loads
+    with mock.patch.object(orjson, "loads", lambda t: seen.append(t) or loads(t)):
+        assert _masses_of(parse_measure_file(text)).tobytes() == _masses_of(mu).tobytes()
+    assert seen == [text]
+
+
+# files cut and spliced around the masses array, with the outcome of the
+# whole-document reader: the masses, or the error text
+_T = '{"kind": "tree", "depth": 2, %s}'
+_B = '{"kind": "bitree", "depths": [1, 1], %s}'
+_M7 = '"masses": [0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25]'
+_M4 = '"masses": [[0.25, 0.25], [0.25, 0.25]]'
+_TREE_MASSES = [0.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
+
+
+def _spaced(doc):
+    text = json.dumps(doc)
+    for separator in ",:[]{}":
+        text = text.replace(separator, f" \n\t\r {separator} \n\t\r ")
+    return text
+
+
+_SPLICED = {
+    "masses-before": (_T % ('"masses": [1, 2], ' + _M7), _TREE_MASSES),
+    "masses-after": (_T % (_M7 + ', "masses": null'), "masses: expected a list"),
+    "escaped-before": (_T % ('"\\u006dasses": [1, 2], ' + _M7), _TREE_MASSES),
+    "escaped-after": (_T % (_M7 + ', "\\u006dasses": [1, 1, 1, 1, 1, 1, 1]'), [1.0] * 7),
+    "escaped-null-after": (_T % (_M7 + ', "\\u006dasses": null'), "masses: expected a list"),
+    "nested": (_T % ('"support_mode": {"masses": [1]}, ' + _M7),
+               "support_mode: expected one of ('all-nodes', 'boundary-only'), "
+               "got {'masses': [1]}"),
+    "nested-only": ('{"kind": "tree", "depth": 2, "version": {%s}}' % _M7,
+                    "unsupported version {'masses': [0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25]}"),
+    "trailing-comma": (_T % _M7.replace("]", ",]"),
+                       "not valid JSON: Expecting value: line 1 column 77 (char 76)"),
+    "missing-comma": (_T % _M7.replace("0.25, 0.25]", "0.25 0.25]"),
+                      "not valid JSON: Expecting ',' delimiter: line 1 column 71 (char 70)"),
+    "row-trailing-comma": (_B % _M4.replace("]]", "],]"),
+                           "not valid JSON: Expecting value: line 1 column 76 (char 75)"),
+    "row-missing-comma": (_B % _M4.replace("], [", "] ["),
+                          "not valid JSON: Expecting ',' delimiter: line 1 column 62 (char 61)"),
+    "short-last-row": (_B % _M4.replace(", 0.25]]", "]]"),
+                       "masses[1]: expected a row of 2 entries"),
+    "true-last": (_T % _M7.replace("0.25]", "true]"), "masses[6]: expected a number, got True"),
+    "null-last": (_B % _M4.replace("0.25]]", "null]]"),
+                  "masses[1][1]: expected a number, got None"),
+    "string-last": (_T % _M7.replace("0.25]", '"1"]'), "masses[6]: expected a number, got '1'"),
+    "nan-late": (_T % _M7.replace("0.25, 0.25]", "NaN, 0.25]"),
+                 "masses[5]: non-finite value nan"),
+    "nan-late-row": (_B % _M4.replace("0.25]]", "NaN]]"), "cells[1][1]: non-finite entry nan"),
+    "spaced-tree": (_spaced({"kind": "tree", "depth": 2, "masses": _TREE_MASSES[:-1] + [1e300]}),
+                    _TREE_MASSES[:-1] + [1e300]),
+    "spaced-bitree": (_spaced({"kind": "bitree", "depths": [1, 1],
+                               "masses": [[0.25, 0.5], [1e-300, 3]]}),
+                      [[0.25, 0.5], [1e-300, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("piece_entries", [None, 1, 3])
+@pytest.mark.parametrize("name", sorted(_SPLICED))
+def test_spliced_files_keep_the_whole_document_outcome(name, piece_entries, monkeypatch):
+    if piece_entries is not None:
+        monkeypatch.setattr(measure_io, "_PIECE_ENTRIES", piece_entries)
+    text, want = _SPLICED[name]
+    try:
+        got = _masses_of(parse_measure_file(text.encode())).tolist()
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == want
 
 
 @pytest.mark.parametrize("field,value,message,json_message", [
