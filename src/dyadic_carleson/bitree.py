@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import carleson
 from .carleson import _batches, _power_iteration, _row_blocks, _safe_ratio, _stacks, _trial
 from .errors import PreconditionError, ShapeMismatchError, SizeError, ValidationError
 from .tree import (
@@ -254,6 +255,47 @@ def _rect_integrals(shape: BiTreeShape, *grids: np.ndarray,
     return out
 
 
+def _integral_rows(shape: BiTreeShape, phi: np.ndarray,
+                   cells: np.ndarray) -> Iterator[tuple[slice, np.ndarray, slice]]:
+    """The rows of ``_rect_integrals(shape, phi, cells)`` bit for bit, bottom-up,
+    without the whole array: each ``(rows, heap, local)`` has the rows ``rows``
+    at ``heap[..., local, :]``, valid until the next is taken.  Row ``i`` of a
+    ``heap`` has its children at rows ``2i + 1`` and ``2i + 2``, as in the whole
+    array, so ``_child_pairs(heap, local)`` pairs ``rows`` with their children.
+
+    The row tree is cut into subtrees of ``2^h`` leaf rows, about
+    ``carleson.BLOCK_ENTRIES`` entries, each summed into one buffer and yielded
+    level by level; their roots are then the leaf level of the top levels,
+    which are yielded in row blocks of about that size.  A row tree that is
+    one such subtree comes whole, at once.
+    """
+    n, m = shape.depths
+    cols = shape.node_counts[1]
+    step = max(1, carleson.BLOCK_ENTRIES // (math.prod(phi.shape[:-2]) * cols))
+    h = min(n, step.bit_length() - 1)
+    if h == n:  # one subtree: the whole array, at most two row blocks
+        rows = slice(0, shape.node_counts[0])
+        yield rows, _rect_integrals(shape, phi, cells), rows
+        return
+    tops, sub = 1 << (n - h), BiTreeShape((h, m))
+    heap = np.empty(phi.shape[:-2] + sub.node_counts)
+    top = np.empty(phi.shape[:-2] + ((2 << (n - h)) - 1, cols))
+    for s in range(tops):
+        leaves = slice(s << h, (s + 1) << h)
+        _rect_integrals(sub, phi[..., leaves, :], cells[..., leaves, :], out=heap)
+        top[..., tops - 1 + s, :] = heap[..., 0, :]
+        for e in range(h, -1, -1):
+            first = (tops << e) - 1 + (s << e)
+            yield slice(first, first + (1 << e)), heap, slice((1 << e) - 1, (2 << e) - 1)
+    # the top's lowest summed level takes +0.0: the level above the leaves
+    # when h = 0, and a no-op higher up, where no sum is -0.0
+    _fill_pair_levels(n - h, top, axis=-2)
+    for e in range(n - h - 1, -1, -1):
+        for first in range((1 << e) - 1, (2 << e) - 1, step):
+            rows = slice(first, min(first + step, (2 << e) - 1))
+            yield rows, top, rows
+
+
 def rect_masses(mu: BiMeasure) -> np.ndarray:
     return rect_integrals(mu.shape, mu.cells)
 
@@ -363,10 +405,10 @@ def cube_embedding_check(
     _require_unit_box(_one_box_results(mu.shape, mu.cells[None]))
     phi_grid = _checked_grid(mu.shape, phi, "phi")
     g1 = _rect_integrals(mu.shape, phi_grid, mu.cells)
-    for rows, areas in _area_blocks(mu.shape, g1.shape[-1]):
+    for rows in _row_blocks(g1.shape[0], g1.shape[-1]):
         block = g1[rows]
         np.square(block, out=block)
-        block *= areas
+        block *= _areas(mu.shape, rows)
     lhs = float(g1.sum())  # |R| G1^2, written over G1 row block by row block
     rhs = float((phi_grid**2 * mu.cells).sum())
     ratio = lhs / rhs if rhs > 0 else 0.0
@@ -394,25 +436,26 @@ def _child_sums(values: np.ndarray, rows: slice) -> np.ndarray:
     return out
 
 
-def _area_blocks(shape: BiTreeShape, width: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row blocks, in order, of a rectangle stack ``width`` entries wide,
-    each with the areas |R| of its rectangles."""
-    row_lengths, col_lengths = shape.row_tree.lengths(), shape.col_tree.lengths()
-    for rows in _row_blocks(len(row_lengths), width):
-        yield rows, np.outer(row_lengths[rows], col_lengths)
+def _areas(shape: BiTreeShape, rows: slice) -> np.ndarray:
+    """The areas |R| of the rectangles in ``rows``: one row, to broadcast,
+    when the rows are of one level and so share them."""
+    if (rows.start + 1).bit_length() == rows.stop.bit_length():
+        rows = slice(rows.start, rows.start + 1)
+    return np.outer(shape.row_tree.lengths()[rows], shape.col_tree.lengths())
 
 
 # Row-block steps of the certificate.  Each takes rectangle arrays, or stacks
-# of them along leading axes, then a block of rows and its areas |R|.
+# of them along leading axes, then a block of rows and its areas |R|, and the
+# steps that read the integrals G1 of phi mu take G1's rows of the block last.
 
 
-def _weigh(D: np.ndarray, G1: np.ndarray, W: np.ndarray, rows: slice,
-           areas: np.ndarray) -> None:
+def _weigh(D: np.ndarray, W: np.ndarray, rows: slice, areas: np.ndarray,
+           g1: np.ndarray) -> None:
     """Overwrite W on ``rows``, where it holds G2, with |R| (G2 - G1^2 / D),
     0/0 read as 0, where D = M + SQ: ``bellman.bellman_values`` without its
     factor 4.  D's rows are spent: they end up holding G1^2 / D."""
     d = D[..., rows, :]
-    np.divide(G1[..., rows, :] ** 2, d, out=d, where=d > 0)
+    np.divide(g1**2, d, out=d, where=d > 0)
     block = W[..., rows, :]
     block -= d
     block *= areas
@@ -422,19 +465,28 @@ def _children(W: np.ndarray, out: np.ndarray, rows: slice, areas: np.ndarray) ->
     out[..., rows, :] = _child_sums(W, rows)
 
 
-def _slack(W: np.ndarray, G1: np.ndarray, out: np.ndarray, rows: slice,
-           areas: np.ndarray) -> None:
+def _slack(W: np.ndarray, out: np.ndarray, rows: slice, areas: np.ndarray,
+           g1: np.ndarray) -> None:
     """Overwrite ``out`` on ``rows``, where it holds the children's W, with the
     slacks W - childW - |R| G1^2 / 4."""
-    out[..., rows, :] = (W[..., rows, :] - out[..., rows, :]
-                         - 0.25 * areas * G1[..., rows, :] ** 2)
+    out[..., rows, :] = W[..., rows, :] - out[..., rows, :] - 0.25 * areas * g1**2
 
 
 def _blockwise(shape: BiTreeShape, step: Callable, *arrays: np.ndarray) -> np.ndarray:
     """``step(*arrays, rows, areas)`` over the row blocks, in order; returns
     the last array, which the step fills."""
-    for rows, areas in _area_blocks(shape, arrays[0].size // arrays[0].shape[-2]):
-        step(*arrays, rows, areas)
+    for rows in _row_blocks(arrays[0].shape[-2], arrays[0].size // arrays[0].shape[-2]):
+        step(*arrays, rows, _areas(shape, rows))
+    return arrays[-1]
+
+
+def _streamed(shape: BiTreeShape, step: Callable, phi: np.ndarray, cells: np.ndarray,
+              *arrays: np.ndarray) -> np.ndarray:
+    """``step(*arrays, rows, areas, g1)`` over the rows of the integrals G1 of
+    ``phi`` ``cells``, in the order :func:`_integral_rows` yields them; returns
+    the last array, which the step fills."""
+    for rows, heap, local in _integral_rows(shape, phi, cells):
+        step(*arrays, rows, _areas(shape, rows), heap[..., local, :])
     return arrays[-1]
 
 
@@ -483,11 +535,11 @@ class BiTreeCertificate:
     box_sums = _built(lambda c: _box_sums(c.shape, c.masses))
     integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.cells))
     square_integrals = _built(lambda c: _rect_integrals(c.shape, c.phi, c.phi, c.cells))
-    weighted_values = _built(lambda c: _blockwise(
-        c.shape, _weigh, c.masses + c.box_sums, c.integrals, c.square_integrals.copy()))
+    weighted_values = _built(lambda c: _streamed(
+        c.shape, _weigh, c.phi, c.cells, c.masses + c.box_sums, c.square_integrals.copy()))
     # the children's W, then the slacks over them
-    slacks = _built(lambda c: _blockwise(
-        c.shape, _slack, c.weighted_values, c.integrals,
+    slacks = _built(lambda c: _streamed(
+        c.shape, _slack, c.phi, c.cells, c.weighted_values,
         _blockwise(c.shape, _children, c.weighted_values, np.empty_like(c.masses))))
 
 
@@ -512,7 +564,7 @@ def bitree_bellman_certify(
       to ``tol`` relative to the larger of 1 and the bound.
 
     Raises when the box constant exceeds 1, naming the worst rectangle.
-    The check holds three rectangle arrays at once and keeps none of them.
+    The check holds two rectangle arrays at once and keeps none of them.
     """
     [cert] = _certificates(mu.shape, mu.cells[None], [phi], tol)
     return cert
@@ -553,15 +605,17 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     """:func:`bitree_bellman_certify` of each grid of a ``(trials, rows, cols)``
     stack with its phi.
 
-    A stack holds three rectangle arrays.  Two passes run over them in row
+    A stack holds two rectangle arrays.  The first pass runs over them in row
     blocks of about ``carleson.BLOCK_ENTRIES`` entries, in row order.  A block
     reads its own rows and the rows below them, so once it is done its rows
-    may be overwritten.  The first pass reads the masses ``M`` and box sums
-    ``SQ`` and overwrites ``SQ`` with ``D = M + SQ``.  The integrals ``G1`` of
-    phi mu are then built into M's buffer and those of phi^2 mu into a third,
-    and the second pass overwrites the latter with W and D with |R| G1^2
-    (for ``lhs``).  D's buffer then holds in turn |W| (for the scales), the
-    children's W (for the telescope) and the slacks.  Min and max run per
+    may be overwritten.  It reads the masses ``M`` and box sums ``SQ`` and
+    overwrites ``SQ`` with ``D = M + SQ``.  The integrals of phi^2 mu are then
+    built into M's buffer.  The integrals ``G1`` of phi mu are never stored:
+    :func:`_integral_rows` yields their rows bottom-up, and the second pass
+    overwrites the same rows of the other array with W and of D with
+    |R| G1^2 (for ``lhs``), so phi^2 mu's deviations are taken first.  D's
+    buffer then holds in turn |W| (for the scales), the children's W (for the
+    telescope) and the slacks, with G1 streamed again.  Min and max run per
     block, but each sum on a trial's whole array, in numpy's pairwise order,
     so each certificate equals the one-trial computation bit for bit.  The
     box constants are checked before the phis.
@@ -584,33 +638,35 @@ def _certificates(shape: BiTreeShape, cells: np.ndarray, phis: list,
     gain_margins = np.full(len(cells), np.inf)
     inner_rows, inner_cols = (M.shape[1] - 1) // 2, (M.shape[2] - 1) // 2
 
-    def deviate(devs: np.ndarray, arrays: tuple, rows: slice) -> None:
-        pairs = (pair for arr in arrays for pair in _child_pairs(arr, rows))
-        for dev, (up, left, right) in zip(devs, pairs):
+    def deviate(devs: np.ndarray, values: np.ndarray, rows: slice) -> None:
+        for dev, (up, left, right) in zip(devs, _child_pairs(values, rows)):
             np.maximum(dev, np.abs(left + right - up).max((1, 2), initial=-np.inf), out=dev)
 
     for rows in _row_blocks(M.shape[1], width):
-        deviate(deviations[:2], (M,), rows)
+        deviate(deviations[:2], M, rows)
         gain = SQ[:, rows] - 0.5 * _child_sums(SQ, rows) - M[:, rows] ** 2
         gain[:, max(0, inner_rows - rows.start):, inner_cols:] = np.inf
         gain[M[:, rows] <= 0] = np.inf
         np.minimum(gain_margins, gain.min(axis=(1, 2)), out=gain_margins)
         np.add(M[:, rows], SQ[:, rows], out=SQ[:, rows])
     gain_margins[gain_margins == np.inf] = 0.0
-    D, G1 = SQ, _rect_integrals(shape, phi, cells, out=M)
-    W = _rect_integrals(shape, phi, phi, cells)  # G2 until its block is weighed
+    D, W = SQ, _rect_integrals(shape, phi, phi, cells, out=M)  # G2 until weighed
     rhs_totals = W[:, 0, 0].tolist()
     # |G1| <= sqrt(G2 M) entrywise, so this bounds the three arrays
     magnitudes = [max(1.0, m, g) for m, g in zip(mass_totals, rhs_totals)]
-    for rows, areas in _area_blocks(shape, width):
-        deviate(deviations[2:], (G1, W), rows)
-        _weigh(D, G1, W, rows, areas)
-        np.multiply(areas, G1[:, rows] ** 2, out=D[:, rows])
+    for rows in _row_blocks(W.shape[1], width):
+        deviate(deviations[4:], W, rows)
+    for rows, heap, local in _integral_rows(shape, phi, cells):
+        deviate(deviations[2:4], heap, local)
+        g1, areas = heap[:, local], _areas(shape, rows)
+        _weigh(D, W, rows, areas, g1)
+        np.multiply(areas, g1**2, out=D[:, rows])
+    del heap, g1  # the stream's last buffer
     lhs = [float(D[k].sum()) for k in trials]
     scales = [max(1.0, float(np.abs(W[k], out=D[k]).sum())) for k in trials]
     _blockwise(shape, _children, W, D)
     nets = [float(W[k].sum() - D[k].sum()) for k in trials]
-    _blockwise(shape, _slack, W, G1, D)
+    _streamed(shape, _slack, phi, cells, W, D)
     min_slacks = [float(D[k].min()) for k in trials]
     deviations, gain_margins = deviations.tolist(), gain_margins.tolist()
 

@@ -194,7 +194,7 @@ def carleson_normalized(mu: TreeMeasure) -> TreeMeasure:
 
 
 # A stack holds about BATCH_ENTRIES measure entries in a few whole arrays (the bi-tree
-# certificate: three rectangle arrays).  Sums run on whole per-trial arrays, whose bits
+# certificate: two rectangle arrays).  Sums run on whole per-trial arrays, whose bits
 # numpy's pairwise order sets; elementwise passes, min and max run in cache-sized row blocks.
 BATCH_ENTRIES = 1 << 17
 BLOCK_ENTRIES = 1 << 15

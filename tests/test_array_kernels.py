@@ -294,6 +294,43 @@ def test_child_pair_sums_match_reference(depths):
         assert _same_bits(got, want)
 
 
+STREAM_DEPTHS = [(0, 0), (0, 4), (4, 0), (2, 5), (5, 2), (6, 6)]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("depths", STREAM_DEPTHS)
+def test_streamed_integral_rows_match_the_whole_array(depths, trials, monkeypatch):
+    # the certificate's G1 stream with row subtrees of one and two leaf rows,
+    # of half the row tree's depth and of the whole row tree, on signed zeros
+    # in both phi and the cells: every row comes once, not before its
+    # children, paired with them as in the whole array, and with its bits
+    shape = build_bitree(*depths)
+    n, rows_count, cols = depths[0], *shape.node_counts
+    rng = np.random.default_rng(sum(depths) + trials)
+    phi, cells = (_signed_values(rng, (trials, *shape.cell_grid)) for _ in range(2))
+    want = bitree._rect_integrals(shape, phi, cells)
+    for leaves in sorted({1, 2, 1 << (n // 2), 1 << n}):
+        monkeypatch.setattr(carleson, "BLOCK_ENTRIES", leaves * trials * cols)
+        got, seen = np.full_like(want, np.nan), np.zeros(rows_count, dtype=bool)
+        first_leaf, order = (1 << n) - 1, []
+        for rows, heap, local in bitree._integral_rows(shape, phi, cells):
+            order.append(rows)
+            assert not seen[rows].any()
+            seen[rows] = True
+            parents = np.arange(rows.start, min(rows.stop, first_leaf))
+            assert seen[2 * parents + 1].all() and seen[2 * parents + 2].all()
+            got[:, rows] = heap[:, local]
+            for part, whole in zip(bitree._child_pairs(heap, local),
+                                   bitree._child_pairs(want, rows)):
+                assert all(_same_bits(a, b) for a, b in zip(part, whole))
+        # the first subtree's leaf rows come first, or the whole array at once
+        first = (slice(0, rows_count) if leaves >= 1 << n
+                 else slice(first_leaf, first_leaf + leaves))
+        assert order[0] == first
+        assert seen.all()
+        assert _same_bits(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Gram apply of the embedding constant
 # ---------------------------------------------------------------------------
@@ -1294,20 +1331,37 @@ def _rows_of(step):
     return lambda rows, width: [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
+def _signed_certify_jobs(shape):
+    """Grids and phis with runs of -0.0, phi also at about 1e-160, where
+    |R| G1^2 is subnormal, and a grid of -0.0 alone."""
+    rng = np.random.default_rng(sum(shape.depths) + 1)
+    signed = _signed_values(rng, shape.cell_grid)
+    cells = np.where(signed == 0.0, signed, np.abs(signed))
+    phi = _signed_values(rng, shape.cell_grid)
+    zeros = np.full(shape.cell_grid, -0.0)
+    return [(BiMeasure(shape, grid), values) for grid in (cells, zeros)
+            for values in (phi, 1e-160 * phi)]
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("depths", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 4),
                                     (5, 3), (1, 6), (6, 0)])
 def test_stacked_certificates_match_per_trial_loop(depths, budget, monkeypatch):
     monkeypatch.setattr(carleson, "BATCH_ENTRIES", budget)
-    jobs = _certify_jobs(build_bitree(*depths))
+    shape = build_bitree(*depths)
+    jobs = _certify_jobs(shape) + _signed_certify_jobs(shape)
     wants = [_ref_certify_trial(mu, phi) for mu, phi in jobs]
-    # row blocks of the default size, of one row and of three rows (edges
-    # inside a heap level and on the leaf rows)
-    for blocks in (None, 1, 3):
-        if blocks == 1:
-            monkeypatch.setattr(carleson, "BLOCK_ENTRIES", 1)
-        elif blocks == 3:
-            monkeypatch.setattr(bitree, "_row_blocks", _rows_of(3))
+    # row blocks and G1 subtrees of the default size; blocks of one row, with
+    # subtrees of one leaf row under a top of all other levels; blocks of
+    # three rows (edges inside a heap level and on the leaf rows); and, in a
+    # full stack, blocks of two rows and subtrees of two leaf rows (subtree
+    # edges inside each level below the top)
+    stack_cols = max(1, budget // shape.rect_count) * shape.node_counts[1]
+    real_blocks = bitree._row_blocks
+    for entries, blocks in ((carleson.BLOCK_ENTRIES, real_blocks), (1, real_blocks),
+                            (1, _rows_of(3)), (2 * stack_cols, real_blocks)):
+        monkeypatch.setattr(carleson, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(bitree, "_row_blocks", blocks)
         checks = list(unit_box_certificates(jobs))
         assert len(checks) == len(jobs)
         for (mu, phi), check, (scale, want) in zip(jobs, checks, wants):
@@ -1341,10 +1395,13 @@ def test_row_blocks_keep_each_trial_least_gain(monkeypatch):
 
 
 def test_rect_arrays_at_the_peak_of_a_certificate(traced_peak, small_temporaries):
-    # a certificate holds three rectangle arrays and its phi stack, a quarter
-    # array, which it keeps; the one-box test holds two.  At (7,7) a default
-    # row block is half a rectangle array and each of numpy's ufunc buffers an
-    # eighth, so both are cut to 2^10 entries here
+    # a certificate holds two rectangle arrays and its phi stack, a quarter
+    # array, which it keeps, and streams G1's rows through two buffers: a row
+    # subtree of about one row block, and its top levels; the one-box test
+    # holds two arrays.  At (7,7) a default row block is half a rectangle
+    # array, its G1 subtree the whole array, and each of numpy's ufunc buffers
+    # an eighth, so all are cut to 2^10 entries here: subtrees of four leaf
+    # rows under a top of 63 rows, a quarter array
     shape = build_bitree(7, 7)
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
@@ -1353,18 +1410,19 @@ def test_rect_arrays_at_the_peak_of_a_certificate(traced_peak, small_temporaries
     # the stacked path also keeps its scaled copy of the cells
     stacked = traced_peak(lambda: list(unit_box_certificates([(mu, phi)])))
     one_box = traced_peak(lambda: one_box_constant(mu))
-    assert certify <= 3.5 * rect_bytes
-    assert stacked <= 3.75 * rect_bytes
+    assert certify <= 3.0 * rect_bytes
+    assert stacked <= 3.25 * rect_bytes
     assert one_box <= 2.5 * rect_bytes
 
 
 def test_rect_arrays_at_the_peak_of_a_large_certificate(traced_peak):
-    # at (9,9) the default row blocks and buffers are small beside the arrays
+    # at (9,9) the default row blocks and buffers are small beside the arrays,
+    # and so are G1's subtrees of 32 leaf rows and their top of 31 rows
     shape = build_bitree(9, 9)
     mu, phi = random_bimeasure(3, shape), random_cell_values(4, shape)
     normalized, _ = normalized_to_unit_onebox(mu)
     rect_bytes = shape.rect_count * 8
-    assert traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 3.75 * rect_bytes
+    assert traced_peak(lambda: bitree_bellman_certify(normalized, phi)) <= 2.75 * rect_bytes
     assert traced_peak(lambda: one_box_constant(mu)) <= 2.5 * rect_bytes
 
 
