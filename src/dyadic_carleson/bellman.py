@@ -492,39 +492,60 @@ class TreeCertificate:
     ok: bool
 
 
+def _averages(shape: TreeShape, x: np.ndarray) -> np.ndarray:
+    """The box averages of the node values ``x``, written over them."""
+    _subtree_sums_inplace(shape.depth, x)
+    x /= shape.lengths()
+    return x
+
+
 def _quadruples(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
                 alpha: np.ndarray) -> list[np.ndarray]:
     """The box averages F, f, A and v of phi^2, phi sqrt(lam), alpha v^2 and lam."""
-    def averages(x: np.ndarray) -> np.ndarray:
-        _subtree_sums_inplace(shape.depth, x)
-        x /= shape.lengths()
-        return x
-
-    v = averages(masses.copy())
-    A = averages(v * v * alpha)
-    f = averages(np.sqrt(masses) * phi)
-    return [averages(phi * phi), f, A, v]
+    v = _averages(shape, masses.copy())
+    A = _averages(shape, v * v * alpha)
+    f = _averages(shape, np.sqrt(masses) * phi)
+    return [_averages(shape, phi * phi), f, A, v]
 
 
 def _certificate_arrays(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
                         alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The weighted values |I| B(x_I) and the slacks of every node, the total
-    and the upper bound 4 F(root), with about four node arrays at once."""
-    F, f, s, v = _quadruples(shape, masses, phi, alpha)
+    and the upper bound 4 F(root), with three node arrays at once.
+
+    The box averages are those of :func:`_quadruples`: v + A is formed in A's
+    buffer before f takes v's and F a third one.  The weighted values go into
+    v + A's buffer and the slacks into F's, with f^2 and alpha f^2 a row block
+    at a time; the total is a sum over the whole array, in numpy's pairwise
+    order, in F's buffer before it takes the slacks.
+    """
+    n = masses.size
+    v = _averages(shape, masses.copy())
+    s = v * v
+    s *= alpha
+    _averages(shape, s)
     s += v  # v + A, for B = 4 (F - f^2 / s) as in bellman_values
-    del v
-    weighted = _safe_ratio(f * f, s, out=s)  # v + A is not read again
-    np.subtract(F, weighted, out=weighted)
+    f = np.sqrt(masses, out=v)
+    f *= phi
+    _averages(shape, f)
+    F = _averages(shape, phi * phi)
     upper = float(4.0 * F[0])
-    del F, s
+    for rows in _row_blocks(n, 1):
+        weighted = _safe_ratio(f[rows] * f[rows], s[rows], out=s[rows])
+        np.subtract(F[rows], weighted, out=weighted)
+    weighted = s
     weighted *= 4.0
     weighted *= shape.lengths()
-    total = float((alpha * f * f).sum())
-    f *= f
-    f *= alpha  # now alpha f^2
-    slack = weighted.copy()
-    slack[: slack.size // 2] -= weighted[1:].reshape(-1, 2).sum(axis=1)
-    slack -= f
+    slack = np.multiply(alpha, f, out=F)
+    slack *= f
+    total = float(slack.sum())
+    slack[...] = weighted
+    for rows in _row_blocks(n // 2, 2):  # less the children's weighted values
+        slack[rows] -= weighted[2 * rows.start + 1 : 2 * rows.stop + 1].reshape(-1, 2).sum(axis=1)
+    for rows in _row_blocks(n, 1):
+        f[rows] *= f[rows]
+        f[rows] *= alpha[rows]  # alpha f^2
+        slack[rows] -= f[rows]
     return weighted, slack, total, upper
 
 

@@ -108,13 +108,13 @@ class EmbeddingReport:
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``num / den`` where ``den > 0``, else 0, into ``out`` (which may be ``num``)."""
+    """``num / den`` where ``den > 0``, else 0, into ``out`` (which may be ``num`` or ``den``)."""
     positive = den > 0
     if out is None:
-        out = np.zeros_like(num)
-    else:
-        np.putmask(out, ~positive, 0.0)
-    return np.divide(num, den, out=out, where=positive)
+        return np.divide(num, den, out=np.zeros_like(num), where=positive)
+    np.divide(num, den, out=out, where=positive)
+    np.putmask(out, np.logical_not(positive, out=positive), 0.0)
+    return out
 
 
 def _test_ratios(depth: int, masses: np.ndarray) -> np.ndarray:
@@ -135,12 +135,16 @@ def carleson_ratios(mu: TreeMeasure) -> CarlesonRatios:
 
 
 def _weighted_ratios(shape: TreeShape, box: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Weighted test ratios of ``(nodes, trials)`` box masses and weights."""
-    averages = box / shape.lengths()[:, None]
-    averages **= 2
-    averages *= alpha
-    _subtree_sums_inplace(shape.depth, averages)
-    return _safe_ratio(averages, box, out=averages)
+    """Weighted test ratios of ``(nodes, trials)`` box masses and weights,
+    written over the weights: ``alpha`` takes the squared box averages a row
+    block at a time, then one subtree pass and the division by ``box``."""
+    lengths = shape.lengths()[:, None]
+    for rows in _row_blocks(*box.shape):
+        averages = box[rows] / lengths[rows]
+        averages **= 2
+        alpha[rows] *= averages
+    _subtree_sums_inplace(shape.depth, alpha)
+    return _safe_ratio(alpha, box, out=alpha)
 
 
 def _test_constants(shape: TreeShape, ratios: np.ndarray) -> list[AlphaTestResult]:
@@ -171,7 +175,7 @@ def alpha_test_constant(lam: TreeMeasure, alpha: AlphaSequence) -> AlphaTestResu
             f"measure for depth {lam.shape.depth}"
         )
     box = subtree_sums(lam.shape.depth, lam.masses[:, None])
-    ratios = _weighted_ratios(lam.shape, box, alpha.values[:, None])
+    ratios = _weighted_ratios(lam.shape, box, alpha.values[:, None].copy())
     [result] = _test_constants(lam.shape, ratios)
     return result
 

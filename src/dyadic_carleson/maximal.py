@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .carleson import (
-    AlphaSequence,
     _row_blocks,
     _safe_ratio,
     _stacks,
@@ -44,7 +43,6 @@ __all__ = [
     "MaximalReport",
     "StoppingDecomposition",
     "StoppingInvariantReport",
-    "average_ratios",
     "maximal_checks",
     "maximal_ratios",
     "maximal_theorem_check",
@@ -77,12 +75,6 @@ def _gathered(shape: TreeShape, phis: list) -> np.ndarray:
 def _level(d: int) -> slice:
     """Heap positions (node - 1) of the nodes at depth ``d``."""
     return slice((1 << d) - 1, (1 << (d + 1)) - 1)
-
-
-def average_ratios(lam: TreeMeasure, phi) -> NodeVector:
-    """Per-node ratio of the phi-integral to the mass of the subtree."""
-    phi_a = as_node_array(lam.shape, phi)
-    return NodeVector(lam.shape, _ratios(lam.shape.depth, lam.masses, phi_a)[0])
 
 
 def maximal_ratios(lam: TreeMeasure, phi) -> NodeVector:
@@ -147,52 +139,69 @@ def stopping_decomposition(
     phi_a = as_node_array(lam.shape, phi)[:, None]
     if not allow_signed and np.any(phi_a < 0):
         raise ValidationError(_SIGNED_PHI)
-    [dec] = _decompositions(lam.shape, *_ratios(lam.shape.depth, lam.masses[:, None], phi_a))
+    ratios = _ratios(lam.shape.depth, lam.masses[:, None], phi_a)
+    [dec] = _decompositions(lam.shape, *_stopping_vertices(lam.shape, *ratios))
     return dec
 
 
 _SIGNED_PHI = "phi must be nonnegative (pass allow_signed=True to override)"
 
 
-def _decompositions(shape: TreeShape, r: np.ndarray,
-                    den: np.ndarray) -> list[StoppingDecomposition]:
-    """The stopping decomposition of each trial of subtree ratios and masses.
-
-    ``r`` and ``den`` are ``(nodes, trials)``; the sweep runs over all
-    trials at once.  The stopping vertices of all trials are then sorted
-    by trial, generation and node, so each trial's ``escaped`` masses add
-    up in the order a lone trial adds them.
+def _stopping_vertices(shape: TreeShape, r: np.ndarray, den: np.ndarray) -> tuple:
+    """The owners of every trial of ``(nodes, trials)`` subtree ratios and
+    masses, as a ``(trials, nodes)`` array, and the trial, heap position,
+    generation, subtree mass and ratio of each stopping vertex, by trial and
+    node.  The sweep runs over all trials at once, a block of parents and
+    their children at a time.
     """
-    n = shape.node_count
+    n, count = r.shape
     owner = np.ones(r.shape, dtype=np.int64)
     generation = np.zeros(r.shape, dtype=np.int8)  # at most the depth: int64 ids keep it < 63
+    found = [(np.zeros(count, dtype=np.int64), np.arange(count))]  # every trial's root
     for d in range(1, shape.depth + 1):
-        here, up = _level(d), _level(d - 1)
-        po = np.repeat(owner[up], 2, axis=0)
-        r_po, r_here = np.take_along_axis(r, po - 1, axis=0), r[here]
-        # With a zero owner ratio the >= test would fire at every child;
-        # require strict growth instead so the recursion cannot degenerate.
-        stops = (den[here] > 0.0) & np.where(
-            r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
-        )
-        owner[here] = np.where(stops, np.arange(here.start + 1, here.stop + 1)[:, None], po)
-        generation[here] = np.repeat(generation[up], 2, axis=0) + stops
+        first = _level(d - 1).start
+        for rows in _row_blocks(1 << (d - 1), 2 * count):
+            up = slice(first + rows.start, first + rows.stop)
+            here = slice(2 * up.start + 1, 2 * up.stop + 1)
+            po = np.repeat(owner[up], 2, axis=0)
+            r_po, r_here = np.take_along_axis(r, po - 1, axis=0), r[here]
+            # With a zero owner ratio the >= test would fire at every child;
+            # require strict growth instead so the recursion cannot degenerate.
+            stops = (den[here] > 0.0) & np.where(
+                r_po == 0.0, r_here > 0.0, r_here >= 2.0 * r_po
+            )
+            owner[here] = np.where(stops, np.arange(here.start + 1, here.stop + 1)[:, None], po)
+            generation[here] = np.repeat(generation[up], 2, axis=0) + stops
+            pos, trial = np.nonzero(stops)
+            found.append((pos + here.start, trial))
 
-    owners = np.ascontiguousarray(owner.T)
-    trial, pos = np.nonzero(owners == np.arange(1, n + 1))
+    pos, trial = (np.concatenate(part) for part in zip(*found))
+    by_trial = np.argsort(trial, kind="stable")  # nodes ascend within each trial
+    trial, pos = trial[by_trial], pos[by_trial]
+    return (np.ascontiguousarray(owner.T), trial, pos, generation[pos, trial],
+            den[pos, trial], r[pos, trial])
+
+
+def _decompositions(shape: TreeShape, owners: np.ndarray, trial: np.ndarray, pos: np.ndarray,
+                    gen: np.ndarray, mass: np.ndarray,
+                    ratio: np.ndarray) -> list[StoppingDecomposition]:
+    """The stopping decomposition of each trial from :func:`_stopping_vertices`.
+
+    The stopping vertices of all trials are sorted by trial, generation and
+    node, so each trial's ``escaped`` masses add up in the order a lone trial
+    adds them.
+    """
+    count, n = owners.shape
     slot = trial * n + pos  # ascending: the bins of the escaped masses below
-    gen = generation.T[trial, pos]
     order = np.argsort(trial * (shape.depth + 1) + gen, kind="stable")
-    trial, pos, gen = trial[order], pos[order], gen[order]
+    trial, pos, gen, mass, ratio = trial[order], pos[order], gen[order], mass[order], ratio[order]
     # every trial's first vertex is the root; the others are its children
     child = pos > 0
     up = owners[trial[child], (pos[child] + 1) // 2 - 1] - 1
-    den_t, r_t = den.T, r.T
-    count = len(owners)
     escaped = np.bincount(np.searchsorted(slot, trial[child] * n + up),
-                          weights=den_t[trial[child], pos[child]], minlength=slot.size)
-    beta = (den_t[trial, pos] - escaped[order]).tolist()
-    ratio = r_t[trial, pos].tolist()
+                          weights=mass[child], minlength=slot.size)
+    beta = (mass - escaped[order]).tolist()
+    ratio = ratio.tolist()
     keys, gen = (pos + 1).tolist(), gen.tolist()
     bounds = np.searchsorted(trial, np.arange(count + 1)).tolist()
     decs = []
@@ -252,30 +261,6 @@ def _node_items(table: dict[int, float], n: int):
     return keys[inside], values[inside], bool(inside.all())
 
 
-def derived_alpha(dec: StoppingDecomposition, lam: TreeMeasure) -> AlphaSequence:
-    """Weight sequence beta_H / (subtree average of Lam at H)^2.
-
-    Supported on the stopping vertices; its Carleson test constant is at
-    most 1 because the beta masses of stopping descendants never exceed
-    the subtree mass.
-    """
-    keys, beta, _ = _node_items(dec.beta, lam.shape.node_count)
-    den = subtree_sums(lam.shape.depth, lam.masses[:, None])
-    trial = np.zeros(len(keys), dtype=np.int64)
-    return AlphaSequence(lam.shape, _alpha_weights(lam.shape, trial, keys, beta, den)[:, 0])
-
-
-def _alpha_weights(shape: TreeShape, trial: np.ndarray, keys: np.ndarray,
-                   beta: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """:func:`derived_alpha` weights of ``beta`` at vertices ``keys`` of
-    trials ``trial``, laid out like the ``(nodes, trials)`` subtree masses ``den``."""
-    keep = den[keys - 1, trial] > 0
-    trial, pos = trial[keep], keys[keep] - 1
-    values = np.zeros(den.shape)
-    values[pos, trial] = beta[keep] * (shape.lengths()[pos] / den[pos, trial]) ** 2
-    return values
-
-
 def verify_stopping_invariants(
     dec: StoppingDecomposition, lam: TreeMeasure, phi, tol: float = 1e-12
 ) -> StoppingInvariantReport:
@@ -287,8 +272,8 @@ def verify_stopping_invariants(
     nodes fail ``partition`` and ``owner-consistency`` and read ratio 0.
     Betas that give a negative or non-finite weight fail ``alpha-test`` at NaN.
     """
-    phi_a = as_node_array(lam.shape, phi)[:, None]
-    [report] = _invariant_reports(lam.shape, lam.masses[:, None], phi_a, [dec], tol)
+    phi_a = as_node_array(lam.shape, phi)[:, None].copy()
+    [report] = _invariant_reports(lam.shape, lam.masses[:, None].copy(), phi_a, [dec], tol)
     return report
 
 
@@ -296,16 +281,21 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
                        decs: list, tol: float) -> list[StoppingInvariantReport]:
     """:func:`verify_stopping_invariants` of each trial.
 
-    ``masses`` and ``phi`` are ``(nodes, trials)``.  Ratios and masses are
-    recomputed here from the masses and phi.  Per-vertex values of all
-    trials sit in one flat array of ``nodes + 1`` slots per trial (slot 0
-    stands for "not a node"); the owner-grouped sums add each trial's
-    values in its own order, and the margins are maxima per trial.
+    ``masses`` and ``phi`` are ``(nodes, trials)`` buffers that the checks
+    take over: the ratios are recomputed from them into phi's buffer and the
+    subtree masses into the masses'.  Per-vertex values of all trials sit in
+    flat arrays, and the owner-grouped sums add each trial's values in its own
+    order; the margins are maxima per trial.  The owners' ratios are kept per
+    owning vertex, so the running maximum can overwrite the ratios, whose
+    buffer then serves the beta sums and the weighted test constant.
     """
     n, count = shape.node_count, len(decs)
-    slots = n + 1
-    r, den = _ratios(shape.depth, masses, phi)
-    del phi  # a caller's temporary goes before the node arrays below
+    slots = n + 1  # a trial's slot 0 stands for "not a node"
+    r, den = phi, masses
+    r *= masses
+    _subtree_sums_inplace(shape.depth, r)
+    _subtree_sums_inplace(shape.depth, den)
+    _safe_ratio(r, den, out=r)
     r_t, den_t = r.T, den.T
 
     owners = [np.asarray(dec.owner, dtype=np.int64) for dec in decs]
@@ -342,17 +332,23 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
             np.maximum.at(out, trial, values)
         return out
 
+    stop_trial, stop = flat(stops)
+    beta = np.concatenate(betas)
+    later_trial, later = flat(laters)
+    ratio_trial, ratio_node = flat(ratio_keys)
+    ratio_values = np.concatenate(ratio_values)
+    del stops, betas, laters, ratio_keys
+
     owners_in_tree = ((owners >= 1) & (owners <= n)).all(axis=1)
     if not owners_in_tree.all():  # a new array, so no decomposition's owners change
         owners = np.where((owners >= 1) & (owners <= n), owners, 0)
-    stop_trial, stop = flat(stops)
-    beta = np.concatenate(betas)
     is_stop = np.zeros((count, slots), dtype=bool)
     is_stop[stop_trial, stop] = True
     # every owner is a stopping vertex and every stopping vertex owns a node
     owned = np.zeros((count, slots), dtype=bool)
     owned[np.arange(count)[:, None], owners] = True
     partition_ok = listed_ok & owners_in_tree & (owned == is_stop).all(axis=1)
+    owning = np.flatnonzero(owned)  # the owners' slots, ascending
     del owned
 
     # a stopping vertex owns itself, another node its parent's owner; the root must stop
@@ -363,49 +359,69 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
         owner_consistent &= ~moved.any(axis=1)
     del is_stop
 
-    # mass captured by the stopping children must stay below half
-    later_trial, later = flat(laters)
-    pred = owners[later_trial, later // 2 - 1]
-    escaped = np.bincount(later_trial * slots + pred, weights=den_t[later_trial, later - 1],
-                          minlength=count * slots)[stop_trial * slots + stop]
+    def owning_at(slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``owning`` of the slots, and which of them are owners'."""
+        at = np.minimum(np.searchsorted(owning, slot), owning.size - 1)
+        return at, owning[at] == slot
+
+    # mass captured by the stopping children must stay below half; each child's
+    # mass goes to the owner of its parent, in the order of the children, and a
+    # stopping vertex that owns no node captures none
+    pred = np.searchsorted(owning, later_trial * slots + owners[later_trial, later // 2 - 1])
+    captured = np.bincount(pred, weights=den_t[later_trial, later - 1], minlength=owning.size)
+    at, owns = owning_at(stop_trial * slots + stop)
+    escaped = np.where(owns, captured[at], 0.0)
     den_stop = den_t[stop_trial, stop - 1]
     region_margin = largest(stop_trial, escaped - 0.5 * den_stop)
-
-    beta_values = np.zeros(den.shape)
-    beta_values[stop - 1, stop_trial] = beta
     beta_margin = largest(stop_trial, np.abs(beta - (den_stop - escaped)))
-    _subtree_sums_inplace(shape.depth, beta_values)
-    beta_values -= den
-    sums_margin = beta_values.max(axis=0)
-    del beta_values
+    del captured, escaped
 
-    # each node's ratio and running maximum against twice its owner's ratio (0 for
-    # "not a node" and without stopping vertices), a block of nodes at a time
-    r0 = np.zeros((count, slots))
-    r0[:, 1:] = r_t
-    r_j = r_t[later_trial, later - 1]
-    _ancestor_sums_inplace(shape.depth, r, np.maximum)  # now the running maximum
-    ratio_margin, maximal_margin = np.full(count, -np.inf), np.full(count, -np.inf)
-    for block in _row_blocks(n, count):
-        twice = 2.0 * np.take_along_axis(r0, owners[:, block], axis=1)
-        twice[[not dec.beta for dec in decs]] = 0.0
-        np.maximum(ratio_margin, (r0[:, 1:][:, block] - twice).max(axis=1), out=ratio_margin)
-        np.maximum(maximal_margin, (r_t[:, block] - twice).max(axis=1), out=maximal_margin)
-    del r, r_t
-
-    # the owner's ratio as the decomposition records it, else recomputed
-    ratio_trial, keys = flat(ratio_keys)
-    r0[ratio_trial, keys] = np.concatenate(ratio_values)
-    r_p = r0[later_trial, pred]
-    del r0
+    # the owners' ratios, one per owner; the chain reads the ratio of each later
+    # vertex's parent's owner as the decomposition records it, else recomputed
+    own_trial, own_node = np.divmod(owning, slots)
+    own_ratio = np.where(own_node > 0, r_t[own_trial, own_node - 1], 0.0)
+    recorded = own_ratio.copy()
+    at, owns = owning_at(ratio_trial * slots + ratio_node)
+    recorded[at[owns]] = ratio_values[owns]
+    r_p, r_j = recorded[pred], r_t[later_trial, later - 1]
     zero = r_p == 0.0
     chain_margin = largest(later_trial[~zero], 2.0 * r_p[~zero] - r_j[~zero])
     chain_bad = np.bincount(later_trial[zero & ~(r_j > 0.0)], minlength=count)
+    del at, owns, own_node, recorded, r_p, r_j, zero, pred, ratio_values
 
-    # the weighted test constant of carleson.alpha_test_constant, NaN without valid weights
-    alpha = _alpha_weights(shape, stop_trial, stop, beta, den)
-    alpha_constants = _weighted_ratios(shape, den, alpha).max(axis=0)
-    alpha_constants[~(np.isfinite(alpha) & (alpha >= 0)).all(axis=0)] = np.nan
+    # each node's ratio, then its running maximum, against twice its owner's ratio
+    # (0 for "not a node" and without stopping vertices), a block of nodes at a time
+    own_ratio[np.isin(own_trial, [k for k, dec in enumerate(decs) if not dec.beta])] = 0.0
+    offsets = np.arange(count)[:, None] * slots
+
+    def owner_margins(values: np.ndarray) -> np.ndarray:
+        out = np.full(count, -np.inf)
+        for block in _row_blocks(n, count):
+            twice = 2.0 * own_ratio[np.searchsorted(owning, offsets + owners[:, block])]
+            np.maximum(out, (values[:, block] - twice).max(axis=1), out=out)
+        return out
+
+    ratio_margin = owner_margins(r_t)
+    _ancestor_sums_inplace(shape.depth, r, np.maximum)  # now the running maximum
+    maximal_margin = owner_margins(r_t)
+
+    # the ratios' buffer then holds the beta sums over each subtree, and the
+    # weights beta_H / (subtree average at H)^2 of the weighted test constant
+    # of carleson.alpha_test_constant, NaN without valid weights
+    r.fill(0.0)
+    r[stop - 1, stop_trial] = beta
+    _subtree_sums_inplace(shape.depth, r)
+    r -= den
+    sums_margin = r.max(axis=0)
+    keep = den_stop > 0
+    trial, pos = stop_trial[keep], stop[keep] - 1
+    weights = beta[keep] * (shape.lengths()[pos] / den_stop[keep]) ** 2
+    invalid = trial[~(np.isfinite(weights) & (weights >= 0))]
+    r.fill(0.0)
+    r[pos, trial] = weights
+    del stop_trial, stop, beta, den_stop, keep, trial, pos, weights
+    alpha_constants = _weighted_ratios(shape, den, r).max(axis=0)
+    alpha_constants[invalid] = np.nan
 
     results = []
     for k in range(count):
@@ -489,16 +505,21 @@ def _theorem_checks(shape: TreeShape, masses: np.ndarray, phis: list, tol: float
             with _trial(k):
                 raise ValidationError(_SIGNED_PHI)
     r, den = _ratios(depth, masses, phi)
-    rhs = [float(row.sum()) for row in np.ascontiguousarray((phi**2 * masses).T)]
+    phi *= phi
+    phi *= masses  # now phi^2 lam
+    rhs = [float(row.sum()) for row in np.ascontiguousarray(phi.T)]
     del phi
     m = r.copy()
     _ancestor_sums_inplace(depth, m, np.maximum)
-    m *= m
-    m *= den**2
+    for rows in _row_blocks(*m.shape):
+        m[rows] *= m[rows]
+        m[rows] *= den[rows] ** 2
     lhs = [float(row.sum()) for row in np.ascontiguousarray(m.T)]
     del m
+    vertices = _stopping_vertices(shape, r, den)
+    del r, den  # the decompositions' tables take the place of the node arrays
     results = []
-    for k, dec in enumerate(_decompositions(shape, r, den)):
+    for k, dec in enumerate(_decompositions(shape, *vertices)):
         bound = 8.0 * sum(dec.ratios[h] ** 2 * dec.beta[h] for h in dec.beta)
         results.append(MaximalReport(
             lhs=lhs[k],

@@ -8,6 +8,7 @@ import pytest
 from dyadic_carleson import (
     ALL_NODES,
     BOUNDARY_ONLY,
+    AlphaSequence,
     PreconditionError,
     StoppingDecomposition,
     TreeMeasure,
@@ -24,8 +25,37 @@ from dyadic_carleson import (
     verify_stopping_invariants,
 )
 from dyadic_carleson import carleson, maximal
-from dyadic_carleson.maximal import average_ratios, derived_alpha
 from dyadic_carleson.tree import subtree_sums
+
+
+# ---------------------------------------------------------------------------
+# oracles: the subtree ratios and the weights of the stopping vertices
+# ---------------------------------------------------------------------------
+
+
+def average_ratios(lam, phi):
+    """Per-node ratio of the phi-integral to the mass of the subtree, 0 where
+    that mass vanishes."""
+    depth = lam.shape.depth
+    num = subtree_sums(depth, np.asarray(phi, dtype=float) * lam.masses)
+    den = subtree_sums(depth, lam.masses)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def derived_alpha(dec, lam):
+    """Weight sequence beta_H / (subtree average of lam at H)^2 on the stopping
+    vertices of positive subtree mass, 0 elsewhere.
+
+    Its Carleson test constant is at most 1 because the beta masses of
+    stopping descendants never exceed the subtree mass.
+    """
+    box = subtree_sums(lam.shape.depth, lam.masses)
+    lengths = lam.shape.lengths()
+    values = np.zeros(lam.shape.node_count)
+    for h, beta in dec.beta.items():
+        if box[h - 1] > 0:
+            values[h - 1] = beta / (box[h - 1] / lengths[h - 1]) ** 2
+    return AlphaSequence(lam.shape, values)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +209,7 @@ def _hand_instance():
 
 def test_hand_ratios_and_maximal():
     shape, lam, phi = _hand_instance()
-    assert list(average_ratios(lam, phi).values) == [0.5, 1.0, 0.0]
+    assert list(average_ratios(lam, phi)) == [0.5, 1.0, 0.0]
     # the running max keeps the root value alive on the right branch
     assert list(maximal_ratios(lam, phi).values) == [0.5, 1.0, 0.5]
 
@@ -279,7 +309,7 @@ def test_running_max_matches_the_level_loop(depth):
     shape = build_tree(depth)
     lam = random_tree_measure(depth, shape, support_mode=ALL_NODES, density=0.5)
     phi = np.abs(random_node_values(depth + 7, shape))
-    r = average_ratios(lam, phi).values
+    r = average_ratios(lam, phi)
     want = _level_loop_running_max(r, depth)
     assert maximal_ratios(lam, phi).values.tobytes() == want.tobytes()
 
