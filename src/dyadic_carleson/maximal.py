@@ -390,20 +390,25 @@ def _invariant_reports(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     del at, owns, own_node, recorded, r_p, r_j, zero, pred, ratio_values
 
     # each node's ratio, then its running maximum, against twice its owner's ratio
-    # (0 for "not a node" and without stopping vertices), a block of nodes at a time
-    own_ratio[np.isin(own_trial, [k for k, dec in enumerate(decs) if not dec.beta])] = 0.0
+    # (0 for "not a node" and without stopping vertices), a block of nodes at a
+    # time; the owners' ratios are read in place until the running maximum
+    # overwrites them, then from own_ratio
+    no_beta = [not dec.beta for dec in decs]
     offsets = np.arange(count)[:, None] * slots
 
-    def owner_margins(values: np.ndarray) -> np.ndarray:
+    def owner_margins(values: np.ndarray, owner_ratios) -> np.ndarray:
         out = np.full(count, -np.inf)
         for block in _row_blocks(n, count):
-            twice = 2.0 * own_ratio[np.searchsorted(owning, offsets + owners[:, block])]
+            twice = 2.0 * owner_ratios(owners[:, block])
+            twice[no_beta] = 0.0
             np.maximum(out, (values[:, block] - twice).max(axis=1), out=out)
         return out
 
-    ratio_margin = owner_margins(r_t)
+    ratio_margin = owner_margins(r_t, lambda owner: np.where(
+        owner > 0, np.take_along_axis(r_t, owner - 1, axis=1), 0.0))
     _ancestor_sums_inplace(shape.depth, r, np.maximum)  # now the running maximum
-    maximal_margin = owner_margins(r_t)
+    maximal_margin = owner_margins(r_t, lambda owner: own_ratio[
+        np.searchsorted(owning, offsets + owner)])
 
     # the ratios' buffer then holds the beta sums over each subtree, and the
     # weights beta_H / (subtree average at H)^2 of the weighted test constant

@@ -1439,27 +1439,48 @@ def test_rect_arrays_at_the_peak_of_the_cube_embedding(traced_peak, small_tempor
 
 @pytest.mark.parametrize("mode", [ALL_NODES, BOUNDARY_ONLY])
 def test_node_arrays_at_the_peak_of_a_lone_maximal_check(mode, traced_peak, small_temporaries):
-    # the stack of scaled masses, the ratios, the subtree masses, the owners,
-    # one more array at a time (the ratios kept for the margins, or the
-    # weights of the test constant and their ratios) and the decomposition's
-    # vertex tables; the whole-array temporaries took 12 node arrays
+    # the stack of masses, the owners and the decomposition's vertex tables
+    # (0.7 node arrays here), beside two more: the gathered phi, while the
+    # invariants gather it again, or the ratios and subtree masses that the
+    # invariants recompute into phi's and the masses' buffers, whose ratios
+    # then take the beta sums and the weighted test constant; 4.9 node arrays.
+    # With the ratios copied for the owners and a buffer of their own for the
+    # weights, the check took 6.85
     shape = build_tree(14)
     mu = random_tree_measure(3, shape, support_mode=mode)
     phi = random_node_values(4, shape, nonneg=True)
     list(maximal_checks([(mu, phi)]))  # shape caches
     peak = traced_peak(lambda: list(maximal_checks([(mu, phi)])))
-    assert peak <= 7.5 * shape.node_count * 8
+    assert peak <= 5.25 * shape.node_count * 8
 
 
 def test_node_arrays_at_the_peak_of_a_tree_certificate(traced_peak, small_temporaries):
-    # F, f, v + A and the weighted values, plus the checked phi that the
-    # certificate keeps; the certificate held six arrays and took ten
+    # the checked phi that the certificate keeps, and v + A, f and F, then the
+    # weighted values, f and the slacks: 4.25 node arrays. Building all four
+    # averages before v + A, and f^2 whole, took 5.26
     shape = build_tree(14)
     lam = carleson_normalized(random_tree_measure(3, shape, support_mode=ALL_NODES))
     phi, alpha = random_node_values(4, shape), box_squared_alpha(shape)
     certify_tree_embedding(lam, phi, alpha)  # shape caches
     peak = traced_peak(lambda: certify_tree_embedding(lam, phi, alpha))
-    assert peak <= 6 * shape.node_count * 8
+    assert peak <= 4.5 * shape.node_count * 8
+
+
+@pytest.mark.parametrize("mode", [ALL_NODES, BOUNDARY_ONLY])
+@pytest.mark.parametrize("command, budget", [("maximal-verify", 7.5), ("certify", 6.5)])
+def test_node_arrays_at_the_peak_of_a_tree_check_job(command, budget, mode, traced_peak,
+                                                     small_temporaries, tmp_path):
+    # a job reads its measure file first (4.6 node arrays at the parse), then
+    # holds the masses and phi (maximal-verify) or the masses, alpha and
+    # phi = 1 (certify) beside the check: 7.2 and 6.3 node arrays on all nodes.
+    # They took 9.2 and 7.3; tree-embed --in takes 5.3
+    shape = build_tree(14)
+    path = tmp_path / "mu.json"
+    save_measure(random_tree_measure(3, shape, support_mode=mode), path)
+    argv = [command, "--in", str(path), "--out", str(tmp_path / "report.json")]
+    assert run_command(argv) == 0  # shape caches and the parser
+    peak = traced_peak(lambda: run_command(argv))
+    assert peak <= budget * shape.node_count * 8
 
 
 @pytest.mark.parametrize("mode", [BOUNDARY_ONLY, ALL_NODES])
