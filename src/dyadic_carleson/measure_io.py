@@ -16,7 +16,8 @@ no parser holds the whole document at once: the ``masses`` array is cut
 out of the raw bytes, the rest of the document is parsed with ``null`` in
 its place and checked, and the array's text is cut at its top-level
 separators into pieces of about ``_PIECE_ENTRIES`` entries, each parsed
-and checked on its own and copied into one preallocated float array.
+and checked on its own and copied into one preallocated float array; a
+piece whose bytes can only spell numbers skips the check of entry types.
 That reader declines anything it does not expect: ``str`` input, a
 backslash outside the array, a second ``"masses"`` key, a piece that
 orjson rejects or whose entries are not numbers, a wrong count or row
@@ -69,6 +70,8 @@ _PIECE_ENTRIES = 1 << 12
 _MASSES_KEY = re.compile(rb'"masses"[ \t\n\r]*:[ \t\n\r]*(\[)[ \t\n\r]*(\[?)')
 _ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
 _SPACE = re.compile(rb"[ \t\n\r]*")
+# the bytes of a piece of plain numbers: no bool, null, string or nested value
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
 
 
 def _is_number(kind: type) -> bool:
@@ -187,6 +190,15 @@ def parse_measure_dict(obj) -> TreeMeasure | BiMeasure:
     return _parse(obj, None)
 
 
+def _plain_numbers(text: bytes, entries: int, flat: bool) -> bool:
+    """Whether a piece of ``entries`` entries or rows holds only numbers, which
+    its bytes show without the type scan of :func:`_mass_array`: digits,
+    ``+-.eE``, commas and whitespace, and a bi-tree's brackets, one ``[`` a row."""
+    if flat:
+        return not text.translate(None, _NUMBER_BYTES)
+    return not text.translate(None, _NUMBER_BYTES + b"[]") and text.count(b"[") == entries
+
+
 def _pieces_reader(data: bytes, start: int, close: int, flat: bool):
     """``read(rows, cols)`` for the masses array whose entries or rows lie
     in ``data[start:close]``. Each piece ends at the first top-level
@@ -212,7 +224,13 @@ def _pieces_reader(data: bytes, start: int, close: int, flat: bool):
                 raise ValueError("a row of the wrong length")
             if not piece or done + len(piece) > rows:
                 raise ValueError("a wrong number of entries")
-            out[done:done + len(piece)] = _mass_array(piece, cols)
+            values = None
+            if _plain_numbers(data[pos:cut], len(piece), flat):
+                try:
+                    values = np.array(piece, dtype=float)
+                except OverflowError:
+                    pass
+            out[done:done + len(piece)] = _mass_array(piece, cols) if values is None else values
             done += len(piece)
             pos = cut + 1
         if done != rows:

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from dyadic_carleson import (
     ALL_NODES,
+    BOUNDARY_ONLY,
     BiMeasure,
     CarlesonError,
     TreeMeasure,
@@ -519,6 +520,51 @@ def test_whole_document_reader_runs_only_on_declined_input(mu, layout, tmp_path)
     with mock.patch.object(orjson, "loads", lambda t: seen.append(t) or loads(t)):
         assert _masses_of(parse_measure_file(text)).tobytes() == _masses_of(mu).tobytes()
     assert seen == [text]
+
+
+@pytest.mark.parametrize("mu", [
+    random_tree_measure(1, build_tree(12), support_mode=BOUNDARY_ONLY),
+    random_bimeasure(2, build_bitree(5, 5)),
+], ids=["tree", "bitree"])
+@pytest.mark.parametrize("layout", ["compact", "saved"])
+def test_plain_pieces_skip_the_entry_type_scan(mu, layout, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a piece of plain numbers went through the type scan")
+
+    monkeypatch.setattr(measure_io, "_mass_array", refuse)
+    path = tmp_path / "mu.json"
+    if layout == "saved":
+        save_measure(mu, path)
+    else:
+        path.write_text(json.dumps(measure_to_dict(mu)))
+    data = path.read_bytes()
+    with _read_in_pieces_only(data):
+        assert _masses_of(parse_measure_file(data)).tobytes() == _masses_of(mu).tobytes()
+
+
+# entries that are not plain numbers, with the message of the whole-document reader
+_ODD_ENTRIES = {
+    "true": "expected a number, got True",
+    "null": "expected a number, got None",
+    '"0.5"': "expected a number, got '0.5'",
+    "{}": "expected a number, got {}",
+    "[1]": "expected a number, got [1]",
+    "1" + "0" * 399: "integer outside the double range",
+}
+
+
+@pytest.mark.parametrize("piece_entries", [None, 1, 3])
+@pytest.mark.parametrize("entry", sorted(_ODD_ENTRIES))
+def test_entries_that_are_not_plain_numbers_keep_their_message(entry, piece_entries,
+                                                               monkeypatch):
+    if piece_entries is not None:
+        monkeypatch.setattr(measure_io, "_PIECE_ENTRIES", piece_entries)
+    tree = '{"kind": "tree", "depth": 2, "masses": [0, 0.5, 0.5, 0.25, 0.25, %s, 0.25]}'
+    bitree = '{"kind": "bitree", "depths": [1, 2], "masses": [[0.25, 0.5, 0, 1], [1e-3, 2, %s, 3]]}'
+    for text, where in ((tree, "masses[5]"), (bitree, "masses[1][2]")):
+        with pytest.raises(ValidationError) as info:
+            parse_measure_file((text % entry).encode())
+        assert str(info.value) == f"{where}: {_ODD_ENTRIES[entry]}"
 
 
 # files cut and spliced around the masses array, with the outcome of the
