@@ -541,7 +541,8 @@ def _certificate_arrays(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     total = float(slack.sum())
     slack[...] = weighted
     for rows in _row_blocks(n // 2, 2):  # less the children's weighted values
-        slack[rows] -= weighted[2 * rows.start + 1 : 2 * rows.stop + 1].reshape(-1, 2).sum(axis=1)
+        children = weighted[2 * rows.start + 1 : 2 * rows.stop + 1]
+        slack[rows] -= children.reshape(-1, 2).sum(axis=1)
     for rows in _row_blocks(n, 1):
         f[rows] *= f[rows]
         f[rows] *= alpha[rows]  # alpha f^2

@@ -194,7 +194,7 @@ def _decompositions(shape: TreeShape, owners: np.ndarray, trial: np.ndarray, pos
     count, n = owners.shape
     slot = trial * n + pos  # ascending: the bins of the escaped masses below
     order = np.argsort(trial * (shape.depth + 1) + gen, kind="stable")
-    trial, pos, gen, mass, ratio = trial[order], pos[order], gen[order], mass[order], ratio[order]
+    trial, pos, gen, mass, ratio = (x[order] for x in (trial, pos, gen, mass, ratio))
     # every trial's first vertex is the root; the others are its children
     child = pos > 0
     up = owners[trial[child], (pos[child] + 1) // 2 - 1] - 1
@@ -566,6 +566,7 @@ def maximal_checks(
         masses *= np.array(scales)
         phis = [phi for _, phi in batch]
         reports = _theorem_checks(shape, masses, phis, tol, allow_signed=False)
+        # the invariants take over the masses' buffer, the last use of it
         invariants = _invariant_reports(shape, masses, _gathered(shape, phis),
                                         [report.decomposition for report in reports], 1e-12)
         results = zip(batch, scales, reports, invariants)

@@ -560,7 +560,8 @@ def test_entries_that_are_not_plain_numbers_keep_their_message(entry, piece_entr
     if piece_entries is not None:
         monkeypatch.setattr(measure_io, "_PIECE_ENTRIES", piece_entries)
     tree = '{"kind": "tree", "depth": 2, "masses": [0, 0.5, 0.5, 0.25, 0.25, %s, 0.25]}'
-    bitree = '{"kind": "bitree", "depths": [1, 2], "masses": [[0.25, 0.5, 0, 1], [1e-3, 2, %s, 3]]}'
+    bitree = ('{"kind": "bitree", "depths": [1, 2], '
+              '"masses": [[0.25, 0.5, 0, 1], [1e-3, 2, %s, 3]]}')
     for text, where in ((tree, "masses[5]"), (bitree, "masses[1][2]")):
         with pytest.raises(ValidationError) as info:
             parse_measure_file((text % entry).encode())
