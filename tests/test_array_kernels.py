@@ -1638,6 +1638,50 @@ def test_corrupted_owner_fails_only_its_trial():
             assert report.ok and report == check.invariants
 
 
+def _corrupted(dec, lam, phi, kind):
+    """``dec`` with one defect that the invariants must report as the
+    reference does."""
+    owner, beta, ratios = np.array(dec.owner), dict(dec.beta), dict(dec.ratios)
+    if kind == "owner-off-the-stops":
+        # the node of the largest running maximum goes to the non-stopping node
+        # of least ratio below its running maximum, which sets the margin
+        r, _ = _ref_ratios(lam, phi)
+        m = r.copy()
+        _ancestor_sums_inplace(lam.shape.depth, m, np.maximum)
+        free = [q for q in np.flatnonzero(m > r) + 1 if q not in beta]
+        owner[np.argmax(m)] = min(free, key=lambda q: r[q - 1])
+    elif kind == "no-stops":
+        beta, ratios = {}, {}
+    elif kind == "recorded-root-ratio":
+        ratios[1] = 5.0 * ratios[1] + 1.0
+    elif kind == "root-owns-all":
+        owner[:] = 1
+    return StoppingDecomposition(lam.shape, dec.generations, owner, beta, ratios)
+
+
+def test_invariants_of_corrupted_decompositions_match_the_reference():
+    # a stack of valid and corrupted decompositions: the owners' ratios are
+    # read before the running maximum overwrites them, escaped masses go to
+    # owners only, the chain reads recorded ratios, and a trial without
+    # stopping vertices compares with 0
+    shape = build_tree(6)
+    kinds = [None, "owner-off-the-stops", "no-stops", "recorded-root-ratio", "root-owns-all"]
+    jobs = [(carleson_normalized(random_tree_measure(seed, shape, support_mode=mode)),
+             random_node_values(seed + 50, shape, nonneg=True))
+            for seed, mode in zip(range(len(kinds)), itertools.cycle([ALL_NODES, BOUNDARY_ONLY]))]
+    decs = [stopping_decomposition(lam, phi) for lam, phi in jobs]
+    decs = [dec if kind is None else _corrupted(dec, lam, phi, kind)
+            for dec, (lam, phi), kind in zip(decs, jobs, kinds)]
+    masses = np.stack([lam.masses for lam, _ in jobs], axis=-1)
+    phis = np.stack([phi for _, phi in jobs], axis=-1)
+    reports = maximal._invariant_reports(shape, masses, phis, decs, 1e-12)
+    for report, dec, (lam, phi), kind in zip(reports, decs, jobs, kinds):
+        assert report.ok == (kind is None)
+        assert _same_invariants(report, _ref_invariants(dec, lam, phi)), kind
+        assert _same_invariants(verify_stopping_invariants(dec, lam, phi),
+                                _ref_invariants(dec, lam, phi)), kind
+
+
 def test_errors_surface_at_their_trial():
     # a stack computes all its trials, but raises a trial's error only when
     # the loop over the jobs reaches it, as the per-trial loop did
