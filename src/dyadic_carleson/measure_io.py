@@ -224,13 +224,9 @@ def _pieces_reader(data: bytes, start: int, close: int, flat: bool):
                 raise ValueError("a row of the wrong length")
             if not piece or done + len(piece) > rows:
                 raise ValueError("a wrong number of entries")
-            values = None
-            if _plain_numbers(data[pos:cut], len(piece), flat):
-                try:
-                    values = np.array(piece, dtype=float)
-                except OverflowError:
-                    pass
-            out[done:done + len(piece)] = _mass_array(piece, cols) if values is None else values
+            if not _plain_numbers(data[pos:cut], len(piece), flat):
+                raise ValueError("an entry that is not a plain number")
+            out[done:done + len(piece)] = piece
             done += len(piece)
             pos = cut + 1
         if done != rows:

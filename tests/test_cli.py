@@ -563,6 +563,8 @@ def test_entries_that_are_not_plain_numbers_keep_their_message(entry, piece_entr
     bitree = ('{"kind": "bitree", "depths": [1, 2], '
               '"masses": [[0.25, 0.5, 0, 1], [1e-3, 2, %s, 3]]}')
     for text, where in ((tree, "masses[5]"), (bitree, "masses[1][2]")):
+        # the piece reader declines the file, and the whole-document reader names the entry
+        assert measure_io._read_in_pieces((text % entry).encode()) is None
         with pytest.raises(ValidationError) as info:
             parse_measure_file((text % entry).encode())
         assert str(info.value) == f"{where}: {_ODD_ENTRIES[entry]}"
