@@ -499,12 +499,27 @@ def _averages(shape: TreeShape, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _test_averages(shape: TreeShape, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """A: the box averages of alpha v^2, in a new array."""
+    A = v * v
+    A *= alpha
+    return _averages(shape, A)
+
+
+def _cross_averages(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """f: the box averages of phi sqrt(lam), in ``out`` or a new array."""
+    f = np.sqrt(masses, out=out)
+    f *= phi
+    return _averages(shape, f)
+
+
 def _quadruples(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
                 alpha: np.ndarray) -> list[np.ndarray]:
     """The box averages F, f, A and v of phi^2, phi sqrt(lam), alpha v^2 and lam."""
     v = _averages(shape, masses.copy())
-    A = _averages(shape, v * v * alpha)
-    f = _averages(shape, np.sqrt(masses) * phi)
+    A = _test_averages(shape, v, alpha)
+    f = _cross_averages(shape, masses, phi)
     return [_averages(shape, phi * phi), f, A, v]
 
 
@@ -521,13 +536,9 @@ def _certificate_arrays(shape: TreeShape, masses: np.ndarray, phi: np.ndarray,
     """
     n = masses.size
     v = _averages(shape, masses.copy())
-    s = v * v
-    s *= alpha
-    _averages(shape, s)
+    s = _test_averages(shape, v, alpha)
     s += v  # v + A, for B = 4 (F - f^2 / s) as in bellman_values
-    f = np.sqrt(masses, out=v)
-    f *= phi
-    _averages(shape, f)
+    f = _cross_averages(shape, masses, phi, out=v)
     F = _averages(shape, phi * phi)
     upper = float(4.0 * F[0])
     for rows in _row_blocks(n, 1):
